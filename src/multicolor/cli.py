@@ -240,6 +240,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _int_at_least(low: int):
+    """Argparse type: an int no smaller than low; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multicolor",
@@ -256,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-vectors",
-            type=int,
+            type=_int_at_least(0),
             default=DEFAULT_MAX_VECTORS,
             help="cap on intermediate demand-vector sets (default %(default)s)",
         )
         p.add_argument(
             "--max-branches",
-            type=int,
+            type=_int_at_least(0),
             default=DEFAULT_MAX_BRANCHES,
             help="cap on brute-force search branches (default %(default)s)",
         )
@@ -290,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("color", _cmd_color, "print one coloring meeting the demand")
 
     p = add("enumerate", _cmd_enumerate, "print every coloring, one JSON object per line")
-    p.add_argument("--limit", type=int, help="stop after this many colorings")
+    p.add_argument(
+        "--limit", type=_int_at_least(1), help="stop after this many colorings"
+    )
 
     add("chromatic", _cmd_chromatic, "smallest uniform palette meeting the demand")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .coloring import Coloring, find_coloring
 from .instance import Instance
-from .vectors import Vec, norm, vec_min
+from .vectors import Vec
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, wmax
 
 __all__ = ["oncall_solutions"]
@@ -37,16 +37,24 @@ def oncall_solutions(
         The optimal vectors with witnesses; never empty.
 
     Raises:
-        ValueError: if no vertex lists any color.
+        ValueError: if a weight is negative, or if wmax_set's vectors do
+            not have the instance's dimension.
     """
     w = inst.require_weights()
     if any(x < 0 for x in w):
         raise ValueError("weights must be non-negative")
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists, max_vectors)
-    candidates = {vec_min(w, m) for m in wmax_set.vectors}
-    best = max(norm(u) for u in candidates)
-    chosen = sorted(u for u in candidates if norm(u) == best)
+    n = len(w)
+    sums: dict[Vec, int] = {}
+    for m in wmax_set.vectors:
+        if len(m) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
+        u = tuple([a if a < b else b for a, b in zip(w, m)])
+        if u not in sums:
+            sums[u] = sum(u)
+    best = max(sums.values())
+    chosen = sorted(u for u, total in sums.items() if total == best)
     return tuple(
         (u, find_coloring(inst.with_weights(u), wmax_set)) for u in chosen
     )

@@ -8,6 +8,7 @@ sets (tuples hash), deduplicated by construction.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import le
 
 Vec = tuple[int, ...]
 
@@ -97,9 +98,16 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
     Membership of w in the downward closure of `vecs` is equivalent to a
     witness existing.  Ties break to the lexicographically smallest witness
     so callers get deterministic output.
+
+    Raises:
+        ValueError: if some member's length differs from w's, also after a
+            witness has been found.
     """
+    n = len(w)
     best: Vec | None = None
     for x in vecs:
-        if leq(w, x) and (best is None or x < best):
+        if len(x) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {len(x)}")
+        if (best is None or x < best) and all(map(le, w, x)):
             best = x
     return best

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, all_colors, color_subgraph
 from .mis import enumerate_mis, maximal_restrictions
-from .vectors import Vec, in_hyperrectangle, leq, vec_add, zero
+from .vectors import Vec, in_hyperrectangle, vec_add, zero
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
@@ -57,10 +57,11 @@ def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]
     Computed by enumerating the maximal independent sets of the whole graph
     once and keeping, per color, the restrictions that stay maximal in that
     color's subgraph; this reproduces each subgraph's own family exactly.
+    An assignment that lists no color has no families.
     """
     colors = all_colors(lists)
     if not colors:
-        raise ValueError("the list assignment uses no colors anywhere")
+        return {}
     parent_family = enumerate_mis(graph)
     return {
         c: maximal_restrictions(parent_family, color_subgraph(graph, lists, c))
@@ -103,10 +104,11 @@ def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> 
     """All demand vectors that admit a coloring saturating every color.
 
     The worst case is exponential in the number of colors; intermediate
-    set size is capped by max_vectors.
+    set size is capped by max_vectors.  When no vertex lists a color, the
+    only satisfiable demand is zero: the set is the single zero vector,
+    with an empty certificate.
 
     Raises:
-        ValueError: if no vertex lists any color.
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
     """
     families = color_mis_families(graph, lists)
@@ -162,11 +164,54 @@ def is_permissible(
 
 
 def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Drop every vector lying below another member; closure is unchanged."""
-    items = sorted(set(vecs))
-    kept = [
-        x
-        for x in items
-        if not any(x != y and leq(x, y) for y in items)
-    ]
-    return tuple(kept)
+    """Drop every vector lying below another member; closure is unchanged.
+
+    The maxima scan of Kung, Luccio and Preparata ("On finding the maxima
+    of a set of vectors", J. ACM 1975): distinct vectors are visited in
+    descending coordinate sum, and each is tested only against the maxima
+    kept so far.  A vector can lie below another distinct one only if that
+    one has a strictly larger sum, and whatever lies below a discarded
+    vector lies below the kept vector that discarded it.
+
+    Each test is one big-int operation.  A vector is packed into an int
+    with coordinate 0 in the most significant field; every field is
+    ``(hi - lo).bit_length() + 1`` bits wide, where hi and lo are the
+    largest and smallest coordinates in the set, holds ``a - lo`` and
+    keeps its top bit free as a guard.  With G the mask of all guard bits,
+    x <= y iff ``((pack(y) | G) - pack(x)) & G == G``: a field whose
+    guard survives the subtraction has ``a_y >= a_x``, and no field
+    borrows from its neighbour.  The test is exact for any equal-length
+    tuples of ints, negative or arbitrarily large coordinates included.
+
+    Returns:
+        The maxima, sorted lexicographically.
+
+    Raises:
+        ValueError: if the vectors do not all have the same length.
+    """
+    items = set(vecs)
+    if not items:
+        return ()
+    dim = len(next(iter(items)))
+    for x in items:
+        if len(x) != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {len(x)}")
+    lo = min(map(min, items)) if dim else 0
+    hi = max(map(max, items)) if dim else 0
+    width = (hi - lo).bit_length() + 1
+    guards = 0
+    for _ in range(dim):
+        guards = (guards << width) | (1 << (width - 1))
+    kept: list[Vec] = []
+    kept_packed: list[int] = []  # each kept vector packed, guards set
+    for x in sorted(items, key=lambda v: (-sum(v), v)):
+        px = 0
+        for a in x:
+            px = (px << width) | (a - lo)
+        for py in kept_packed:
+            if (py - px) & guards == guards:
+                break
+        else:
+            kept.append(x)
+            kept_packed.append(px | guards)
+    return tuple(sorted(kept))

@@ -40,6 +40,12 @@ class TestWmax:
         assert proc.stdout == ""
         assert "intermediate demand vectors" in proc.stderr
 
+    def test_negative_vector_cap_is_a_usage_error(self, run_cli):
+        proc = run_cli("wmax", "fix_c5.json", "--max-vectors", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--max-vectors: must be at least 0" in proc.stderr
+
 
 class TestCheck:
     def test_permissible_prints_witness(self, run_cli):
@@ -51,6 +57,20 @@ class TestCheck:
         proc = run_cli("check", "fix_p3_heavy.json")
         assert proc.returncode == 1
         assert proc.stdout == "NOT PERMISSIBLE\n"
+
+    @pytest.mark.parametrize(
+        "doc, code, out",
+        [
+            ({"vertices": ["a"], "lists": {"a": []}, "weights": {"a": 0}}, 0, "[0]\n"),
+            ({"vertices": ["a"], "lists": {"a": []}, "weights": {"a": 1}}, 1, "NOT PERMISSIBLE\n"),
+            ({"vertices": [], "weights": {}}, 0, "[]\n"),
+        ],
+    )
+    def test_colorless_instances(self, run_cli, tmp_path, doc, code, out):
+        path = tmp_path / "colorless.json"
+        path.write_text(json.dumps({"edges": [], **doc}))
+        proc = run_cli("check", str(path))
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestColor:
@@ -75,6 +95,13 @@ class TestEnumerate:
     def test_limit(self, run_cli):
         proc = run_cli("enumerate", "fix_sv.json", "--limit", "1")
         assert proc.stdout == '{"v1": [1]}\n'
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, run_cli, limit):
+        proc = run_cli("enumerate", "fix_sv.json", "--limit", limit)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--limit: must be at least 1" in proc.stderr
 
     def test_infeasible_is_empty_and_exit_one(self, run_cli):
         proc = run_cli("enumerate", "fix_p3_heavy.json")
@@ -155,6 +182,12 @@ class TestVerify:
             "PASS chromatic",
             "PASS oncall",
         ]
+
+    def test_negative_branch_cap_is_a_usage_error(self, run_cli):
+        proc = run_cli("verify", "fix_p3.json", "--max-branches", "-5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--max-branches: must be at least 0" in proc.stderr
 
 
 class TestFailureModes:

@@ -1,9 +1,13 @@
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicolor import (
     Instance,
+    WmaxSet,
     brute_oncall,
     is_valid_coloring,
     oncall_solutions,
@@ -38,9 +42,9 @@ def test_witnesses_meet_their_vectors():
         assert leq(vec, (1, 2, 1))
 
 
-def test_rejects_colorless_assignment():
-    with pytest.raises(ValueError):
-        oncall_solutions(Instance(K2, (frozenset(), frozenset()), (1, 1)))
+def test_colorless_assignment_serves_nothing():
+    sols = oncall_solutions(Instance(K2, (frozenset(), frozenset()), (1, 1)))
+    assert sols == (((0, 0), (frozenset(), frozenset())),)
 
 
 def test_matches_brute_force():
@@ -52,3 +56,19 @@ def test_matches_brute_force():
         inst = Instance(graph, lists, w)
         got = {v for v, _ in oncall_solutions(inst)}
         assert got == brute_oncall(inst)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=4),
+    st.integers(min_value=0, max_value=4).filter(lambda d: d != 2),
+    st.data(),
+)
+def test_rejects_wmax_set_of_wrong_dimension(vectors, other_dim, data):
+    at = data.draw(st.integers(min_value=0, max_value=len(vectors)))
+    odd = (1,) * other_dim
+    mixed = (*vectors[:at], odd, *vectors[at:])
+    ws = WmaxSet(vectors=mixed, certificates={})
+    # the scan itself must reject the set, before any witness is built
+    with patch("multicolor.oncall.find_coloring", side_effect=AssertionError):
+        with pytest.raises(ValueError):
+            oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)

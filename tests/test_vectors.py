@@ -157,3 +157,21 @@ def test_hyperrectangle_downward_closed(w, xs):
         assert leq(w, witness)
         smaller = tuple(max(0, c - 1) for c in w)
         assert in_hyperrectangle(smaller, xs) is not None
+
+
+vec_lists3 = st.lists(vecs3, max_size=12)
+
+
+@given(vecs3, vec_lists3)
+def test_hyperrectangle_witness_is_smallest_dominating_member(w, xs):
+    expected = min((x for x in xs if leq(w, x)), default=None)
+    assert in_hyperrectangle(w, xs) == expected
+    assert in_hyperrectangle(w, iter(xs)) == expected
+    assert in_hyperrectangle(w, reversed(xs)) == expected
+
+
+@given(vecs3, vec_lists3, st.integers(min_value=0, max_value=5).filter(lambda d: d != 3))
+def test_hyperrectangle_rejects_mismatch_after_witness(w, xs, other_dim):
+    members = [*xs, w, (0,) * other_dim]
+    with pytest.raises(ValueError):
+        in_hyperrectangle(w, members)

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicolor import (
+    Graph,
     Instance,
     ResourceLimitExceeded,
     is_maximal_independent,
@@ -42,9 +45,21 @@ def test_path_two_colors():
     assert set(wmax(P3, P3_LISTS).vectors) == P3_WMAX
 
 
-def test_rejects_colorless_assignment():
-    with pytest.raises(ValueError):
-        wmax(K2, (frozenset(), frozenset()))
+def test_colorless_assignment_permits_only_zero():
+    ws = wmax(K2, (frozenset(), frozenset()))
+    assert ws.vectors == ((0, 0),)
+    assert dict(ws.certificates) == {(0, 0): {}}
+    assert ws.colors == ()
+    assert is_permissible(K2, (frozenset(), frozenset()), (0, 0), ws) == (0, 0)
+    assert is_permissible(K2, (frozenset(), frozenset()), (1, 0), ws) is None
+
+
+def test_empty_graph_permits_only_the_empty_vector():
+    empty = Graph.build((), set())
+    ws = wmax(empty, ())
+    assert ws.vectors == ((),)
+    assert dict(ws.certificates) == {(): {}}
+    assert is_permissible(empty, (), (), ws) == ()
 
 
 def test_vector_cap_trips():
@@ -158,3 +173,50 @@ def test_prune_preserves_hyperrectangle():
             full = is_permissible(graph, lists, w, ws) is not None
             via_pruned = any(leq(w, p) for p in pruned)
             assert full == via_pruned
+
+
+def all_pairs_maxima(vecs):
+    """The definition: members below no other member, sorted."""
+    items = set(vecs)
+    return tuple(
+        sorted(
+            x
+            for x in items
+            if not any(x != y and all(a <= b for a, b in zip(x, y)) for y in items)
+        )
+    )
+
+
+# Small coordinates make dominance and duplicates common; the wide range
+# reaches 2**40 and negative values, which set the packed field width.
+coords = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+
+
+@st.composite
+def vector_lists(draw):
+    dim = draw(st.integers(min_value=0, max_value=7))
+    pool = draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=12))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@given(vector_lists())
+def test_prune_equals_all_pairs_definition(vecs):
+    expected = all_pairs_maxima(vecs)
+    assert prune_dominated(vecs) == expected
+    assert prune_dominated(iter(vecs)) == expected
+
+
+@given(vector_lists().filter(bool), st.data())
+def test_prune_rejects_mismatched_dimensions(vecs, data):
+    dim = len(vecs[0])
+    other_dim = data.draw(
+        st.integers(min_value=0, max_value=8).filter(lambda d: d != dim)
+    )
+    odd = data.draw(st.tuples(*[coords] * other_dim))
+    at = data.draw(st.integers(min_value=0, max_value=len(vecs)))
+    mixed = [*vecs[:at], odd, *vecs[at:]]
+    with pytest.raises(ValueError):
+        prune_dominated(mixed)
