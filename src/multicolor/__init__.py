@@ -48,7 +48,7 @@ from .instance import (
     serialize_instance,
     uniform_lists,
 )
-from .mis import enumerate_mis, is_maximal_independent, restrict_to_subgraph
+from .mis import enumerate_mis, is_maximal_independent
 from .oncall import oncall_solutions
 from .oracle import (
     brute_all_colorings,
@@ -63,7 +63,6 @@ from .vectors import (
     leq,
     norm,
     vec_min,
-    vectorial_sum,
 )
 from .wmax import WmaxSet, is_permissible, prune_dominated, wmax, wmax_uniform
 
@@ -111,12 +110,10 @@ __all__ = [
     "parse_dimacs",
     "parse_instance",
     "prune_dominated",
-    "restrict_to_subgraph",
     "serialize_instance",
     "shrink",
     "uniform_lists",
     "vec_min",
-    "vectorial_sum",
     "weight_of",
     "weighted_chromatic",
     "wmax",

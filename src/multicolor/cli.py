@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,11 +196,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args)
     w = inst.require_weights()
     ws = wmax(inst.graph, inst.lists, args.max_vectors)
-    failures = 0
+    failures = ran = 0
 
     def report(name: str, ok: bool) -> None:
-        nonlocal failures
+        nonlocal failures, ran
         print(f"{'PASS' if ok else 'FAIL'} {name}")
+        ran += 1
         if not ok:
             failures += 1
 
@@ -237,6 +239,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         got_oncall = {sol for sol, _ in oncall_solutions(inst, ws)}
         report("oncall", got_oncall == expected_oncall)
 
+    if not ran:
+        print(
+            "error: no check ran: the brute-force oracle exceeded its branch cap "
+            f"(--max-branches {args.max_branches}) on every check",
+            file=sys.stderr,
+        )
+        return 3
     return 1 if failures else 0
 
 
@@ -253,7 +262,14 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged, so one instance serves every
+    in-process call of main.  It is built lazily, not at import, so that
+    importing the package stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="multicolor",
         description="List multicoloring of weighted graphs.",

@@ -4,7 +4,8 @@
 set not properly contained in another independent set.  (The independence
 number, by contrast, is defined by maximum cardinality; see
 chromatic.independence_number.)  Indicator vectors always live on the full
-instance index space so that families taken on different subgraphs can be
+instance index space, so the family of a color subgraph has zeros at the
+vertices outside it and families taken on different subgraphs can be
 summed coordinatewise.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .instance import Graph
-from .vectors import Vec, indicator, support
+from .vectors import Vec
 
 
 def is_maximal_independent(graph: Graph, subset: Iterable[int]) -> bool:
@@ -38,52 +39,48 @@ def is_maximal_independent(graph: Graph, subset: Iterable[int]) -> bool:
 def enumerate_mis(graph: Graph) -> tuple[Vec, ...]:
     """All inclusion-maximal independent sets, as sorted indicator vectors.
 
-    Bron-Kerbosch with pivoting, run on the non-adjacency relation.  The
-    empty graph has the empty set as its unique maximal independent set, so
-    it yields the zero vector.
+    Bron-Kerbosch with the pivot rule of Tomita, Tanaka and Takahashi
+    (TCS 2006), run on the non-adjacency relation of the graph's members.
+    Vertex sets are int bitmasks with vertex v at bit n-1-v, so ordering
+    the masks as ints orders their indicator vectors lexicographically;
+    tuples are built once, at the end.  The empty graph has the empty set
+    as its unique maximal independent set, so it yields the zero vector.
     """
     n = graph.n
-    members = graph.members
-    if not members:
-        return ((0,) * n,)
-    adj = graph.adjacency
-    compat = {v: members - adj[v] - {v} for v in members}
+    top = n - 1
+    everyone = 0
+    for v in graph.members:
+        everyone |= 1 << (top - v)
+    # compat[b]: the members other than the vertex at bit b and its neighbours
+    compat = [everyone & ~(1 << b) for b in range(n)]
+    for i, j in graph.edges:
+        compat[top - i] &= ~(1 << (top - j))
+        compat[top - j] &= ~(1 << (top - i))
 
-    out: list[Vec] = []
+    out: list[int] = []
 
-    def extend(chosen: set[int], candidates: set[int], excluded: set[int]) -> None:
-        if not candidates and not excluded:
-            out.append(indicator(chosen, n))
+    def extend(chosen: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            out.append(chosen)
             return
-        pivot = max(candidates | excluded, key=lambda u: len(candidates & compat[u]))
-        for v in sorted(candidates - compat[pivot]):
-            extend(chosen | {v}, candidates & compat[v], excluded & compat[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        best = -1
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            count = (candidates & compat[low.bit_length() - 1]).bit_count()
+            if count > best:
+                best, pivot = count, low
+        branch = candidates & ~compat[pivot.bit_length() - 1]
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            c = compat[low.bit_length() - 1]
+            extend(chosen | low, candidates & c, excluded & c)
+            candidates ^= low
+            excluded |= low
 
-    extend(set(), set(members), set())
-    return tuple(sorted(out))
-
-
-def restrict_to_subgraph(vec: Vec, subgraph: Graph) -> Vec:
-    """Zero out the coordinates of vertices absent from the subgraph."""
-    return tuple(x if i in subgraph.members else 0 for i, x in enumerate(vec))
-
-
-def maximal_restrictions(family: Iterable[Vec], subgraph: Graph) -> tuple[Vec, ...]:
-    """Restrictions of the family's sets that are maximal in the subgraph.
-
-    For a family of maximal independent sets of the parent graph this yields
-    exactly the maximal independent sets of the induced subgraph: any
-    restriction is independent, the maximality filter keeps the sound ones,
-    and every maximal set of the subgraph extends to one of the parent whose
-    restriction coincides with it.
-    """
-    seen: set[Vec] = set()
-    for vec in family:
-        restricted = restrict_to_subgraph(vec, subgraph)
-        if restricted in seen:
-            continue
-        if is_maximal_independent(subgraph, support(restricted)):
-            seen.add(restricted)
-    return tuple(sorted(seen))
+    extend(0, everyone, 0)
+    out.sort()
+    # a sentinel bit above the n fields keeps the leading zeros in bin()
+    return tuple(tuple(map(int, bin(s | 1 << n)[3:])) for s in out)

@@ -7,7 +7,7 @@ sets (tuples hash), deduplicated by construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import le
 
 Vec = tuple[int, ...]
@@ -64,32 +64,6 @@ def indicator(members: Iterable[int], n: int) -> Vec:
 def support(x: Vec) -> frozenset[int]:
     """Indices of the nonzero coordinates."""
     return frozenset(i for i, a in enumerate(x) if a)
-
-
-def vectorial_sum(sets: Sequence[Iterable[Vec]]) -> set[Vec]:
-    """All sums picking one vector from each input set, deduplicated.
-
-    Raises:
-        ValueError: on an empty sequence of sets, an empty member set, or
-            mismatched dimensions.
-    """
-    if not sets:
-        raise ValueError("vectorial sum of an empty sequence of sets")
-    acc: set[Vec] | None = None
-    for vecs in sets:
-        batch = set(vecs)
-        if not batch:
-            raise ValueError("vectorial sum over an empty set of vectors")
-        if acc is None:
-            dim = len(next(iter(batch)))
-            for v in batch:
-                if len(v) != dim:
-                    raise ValueError("dimension mismatch inside vector set")
-            acc = batch
-        else:
-            acc = {vec_add(a, b) for a in acc for b in batch}
-    assert acc is not None
-    return acc
 
 
 def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:

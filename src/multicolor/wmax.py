@@ -11,13 +11,13 @@ from which a coloring of that exact demand can be assembled directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, all_colors, color_subgraph
-from .mis import enumerate_mis, maximal_restrictions
+from .mis import enumerate_mis
 from .vectors import Vec, in_hyperrectangle, vec_add, zero
 
 DEFAULT_MAX_VECTORS = 1_000_000
@@ -52,21 +52,13 @@ class WmaxSet:
 
 
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]:
-    """Maximal independent sets of every color subgraph.
+    """Maximal independent sets of every color subgraph, by color.
 
-    Computed by enumerating the maximal independent sets of the whole graph
-    once and keeping, per color, the restrictions that stay maximal in that
-    color's subgraph; this reproduces each subgraph's own family exactly.
-    An assignment that lists no color has no families.
+    Each family is enumerated on its own color subgraph, the vertices whose
+    list holds that color, so its cost follows the subgraph and not the
+    whole graph.  An assignment that lists no color has no families.
     """
-    colors = all_colors(lists)
-    if not colors:
-        return {}
-    parent_family = enumerate_mis(graph)
-    return {
-        c: maximal_restrictions(parent_family, color_subgraph(graph, lists, c))
-        for c in colors
-    }
+    return {c: enumerate_mis(color_subgraph(graph, lists, c)) for c in all_colors(lists)}
 
 
 def vecsum_families(
@@ -78,18 +70,45 @@ def vecsum_families(
 
     Folds the families together one color at a time in ascending color
     order, deduplicating after every step, so the certificate kept for a
-    sum is the first one encountered in that deterministic sweep.
+    sum is the first one encountered in that deterministic sweep: at each
+    step the sums so far are visited in ascending lexicographic order, and
+    for each the family in its own order.
+
+    Every vector is packed once into an int of n byte-aligned fields,
+    coordinate 0 in the most significant.  A field holds the coordinate
+    minus lo, the smallest coordinate of any family or 0 if none is
+    negative, and is wide enough for one coordinate per family each up to
+    hi - lo, hi the largest coordinate or 0, so sums never carry between
+    fields and negative coordinates stay exact.  Every field of a sum is
+    offset alike, so packed sums order as their vectors do.  Each distinct
+    final sum is unpacked once.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
+        ValueError: if a vector the fold reaches does not have length n.
     """
-    acc: dict[Vec, dict[int, Vec]] = {zero(n): {}}
+    coords = {0, *chain.from_iterable(chain.from_iterable(families.values()))}
+    lo = min(coords)
+    span = (max(coords) - lo) * len(families)
+    size = max(1, (span.bit_length() + 7) // 8)  # bytes per field
+    width = 8 * size
+    acc: dict[int, dict[int, Vec]] = {0: {}}
     for c in sorted(families):
-        nxt: dict[Vec, dict[int, Vec]] = {}
+        if not acc:
+            break
+        packed = []
+        for r in families[c]:
+            if len(r) != n:
+                raise ValueError(f"dimension mismatch: {n} vs {len(r)}")
+            p = 0
+            for a in r:
+                p = (p << width) | (a - lo)
+            packed.append((p, r))
+        nxt: dict[int, dict[int, Vec]] = {}
         for s in sorted(acc):
             cert = acc[s]
-            for r in families[c]:
-                total = vec_add(s, r)
+            for p, r in packed:
+                total = s + p
                 if total not in nxt:
                     nxt[total] = {**cert, c: r}
                     if len(nxt) > max_vectors:
@@ -97,7 +116,18 @@ def vecsum_families(
                             f"more than {max_vectors} intermediate demand vectors"
                         )
         acc = nxt
-    return acc
+
+    offset = lo * len(families)
+
+    def unpack(s: int) -> Vec:
+        raw = s.to_bytes(n * size, "big")
+        if size == 1 and not offset:
+            return tuple(raw)
+        return tuple(
+            int.from_bytes(raw[i : i + size], "big") + offset for i in range(0, len(raw), size)
+        )
+
+    return {unpack(s): cert for s, cert in acc.items()}
 
 
 def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from multicolor import cli
+from util import FIXTURES
+
 
 class TestWmax:
     def test_prints_sorted_vectors(self, run_cli):
@@ -183,6 +186,18 @@ class TestVerify:
             "PASS oncall",
         ]
 
+    def test_all_checks_skipped_is_a_resource_error(self, run_cli):
+        proc = run_cli("verify", "fix_p3.json", "--max-branches", "0")
+        assert proc.returncode == 3
+        assert proc.stdout.splitlines() == [
+            "SKIP permissibility",
+            "SKIP enumeration",
+            "SKIP chromatic",
+            "SKIP oncall",
+        ]
+        assert proc.stderr.count("\n") == 1
+        assert "no check ran" in proc.stderr
+
     def test_negative_branch_cap_is_a_usage_error(self, run_cli):
         proc = run_cli("verify", "fix_p3.json", "--max-branches", "-5")
         assert proc.returncode == 2
@@ -205,6 +220,16 @@ class TestFailureModes:
         bad.write_text("{not json")
         proc = run_cli("check", str(bad))
         assert proc.returncode == 2
+
+    def test_in_process_usage_error_leaves_the_parser_intact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", str(FIXTURES / "fix_p3.json"), "--max-vectors", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert cli.main(["check", str(FIXTURES / "fix_p3.json")]) == 0
+        assert capsys.readouterr().out == "[1, 0, 1]\n"
+        assert cli.main(["check", str(FIXTURES / "fix_p3_heavy.json")]) == 1
+        assert capsys.readouterr().out == "NOT PERMISSIBLE\n"
 
 
 @pytest.mark.parametrize(

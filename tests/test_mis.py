@@ -2,17 +2,18 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicolor import (
     all_colors,
     color_subgraph,
     enumerate_mis,
     is_maximal_independent,
-    restrict_to_subgraph,
 )
-from multicolor.mis import maximal_restrictions
 from multicolor.vectors import support
-from util import C5, K2, K3, P3, P3_LISTS, graph_from_edges, random_graph
+from multicolor.wmax import color_mis_families
+from util import C5, K2, K3, P3, graph_from_edges, random_graph
 
 import graphgen
 
@@ -95,28 +96,21 @@ def test_matches_brute_force_on_random_graphs():
         assert set(enumerate_mis(graph)) == brute_mis(graph)
 
 
-def test_restriction_masks_coordinates():
-    g1 = color_subgraph(P3, P3_LISTS, 1)
-    assert restrict_to_subgraph((1, 0, 1), g1) == (1, 0, 0)
-    assert restrict_to_subgraph((0, 1, 0), g1) == (0, 1, 0)
+@st.composite
+def listed_graphs(draw):
+    """A graph on up to 9 vertices with lists drawn from colors 1..4."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    colors = st.frozensets(st.integers(min_value=1, max_value=4))
+    lists = draw(st.tuples(*[colors] * n))
+    return graph_from_edges(n, edges), lists
 
 
-def test_restriction_to_full_graph_is_identity():
-    for s in enumerate_mis(P3):
-        assert restrict_to_subgraph(s, P3) == s
-
-
-def test_restrictions_reproduce_subgraph_family():
-    rng = random.Random(11)
-    for _ in range(30):
-        graph = random_graph(rng, rng.randint(2, 7), rng.random())
-        lists = tuple(
-            frozenset(rng.sample(range(1, 4), rng.randint(1, 3)))
-            for _ in range(graph.n)
-        )
-        family = enumerate_mis(graph)
-        for x in all_colors(lists):
-            sub = color_subgraph(graph, lists, x)
-            assert set(maximal_restrictions(family, sub)) == set(
-                enumerate_mis(sub)
-            )
+@given(listed_graphs())
+def test_color_families_match_brute_force(case):
+    graph, lists = case
+    families = color_mis_families(graph, lists)
+    assert list(families) == list(all_colors(lists))
+    for x, family in families.items():
+        assert family == tuple(sorted(brute_mis(color_subgraph(graph, lists, x))))

@@ -11,7 +11,6 @@ from multicolor.vectors import (
     vec_add,
     vec_min,
     vec_sub,
-    vectorial_sum,
     zero,
 )
 
@@ -97,37 +96,6 @@ def test_indicator_rejects_out_of_range():
 def test_support_inverts_indicator():
     assert support((1, 0, 1)) == frozenset({0, 2})
     assert support(zero(4)) == frozenset()
-
-
-def test_vectorial_sum_deduplicates():
-    pair = {(1, 0), (0, 1)}
-    assert vectorial_sum([pair, pair]) == {(2, 0), (1, 1), (0, 2)}
-
-
-def test_vectorial_sum_identity():
-    x = {(1, 2, 0), (0, 0, 3)}
-    assert vectorial_sum([{(0, 0, 0)}, x]) == x
-
-
-def test_vectorial_sum_pairing():
-    left = {(1, 0, 0), (0, 1, 0)}
-    right = {(0, 1, 0), (0, 0, 1)}
-    assert vectorial_sum([left, right]) == P3_WMAX
-
-
-def test_vectorial_sum_rejects_empty_sequence():
-    with pytest.raises(ValueError):
-        vectorial_sum([])
-
-
-def test_vectorial_sum_rejects_empty_member():
-    with pytest.raises(ValueError):
-        vectorial_sum([{(1, 0)}, set()])
-
-
-@given(st.lists(st.sets(vecs3, min_size=1, max_size=3), min_size=2, max_size=3))
-def test_vectorial_sum_commutative(sets):
-    assert vectorial_sum(sets) == vectorial_sum(list(reversed(sets)))
 
 
 def test_hyperrectangle_membership():

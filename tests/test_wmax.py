@@ -18,6 +18,7 @@ from multicolor import (
 from multicolor.instance import color_subgraph
 from multicolor.oracle import brute_is_permissible
 from multicolor.vectors import leq, support, vec_add, zero
+from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families
 from util import (
     K2,
     K2_LISTS,
@@ -220,3 +221,91 @@ def test_prune_rejects_mismatched_dimensions(vecs, data):
     mixed = [*vecs[:at], odd, *vecs[at:]]
     with pytest.raises(ValueError):
         prune_dominated(mixed)
+
+
+def test_vecsum_families_deduplicates():
+    pair = ((1, 0), (0, 1))
+    assert set(vecsum_families({1: pair, 2: pair}, 2)) == {(2, 0), (1, 1), (0, 2)}
+
+
+def test_vecsum_families_identity():
+    x = ((1, 2, 0), (0, 0, 3))
+    assert set(vecsum_families({1: ((0, 0, 0),), 2: x}, 3)) == set(x)
+    assert vecsum_families({}, 3) == {(0, 0, 0): {}}
+    assert vecsum_families({1: x, 2: ()}, 3) == {}
+    # the sweep stops at an empty family, before it reaches the short vector
+    assert vecsum_families({1: (), 2: ((1,),)}, 3) == {}
+
+
+def test_vecsum_families_pairing():
+    left = ((1, 0, 0), (0, 1, 0))
+    right = ((0, 1, 0), (0, 0, 1))
+    assert set(vecsum_families({1: left, 2: right}, 3)) == P3_WMAX
+
+
+vecs3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
+
+
+@given(st.lists(st.lists(vecs3, min_size=1, max_size=3), min_size=2, max_size=3))
+def test_vecsum_families_is_commutative_in_color_order(fams):
+    forward = vecsum_families(dict(enumerate(fams)), 3)
+    backward = vecsum_families(dict(enumerate(reversed(fams))), 3)
+    assert set(forward) == set(backward)
+
+
+def tuple_fold(families, n, max_vectors):
+    """The fold on plain tuples, the definition vecsum_families must meet."""
+    acc = {(0,) * n: {}}
+    for c in sorted(families):
+        nxt = {}
+        for s in sorted(acc):
+            for r in families[c]:
+                if len(r) != n:
+                    raise ValueError("dimension mismatch")
+                total = tuple(a + b for a, b in zip(s, r))
+                if total not in nxt:
+                    nxt[total] = {**acc[s], c: r}
+                    if len(nxt) > max_vectors:
+                        raise ResourceLimitExceeded("too many vectors")
+        acc = nxt
+    return acc
+
+
+def ordered(fold):
+    """A fold's sums and certificates, both in insertion order."""
+    return [(s, list(cert.items())) for s, cert in fold.items()]
+
+
+@st.composite
+def family_maps(draw, min_family=0):
+    """n and up to four families, vectors from a pool so sums repeat."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pool = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=6))
+    colors = draw(st.lists(st.integers(min_value=0, max_value=9), max_size=4, unique=True))
+    family = st.lists(st.sampled_from(pool), min_size=min_family, max_size=4).map(tuple)
+    return n, {c: draw(family) for c in colors}
+
+
+@given(family_maps(), st.integers(min_value=0, max_value=40))
+def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
+    n, families = case
+    try:
+        expected = tuple_fold(families, n, max_vectors)
+    except ResourceLimitExceeded:
+        with pytest.raises(ResourceLimitExceeded):
+            vecsum_families(families, n, max_vectors)
+    else:
+        assert ordered(vecsum_families(families, n, max_vectors)) == ordered(expected)
+
+
+@given(family_maps(min_family=1).filter(lambda case: case[0] and case[1]), st.data())
+def test_vecsum_families_rejects_a_short_vector(case, data):
+    n, families = case
+    c = data.draw(st.sampled_from(sorted(families)))
+    at = data.draw(st.integers(min_value=0, max_value=len(families[c])))
+    short = data.draw(st.tuples(*[coords] * (n - 1)))
+    families[c] = (*families[c][:at], short, *families[c][at:])
+    with pytest.raises(ValueError):
+        tuple_fold(families, n, DEFAULT_MAX_VECTORS)
+    with pytest.raises(ValueError):
+        vecsum_families(families, n)
