@@ -30,13 +30,7 @@ from .errors import (
     ResourceLimitExceeded,
     UnknownColorError,
 )
-from .extension import (
-    ExtensionResult,
-    delta_set,
-    exact_nonrecolor_chi,
-    extend_coloring,
-    wmax_constrained,
-)
+from .extension import ExtensionResult, extend_coloring, wmax_constrained
 from .instance import (
     Graph,
     Instance,
@@ -54,6 +48,7 @@ from .oracle import (
     brute_all_colorings,
     brute_chromatic,
     brute_colorable,
+    brute_nonrecolor_chi,
     brute_oncall,
 )
 from .vectors import (
@@ -85,15 +80,14 @@ __all__ = [
     "brute_all_colorings",
     "brute_chromatic",
     "brute_colorable",
+    "brute_nonrecolor_chi",
     "brute_oncall",
     "build_max_coloring",
     "color_subgraph",
     "decompose",
-    "delta_set",
     "enumerate_colorings",
     "enumerate_mis",
     "enumerate_subcolorings",
-    "exact_nonrecolor_chi",
     "extend_coloring",
     "find_coloring",
     "in_hyperrectangle",

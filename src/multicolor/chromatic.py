@@ -77,9 +77,9 @@ def weighted_chromatic(graph: Graph, w: Vec) -> ChromaticResult:
     total = norm(w)
     if total == 0:
         return ChromaticResult(0, 0, tuple(frozenset() for _ in range(graph.n)))
-    alpha = independence_number(graph)
-    lower = ceil(total / alpha)
     family = enumerate_mis(graph)
+    alpha = max(map(norm, family))
+    lower = ceil(total / alpha)
     a = max(lower, max(w))
     while True:
         picks = _compose(family, w, a, 0, tuple([0] * graph.n), alpha)

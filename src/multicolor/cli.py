@@ -27,13 +27,13 @@ from .errors import (
 )
 from .extension import extend_coloring
 from .instance import Graph, Instance, load_instance
-from .mis import enumerate_mis
 from .oncall import oncall_solutions
 from .oracle import (
     DEFAULT_MAX_BRANCHES,
     brute_all_colorings,
     brute_chromatic,
     brute_colorable,
+    brute_nonrecolor_chi,
     brute_oncall,
 )
 from .vectors import Vec, in_hyperrectangle, support
@@ -75,8 +75,9 @@ def _cmd_wmax(args: argparse.Namespace) -> int:
     inst = _load(args)
     ws = wmax(inst.graph, inst.lists, args.max_vectors)
     if args.emit_mis:
-        for s in enumerate_mis(inst.graph):
-            print(json.dumps({"mis": _names(inst.graph, s)}))
+        for x, family in sorted(ws.families.items()):
+            for s in family:
+                print(json.dumps({"color": x, "mis": _names(inst.graph, s)}))
     vectors = prune_dominated(ws.vectors) if args.prune_dominated else ws.vectors
     for v in vectors:
         if args.emit_certificates:
@@ -175,20 +176,19 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     w = inst.require_weights()
     _warn_lists_ignored(inst)
     c0 = _parse_precoloring(args.precoloring, inst.graph)
-    result = extend_coloring(
-        inst.graph,
-        args.base_colors,
-        c0,
-        w,
-        compute_exact=args.exact,
-        max_vectors=args.max_vectors,
-        max_branches=args.max_branches,
+    result = extend_coloring(inst.graph, args.base_colors, c0, w, args.max_vectors)
+    # the oracle runs before any output, so a tripped guard leaves stdout empty
+    exact = (
+        brute_nonrecolor_chi(inst.graph, args.base_colors, c0, w, args.max_branches)
+        if args.exact
+        else None
     )
     print(json.dumps({"bound": result.bound}))
     print(_coloring_line(inst.graph, result.coloring))
-    if args.exact:
-        verdict = "EQUALITY" if result.exact == result.bound else "STRICT"
-        print(json.dumps({"exact": result.exact, "verdict": verdict}))
+    if exact is not None:
+        # the bound is the optimum: STRICT means a fault in the solver or the oracle
+        verdict = "EQUALITY" if exact == result.bound else "STRICT"
+        print(json.dumps({"exact": exact, "verdict": verdict}))
     return 0
 
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--emit-mis",
         action="store_true",
-        help="first print the graph's maximal independent sets",
+        help="first print each color's maximal independent sets",
     )
 
     add("check", _cmd_check, "test whether the instance's demand is satisfiable")

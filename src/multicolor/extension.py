@@ -2,41 +2,50 @@
 
 Given a valid partial coloring C0 on the palette {1..a0} and a demand
 w at least C0's weight, the question is the smallest total palette that
-admits a coloring of weight w containing C0 at every vertex.  An upper
-bound comes from a two-block construction: grow C0 inside {1..a0} as far
-as the demand allows, then meet the leftover demand with fresh colors
-stacked above a0.  The exact optimum is available by brute-force search
-for comparison; the bound is not known to be tight in general.
+admits a coloring of weight w containing C0 at every vertex.  A
+two-block construction answers it: grow C0 inside {1..a0} to some
+constrained maximal vector w1, serve min(w, w1) of the demand there,
+and meet the residual w - min(w, w1) with a uniform coloring in fresh
+colors stacked above a0.  Minimising over w1 gives
+
+    bound = a0 + min over w1 of chi(w - min(w, w1)),
+
+where w1 ranges over wmax_constrained(graph, a0, c0).vectors and chi is
+the weighted chromatic number.  The construction reaches the bound, and
+no extension does better, so the bound is the optimum:
+
+1. Take any weight-w extension of C0 over {1..a}, with a >= a0.  For
+   each color x <= a0, its class is independent and holds every vertex
+   precolored x, so the class grows to a member of wmax_constrained's
+   family for x.
+2. Let u be the part of w served by colors <= a0.  Then u <= w1 for
+   some w1 in wmax_constrained(...).vectors, and since also u <= w,
+   u <= min(w, w1).
+3. Colors a0+1..a are a uniform coloring of w - u, and
+   w - u >= w - min(w, w1).  chi is monotone, so
+   a - a0 >= chi(w - min(w, w1)).  Hence a >= bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chromatic import weighted_chromatic
+from .chromatic import ChromaticResult, weighted_chromatic
 from .coloring import Coloring, _assemble, shrink, weight_of
-from .instance import Graph, Instance
+from .instance import Graph
 from .mis import enumerate_mis
-from .oracle import DEFAULT_MAX_BRANCHES, brute_colorable
 from .vectors import Vec, indicator, leq, vec_min, vec_sub
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families
 
-__all__ = [
-    "ExtensionResult",
-    "delta_set",
-    "exact_nonrecolor_chi",
-    "extend_coloring",
-    "wmax_constrained",
-]
+__all__ = ["ExtensionResult", "extend_coloring", "wmax_constrained"]
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Palette bound, a witness coloring on {1..bound}, optional exact value."""
+    """The optimal palette size and a witness coloring on {1..bound}."""
 
     bound: int
     coloring: Coloring
-    exact: int | None = None
 
 
 def _validate_precoloring(graph: Graph, a0: int, c0: Coloring) -> None:
@@ -83,53 +92,31 @@ def wmax_constrained(
     return WmaxSet(vectors=tuple(sorted(acc)), certificates=acc, families=families)
 
 
-def delta_set(
-    graph: Graph,
-    a0: int,
-    c0: Coloring,
-    w: Vec,
-    constrained: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> tuple[Vec, ...]:
-    """Residual demands left after best use of the base palette, sorted.
-
-    For each constrained maximal vector w1, the base palette can serve
-    min(w, w1) of the demand, leaving w - min(w, w1) for new colors.
-    """
-    if len(w) != graph.n:
-        raise ValueError("weight vector has wrong dimension")
-    if constrained is None:
-        constrained = wmax_constrained(graph, a0, c0, max_vectors)
-    return tuple(sorted({vec_sub(w, vec_min(w, w1)) for w1 in constrained.vectors}))
-
-
 def extend_coloring(
     graph: Graph,
     a0: int,
     c0: Coloring,
     w: Vec,
-    compute_exact: bool = False,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-    max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> ExtensionResult:
-    """Extend c0 to weight w, bounding the palette by construction.
+    """Extend c0 to weight w on the smallest palette that admits it.
 
     Scans the constrained maximal vectors in ascending order, keeps the
     first whose residual demand has the smallest chromatic number, and
     assembles the witness: the constrained certificate's coloring shrunk
-    to min(w, w1) without touching c0's colors, plus the residual witness
-    shifted into the fresh block {a0+1..bound}.
+    to min(w, w1) without touching c0's colors, plus the residual's
+    chromatic witness shifted into the fresh block {a0+1..bound}.
 
     Args:
         graph: the conflict graph.
         a0: size of the already-used palette {1..a0}.
         c0: valid precoloring using only colors from {1..a0}.
         w: target demand, at least c0's weight at every vertex.
-        compute_exact: also run the brute-force optimum and attach it.
 
     Returns:
         ExtensionResult; its coloring has weight w, contains c0 at every
-        vertex, and uses colors from {1..bound} only.
+        vertex, and uses colors from {1..bound} only, and no coloring
+        with those properties fits a smaller palette.
     """
     _validate_precoloring(graph, a0, c0)
     w0 = weight_of(c0)
@@ -138,78 +125,21 @@ def extend_coloring(
     if not leq(w0, w):
         raise ValueError("target demand falls below the precoloring's weight")
     constrained = wmax_constrained(graph, a0, c0, max_vectors)
-    chi_cache: dict[Vec, int] = {}
-    best: tuple[int, Vec] | None = None
+    by_residual: dict[Vec, ChromaticResult] = {}
+    best: tuple[ChromaticResult, Vec] | None = None
     for w1 in constrained.vectors:
         residual = vec_sub(w, vec_min(w, w1))
-        if residual not in chi_cache:
-            chi_cache[residual] = weighted_chromatic(graph, residual).chi
-        chi = chi_cache[residual]
-        if best is None or chi < best[0]:
-            best = (chi, w1)
-    residual_chi, base = best
-    bound = a0 + residual_chi
+        if residual not in by_residual:
+            by_residual[residual] = weighted_chromatic(graph, residual)
+        result = by_residual[residual]
+        if best is None or result.chi < best[0].chi:
+            best = (result, w1)
+    fresh, base = best
     served = vec_min(w, base)
     full = _assemble(graph.n, constrained.certificates[base])
     protected = {v: c0[v] for v in range(graph.n)}
     kept = shrink(full, vec_sub(base, served), protected)
-    fresh = weighted_chromatic(graph, vec_sub(w, served)).coloring
     combined = tuple(
-        kept[v] | frozenset(x + a0 for x in fresh[v]) for v in range(graph.n)
+        kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
     )
-    exact = None
-    if compute_exact:
-        exact = exact_nonrecolor_chi(graph, a0, c0, w, max_branches)
-    return ExtensionResult(bound=bound, coloring=combined, exact=exact)
-
-
-def _probe_extension(
-    graph: Graph, a: int, c0: Coloring, w: Vec, max_branches: int
-) -> Coloring | None:
-    """A weight-w coloring over {1..a} containing c0, by exhaustive search.
-
-    Reduces to an ordinary coloring problem for the extra colors: vertex v
-    needs w(v) - |c0(v)| further colors drawn from {1..a} minus its own and
-    its neighbors' precolors, and any such coloring unions with c0 into a
-    valid extension.
-    """
-    palette = frozenset(range(1, a + 1))
-    lists = []
-    for v in range(graph.n):
-        blocked = set(c0[v])
-        for u in graph.adjacency[v]:
-            blocked |= c0[u]
-        lists.append(palette - blocked)
-    residual = tuple(w[v] - len(c0[v]) for v in range(graph.n))
-    extra = brute_colorable(Instance(graph, tuple(lists), residual), max_branches)
-    if extra is None:
-        return None
-    return tuple(c0[v] | extra[v] for v in range(graph.n))
-
-
-def exact_nonrecolor_chi(
-    graph: Graph,
-    a0: int,
-    c0: Coloring,
-    w: Vec,
-    max_branches: int = DEFAULT_MAX_BRANCHES,
-) -> int:
-    """Exact smallest palette admitting a weight-w extension of c0.
-
-    Ascends from a0 and returns the first palette size that works.  Purely
-    a reference value: independent of the constructive bound, and used to
-    measure how far that bound is from optimal.
-
-    Raises:
-        ResourceLimitExceeded: if some probe's search space exceeds
-            max_branches before a witness is found.
-    """
-    _validate_precoloring(graph, a0, c0)
-    w0 = weight_of(c0)
-    if not leq(w0, w):
-        raise ValueError("target demand falls below the precoloring's weight")
-    a = a0
-    while True:
-        if _probe_extension(graph, a, c0, w, max_branches) is not None:
-            return a
-        a += 1
+    return ExtensionResult(bound=a0 + fresh.chi, coloring=combined)

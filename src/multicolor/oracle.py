@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import ResourceLimitExceeded
-from .instance import Instance, uniform_lists
+from .instance import Graph, Instance, uniform_lists
 from .vectors import Vec, norm
 
 DEFAULT_MAX_BRANCHES = 10_000_000
@@ -151,3 +151,48 @@ def brute_is_permissible(inst: Instance, w: Vec, max_branches: int = DEFAULT_MAX
     if not all(x >= 0 for x in w):
         raise ValueError("weights must be non-negative")
     return brute_colorable(inst.with_weights(w), max_branches) is not None
+
+
+def brute_nonrecolor_chi(
+    graph: Graph,
+    a0: int,
+    c0: BruteColoring,
+    w: Vec,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
+) -> int:
+    """Smallest palette admitting a weight-w coloring that contains c0.
+
+    Ascends from a0.  Each palette size {1..a} is probed as an ordinary
+    coloring problem for the extra colors: vertex v needs w(v) - |c0(v)|
+    further colors drawn from {1..a} minus its own and its neighbors'
+    precolors, and any such coloring unions with c0 into a valid
+    extension.
+
+    Raises:
+        ValueError: if a0 < 1, c0 or w has the wrong length, c0 holds a
+            color outside {1..a0} or shares a color across an edge, or
+            w falls below c0's weight at some vertex.
+        ResourceLimitExceeded: if some probe's search space exceeds
+            max_branches before a witness is found.
+    """
+    if a0 < 1:
+        raise ValueError("base palette size must be positive")
+    if len(c0) != graph.n or len(w) != graph.n:
+        raise ValueError("precoloring or demand has wrong dimension")
+    for v in range(graph.n):
+        if any(not 1 <= x <= a0 for x in c0[v]):
+            raise ValueError(f"vertex {graph.names[v]}: precolor outside 1..{a0}")
+        if w[v] < len(c0[v]):
+            raise ValueError("target demand falls below the precoloring's weight")
+    for i, j in graph.edges:
+        if c0[i] & c0[j]:
+            raise ValueError(f"edge {graph.names[i]}-{graph.names[j]}: precoloring shares a color")
+    blocked = [c0[v].union(*(c0[u] for u in graph.adjacency[v])) for v in range(graph.n)]
+    extra = tuple(w[v] - len(c0[v]) for v in range(graph.n))
+    a = a0
+    while True:
+        palette = frozenset(range(1, a + 1))
+        lists = tuple(palette - blocked[v] for v in range(graph.n))
+        if brute_colorable(Instance(graph, lists, extra), max_branches) is not None:
+            return a
+        a += 1

@@ -11,14 +11,14 @@ from which a coloring of that exact demand can be assembled directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, all_colors, color_subgraph
 from .mis import enumerate_mis
-from .vectors import Vec, in_hyperrectangle, vec_add, zero
+from .vectors import Vec, in_hyperrectangle
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
@@ -149,28 +149,19 @@ def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> 
 def wmax_uniform(graph: Graph, a: int, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:
     """Maximal demand vectors under the uniform assignment {1..a}.
 
-    Every color subgraph equals the graph itself, so the sums are exactly
-    the a-fold multiset sums of the graph's own maximal-independent-set
-    vectors; enumerating multisets sidesteps the a-fold fold entirely.
+    Every color subgraph equals the graph itself, so each of the a colors
+    folds in the graph's own maximal-independent-set family.  A palette of
+    size 0 folds nothing and leaves the zero vector.  The max_vectors cap
+    trips exactly when the final set outgrows it: adding one fixed set maps
+    the k-fold sums injectively into the (k+1)-fold sums, so no
+    intermediate set is larger than the final one.
     """
     if a < 0:
         raise ValueError("palette size must be non-negative")
-    if a == 0:
-        return WmaxSet(vectors=(zero(graph.n),), certificates={zero(graph.n): {}})
     family = enumerate_mis(graph)
-    out: dict[Vec, dict[int, Vec]] = {}
-    for picks in combinations_with_replacement(range(len(family)), a):
-        total = zero(graph.n)
-        for idx in picks:
-            total = vec_add(total, family[idx])
-        if total not in out:
-            out[total] = {color: family[idx] for color, idx in enumerate(picks, start=1)}
-            if len(out) > max_vectors:
-                raise ResourceLimitExceeded(
-                    f"more than {max_vectors} demand vectors for palette {a}"
-                )
     families = {c: family for c in range(1, a + 1)}
-    return WmaxSet(vectors=tuple(sorted(out)), certificates=out, families=families)
+    acc = vecsum_families(families, graph.n, max_vectors)
+    return WmaxSet(vectors=tuple(sorted(acc)), certificates=acc, families=families)
 
 
 def is_permissible(

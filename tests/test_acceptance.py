@@ -11,8 +11,8 @@ random corpora are seeded, so every run sees the same instances.
 4. General and uniform maximal-demand computations coincide.
 5. The chromatic solver matches oracle values and its own lower bound.
 6. On-call solutions equal the oracle's maximal satisfiable demands.
-7. Precoloring extensions are sound; the exact palette never exceeds
-   the constructed bound.
+7. Precoloring extensions are sound, and the constructed bound equals
+   the oracle's exact palette.
 8. The command line is byte-deterministic.
 """
 
@@ -30,6 +30,7 @@ from multicolor import (
     brute_all_colorings,
     brute_chromatic,
     brute_colorable,
+    brute_nonrecolor_chi,
     brute_oncall,
     decompose,
     enumerate_colorings,
@@ -261,7 +262,7 @@ def test_criterion_6_oncall_matches_oracle():
 def test_criterion_7_extensions_are_sound():
     start = time.monotonic()
     rng = random.Random(60_813)
-    done = resampled = strict = 0
+    done = resampled = 0
     while done < 500:
         n = rng.randint(1, 6)
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
@@ -272,8 +273,9 @@ def test_criterion_7_extensions_are_sound():
         except NotPermissibleError:
             c0 = tuple(frozenset() for _ in range(n))
         w = tuple(len(c0[v]) + rng.randint(0, 2) for v in range(n))
+        result = extend_coloring(g, a0, c0, w)
         try:
-            result = extend_coloring(g, a0, c0, w, compute_exact=True)
+            exact = brute_nonrecolor_chi(g, a0, c0, w)
         except ResourceLimitExceeded:
             resampled += 1
             continue
@@ -282,16 +284,13 @@ def test_criterion_7_extensions_are_sound():
         target = Instance(g, uniform_lists(n, result.bound), w)
         assert is_valid_coloring(target, result.coloring).ok, (g, a0, c0, w)
         assert all(c0[v] <= result.coloring[v] for v in range(n))
-        assert result.exact <= result.bound
-        assert result.exact >= weighted_chromatic(g, w).chi
-        if result.exact < result.bound:
-            strict += 1
+        assert result.bound >= weighted_chromatic(g, w).chi
+        assert result.bound == exact, (g, a0, c0, w)
     elapsed = time.monotonic() - start
     assert elapsed < 600
     print(
-        f"PASS criterion 7: 500 random extensions sound ({resampled} "
-        f"beyond oracle scale resampled); bound exceeded the exact "
-        f"palette {strict} times; {elapsed:.1f}s"
+        f"PASS criterion 7: 500 random extensions sound and optimal "
+        f"({resampled} beyond oracle scale resampled); {elapsed:.1f}s"
     )
 
 

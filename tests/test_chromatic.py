@@ -1,6 +1,7 @@
 import random
 from math import ceil
 
+import multicolor.chromatic
 from multicolor import (
     Instance,
     brute_chromatic,
@@ -71,3 +72,18 @@ def test_matches_brute_force():
         graph = random_graph(rng, rng.randint(1, 5), rng.random())
         w = tuple(rng.randint(0, 2) for _ in range(graph.n))
         assert weighted_chromatic(graph, w).chi == brute_chromatic(graph, w)
+
+
+def test_one_mis_enumeration_per_call(monkeypatch):
+    calls = []
+    real = multicolor.chromatic.enumerate_mis
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(multicolor.chromatic, "enumerate_mis", counting)
+    for graph, w in ((C5, (2,) * 5), (P3, (2, 1, 2)), (K3, (1, 1, 1))):
+        calls.clear()
+        weighted_chromatic(graph, w)
+        assert calls == [graph]

@@ -30,7 +30,21 @@ class TestWmax:
 
     def test_emit_mis_precedes_vectors(self, run_cli):
         proc = run_cli("wmax", "fix_k2.json", "--emit-mis")
-        assert proc.stdout == '{"mis": ["v2"]}\n{"mis": ["v1"]}\n[0, 1]\n[1, 0]\n'
+        assert proc.stdout == (
+            '{"color": 1, "mis": ["v2"]}\n{"color": 1, "mis": ["v1"]}\n[0, 1]\n[1, 0]\n'
+        )
+
+    def test_emit_mis_prints_each_color_subgraph_family(self, run_cli):
+        # colour 1 is listed at v1 and v2 only, so v3 is in none of its sets
+        proc = run_cli("wmax", "fix_p3.json", "--emit-mis")
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[:4] == [
+            '{"color": 1, "mis": ["v2"]}',
+            '{"color": 1, "mis": ["v1"]}',
+            '{"color": 2, "mis": ["v3"]}',
+            '{"color": 2, "mis": ["v2"]}',
+        ]
+        assert proc.stdout.splitlines()[4:] == ["[0, 1, 1]", "[0, 2, 0]", "[1, 0, 1]", "[1, 1, 0]"]
 
     def test_dimacs_with_sidecar(self, run_cli):
         proc = run_cli("wmax", "path3.col", "--sidecar", "path3_sidecar.json")
@@ -161,6 +175,22 @@ class TestExtend:
         assert json.loads(lines[0]) == {"bound": 2}
         assert json.loads(lines[1]) == {"v1": [1], "v2": [2], "v3": []}
         assert json.loads(lines[2]) == {"exact": 2, "verdict": "EQUALITY"}
+
+    def test_exact_past_the_branch_cap_prints_nothing(self, run_cli):
+        proc = run_cli(
+            "extend",
+            "fix_k3.json",
+            "--precoloring",
+            "pre_k3.json",
+            "--base-colors",
+            "2",
+            "--exact",
+            "--max-branches",
+            "0",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "exceeds limit 0" in proc.stderr
 
     def test_missing_precoloring_file(self, run_cli):
         proc = run_cli(

@@ -1,12 +1,17 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import multicolor.extension
 from multicolor import (
     Instance,
     NotPermissibleError,
-    delta_set,
-    exact_nonrecolor_chi,
+    ResourceLimitExceeded,
+    brute_nonrecolor_chi,
     extend_coloring,
     find_coloring,
     is_valid_coloring,
@@ -15,7 +20,7 @@ from multicolor import (
     wmax_constrained,
     wmax_uniform,
 )
-from util import K2, K3, P3, coloring, random_graph
+from util import K2, K3, P3, coloring, graph_from_edges, random_graph
 
 C0_K2 = coloring({1}, set())
 C0_K3 = coloring({1}, set(), set())
@@ -79,28 +84,11 @@ class TestWmaxConstrained:
             wmax_constrained(K2, 1, coloring({1},))
 
 
-class TestDeltaSet:
-    def test_edge(self):
-        assert delta_set(K2, 1, C0_K2, (1, 1)) == ((0, 1),)
-
-    def test_triangle(self):
-        got = delta_set(K3, 2, C0_K3, (1, 1, 1))
-        assert got == ((0, 0, 1), (0, 1, 0), (0, 1, 1))
-
-    def test_contains_zero_when_demand_is_covered(self):
-        assert (0, 0) in delta_set(K2, 1, C0_K2, (1, 0))
-
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            delta_set(K2, 1, C0_K2, (1, 1, 1))
-
-
 class TestExtendColoring:
     def test_edge_gets_a_second_color(self):
         result = extend_coloring(K2, 1, C0_K2, (1, 1))
         assert result.bound == 2
         assert result.coloring == coloring({1}, {2})
-        assert result.exact is None
 
     def test_covered_demand_keeps_the_palette(self):
         c0 = coloring({1}, {2})
@@ -109,9 +97,8 @@ class TestExtendColoring:
         assert result.coloring == c0
 
     def test_triangle_needs_one_fresh_color(self):
-        result = extend_coloring(K3, 2, C0_K3, (1, 1, 1), compute_exact=True)
+        result = extend_coloring(K3, 2, C0_K3, (1, 1, 1))
         assert result.bound == 3
-        assert result.exact == 3
         inst = Instance(K3, uniform_lists(3, 3), (1, 1, 1))
         assert is_valid_coloring(inst, result.coloring).ok
         assert 1 in result.coloring[0]
@@ -125,36 +112,67 @@ class TestExtendColoring:
             extend_coloring(K2, 1, C0_K2, (1,))
 
 
-class TestExactNonrecolorChi:
-    def test_edge(self):
-        assert exact_nonrecolor_chi(K2, 1, C0_K2, (1, 1)) == 2
-
-    def test_covered_demand(self):
-        assert exact_nonrecolor_chi(K2, 2, coloring({1}, {2}), (1, 1)) == 2
-
-    def test_triangle(self):
-        assert exact_nonrecolor_chi(K3, 2, C0_K3, (1, 1, 1)) == 3
-
-    def test_rejects_demand_below_precoloring(self):
-        with pytest.raises(ValueError):
-            exact_nonrecolor_chi(K2, 1, C0_K2, (0, 0))
-
-
 def test_random_extensions_are_sound():
     rng = random.Random(71)
-    strict = 0
     for _ in range(25):
         graph = random_graph(rng, rng.randint(1, 5), rng.random())
         a0 = rng.randint(1, 2)
         c0 = sample_precoloring(rng, graph, a0)
         w = tuple(len(c0[v]) + rng.randint(0, 2) for v in range(graph.n))
-        result = extend_coloring(graph, a0, c0, w, compute_exact=True)
+        result = extend_coloring(graph, a0, c0, w)
         assert result.bound >= a0
         inst = Instance(graph, uniform_lists(graph.n, result.bound), w)
         assert is_valid_coloring(inst, result.coloring).ok
         assert all(c0[v] <= result.coloring[v] for v in range(graph.n))
-        assert result.exact <= result.bound
-        assert result.exact >= weighted_chromatic(graph, w).chi
-        if result.exact < result.bound:
-            strict += 1
-    print(f"\nbound exceeded the exact palette on {strict} of 25 instances")
+        assert result.bound >= weighted_chromatic(graph, w).chi
+        assert result.bound == brute_nonrecolor_chi(graph, a0, c0, w)
+
+
+@st.composite
+def extension_cases(draw):
+    """A graph on at most 6 vertices, a palette a0 <= 3, a valid
+    precoloring over {1..a0} and a demand 0..2 above it."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    graph = graph_from_edges(n, edges)
+    a0 = draw(st.integers(1, 3))
+    held = [set() for _ in range(n)]
+    for v in range(n):
+        for x in range(1, a0 + 1):
+            if all(x not in held[u] for u in graph.adjacency[v]) and draw(st.booleans()):
+                held[v].add(x)
+    c0 = tuple(frozenset(s) for s in held)
+    w = tuple(len(c0[v]) + draw(st.integers(0, 2)) for v in range(n))
+    return graph, a0, c0, w
+
+
+def test_bound_equals_brute_force_optimum():
+    """Cases past the oracle's guard are skipped; enough must remain."""
+    compared = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(extension_cases())
+    def check(case):
+        graph, a0, c0, w = case
+        try:
+            exact = brute_nonrecolor_chi(graph, a0, c0, w, max_branches=200_000)
+        except ResourceLimitExceeded:
+            assume(False)
+        assert extend_coloring(graph, a0, c0, w).bound == exact
+        compared.append(case)
+
+    check()
+    assert len(compared) >= 250
+
+
+def test_extension_does_not_import_the_oracle():
+    tree = ast.parse(Path(multicolor.extension.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("oracle" in name for name in imported), imported

@@ -6,6 +6,7 @@ from multicolor import (
     brute_all_colorings,
     brute_chromatic,
     brute_colorable,
+    brute_nonrecolor_chi,
     brute_oncall,
     uniform_lists,
 )
@@ -88,3 +89,48 @@ def test_permissible_set_matches_membership():
     for w in [(0, 0, 0), (0, 2, 0), (1, 1, 0)]:
         assert w in vectors
         assert brute_is_permissible(inst, w)
+
+
+class TestBruteNonrecolorChi:
+    def test_edge(self):
+        assert brute_nonrecolor_chi(K2, 1, coloring({1}, set()), (1, 1)) == 2
+
+    def test_covered_demand(self):
+        assert brute_nonrecolor_chi(K2, 2, coloring({1}, {2}), (1, 1)) == 2
+
+    def test_triangle(self):
+        assert brute_nonrecolor_chi(K3, 2, coloring({1}, set(), set()), (1, 1, 1)) == 3
+
+    def test_precolors_pin_the_palette(self):
+        # uncolored, P3 needs 2 colors; v1 and v3 on distinct precolors force 3
+        assert brute_chromatic(P3, (1, 1, 1)) == 2
+        assert brute_nonrecolor_chi(P3, 2, coloring({1}, set(), {2}), (1, 1, 1)) == 3
+
+    def test_rejects_demand_below_precoloring(self):
+        with pytest.raises(ValueError):
+            brute_nonrecolor_chi(K2, 1, coloring({1}, set()), (0, 0))
+
+    @pytest.mark.parametrize(
+        "a0, c0, w",
+        [
+            (0, coloring(set(), set()), (1, 1)),
+            (1, coloring({2}, set()), (1, 1)),
+            (1, coloring({1}, {1}), (1, 1)),
+            (1, coloring({1}), (1, 1)),
+            (1, coloring({1}, set()), (1, 1, 1)),
+        ],
+        ids=[
+            "empty-base-palette",
+            "precolor-outside-base",
+            "precolor-shared-across-edge",
+            "short-precoloring",
+            "long-demand",
+        ],
+    )
+    def test_rejects_invalid_precoloring_or_demand(self, a0, c0, w):
+        with pytest.raises(ValueError):
+            brute_nonrecolor_chi(K2, a0, c0, w)
+
+    def test_guard_trips(self):
+        with pytest.raises(ResourceLimitExceeded):
+            brute_nonrecolor_chi(K3, 1, coloring(set(), set(), set()), (1, 1, 1), max_branches=0)

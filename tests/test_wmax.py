@@ -100,7 +100,34 @@ def test_uniform_path_two_colors():
 
 
 def test_uniform_empty_palette():
-    assert wmax_uniform(K3, 0).vectors == ((0, 0, 0),)
+    ws = wmax_uniform(K3, 0)
+    assert ws.vectors == ((0, 0, 0),)
+    assert ws.certificates == {(0, 0, 0): {}}
+
+
+def test_uniform_rejects_negative_palette():
+    with pytest.raises(ValueError):
+        wmax_uniform(K3, -1)
+
+
+def test_uniform_families_repeat_the_graph_family():
+    ws = wmax_uniform(P3, 3)
+    assert dict(ws.families) == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3)}
+    for v in ws.vectors:
+        cert = ws.certificates[v]
+        assert sorted(cert) == [1, 2, 3]
+        assert tuple(map(sum, zip(*cert.values()))) == v
+
+
+def test_uniform_vector_cap_trips_only_past_the_final_size():
+    rng = random.Random(5)
+    for _ in range(20):
+        graph = random_graph(rng, rng.randint(1, 6), rng.random())
+        a = rng.randint(1, 3)
+        size = len(wmax_uniform(graph, a).vectors)
+        assert len(wmax_uniform(graph, a, max_vectors=size).vectors) == size
+        with pytest.raises(ResourceLimitExceeded):
+            wmax_uniform(graph, a, max_vectors=size - 1)
 
 
 def test_uniform_agrees_with_general_construction():
