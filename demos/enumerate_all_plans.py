@@ -3,8 +3,8 @@
 When a planner wants to weigh side constraints that the solver does not
 model (hardware quirks, historical allocations), the cleanest tool is
 the full stream of valid plans.  This script enumerates every coloring
-of a three-node network and shows how the stream deduplicates plans that
-arise from different maximal demands.
+of a three-node network.  The stream lists each plan exactly once, in
+sorted order: by alpha's channels, then bravo's, then charlie's.
 """
 
 from multicolor import Graph, Instance, enumerate_colorings, iter_colorings

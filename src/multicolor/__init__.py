@@ -17,7 +17,6 @@ from .coloring import (
     build_max_coloring,
     decompose,
     enumerate_colorings,
-    enumerate_subcolorings,
     find_coloring,
     is_valid_coloring,
     iter_colorings,
@@ -87,7 +86,6 @@ __all__ = [
     "decompose",
     "enumerate_colorings",
     "enumerate_mis",
-    "enumerate_subcolorings",
     "extend_coloring",
     "find_coloring",
     "in_hyperrectangle",

@@ -2,9 +2,10 @@
 
 A coloring assigns each vertex a finite set of colors drawn from its list,
 with adjacent vertices receiving disjoint sets.  Demands are met exactly:
-vertex v gets precisely w(v) colors.  Colorings of maximal demand vectors
-are assembled from per-color maximal independent sets; everything else is
-obtained by deleting colors from those.
+vertex v gets precisely w(v) colors.  A single coloring is assembled from
+the per-color maximal independent sets that certify a maximal demand vector
+above w, then shrunk to w; the full set of colorings is enumerated directly,
+vertex by vertex, in sorted order.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .errors import NotPermissibleError
-from .instance import Instance, color_subgraph
+from .instance import Instance, all_colors, color_subgraph
 from .mis import is_maximal_independent
-from .vectors import Vec, in_hyperrectangle, leq, support, vec_sub, zero
+from .vectors import Vec, in_hyperrectangle, support, vec_sub
 from .wmax import DEFAULT_MAX_VECTORS, Certificate, WmaxSet, wmax
 
 Coloring = tuple[frozenset[int], ...]
@@ -135,24 +136,6 @@ def shrink(
     return tuple(out)
 
 
-def enumerate_subcolorings(coloring: Coloring, amount: Vec) -> Iterator[Coloring]:
-    """All colorings obtained by deleting amount[v] colors at each vertex.
-
-    Yields in the lexicographic order of the kept color combinations,
-    vertices varying slowest to fastest.
-    """
-    if len(amount) != len(coloring):
-        raise ValueError("deletion amount has wrong dimension")
-    per_vertex: list[list[frozenset[int]]] = []
-    for v, have in enumerate(coloring):
-        k = len(have) - amount[v]
-        if k < 0:
-            raise ValueError(f"vertex {v}: cannot remove {amount[v]} colors")
-        per_vertex.append([frozenset(kept) for kept in combinations(sorted(have), k)])
-    for choice in product(*per_vertex):
-        yield tuple(choice)
-
-
 def find_coloring(
     inst: Instance,
     wmax_set: WmaxSet | None = None,
@@ -177,59 +160,70 @@ def find_coloring(
     return shrink(full, vec_sub(witness, w))
 
 
-def _decompositions(
-    target: Vec,
-    colors: tuple[int, ...],
-    families: Mapping[int, tuple[Vec, ...]],
-    partial: Vec,
-    chosen: dict[int, Vec],
-) -> Iterator[Certificate]:
-    """Every choice of one independent set per color summing to target."""
-    if not colors:
-        if partial == target:
-            yield dict(chosen)
-        return
-    remaining = len(colors)
-    if any(t - p > remaining or p > t for p, t in zip(partial, target)):
-        return
-    c, rest = colors[0], colors[1:]
-    for r in families[c]:
-        nxt = tuple(p + b for p, b in zip(partial, r))
-        if leq(nxt, target):
-            chosen[c] = r
-            yield from _decompositions(target, rest, families, nxt, chosen)
-            del chosen[c]
-
-
 def iter_colorings(
     inst: Instance,
     wmax_set: WmaxSet | None = None,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> Iterator[Coloring]:
-    """All colorings of the instance, lazily, without repetition.
+    """All colorings of the instance, lazily, each exactly once.
 
-    Every coloring of demand w arises by deleting colors from a coloring of
-    some maximal vector above w, so the stream walks the dominating maximal
-    vectors in ascending order, enumerates every per-color decomposition of
-    each, and emits the unseen deletions.  Order is deterministic but not
-    globally sorted.
+    Backtracks over the vertices in index order: vertex v takes each
+    w(v)-subset of its list, in combinations order of the sorted list, that
+    is disjoint from the colors of its earlier neighbors.  The stream is
+    therefore strictly increasing under the key
+    tuple(tuple(sorted(s)) for s in coloring).  The trailing run of
+    mutually non-adjacent vertices depends only on the vertices before it,
+    so it is expanded with one itertools.product.  A demand that no maximal
+    vector dominates yields nothing without a search.
     """
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists, max_vectors)
-    colors = wmax_set.colors
+    if in_hyperrectangle(w, wmax_set.vectors) is None:
+        return
     n = inst.graph.n
-    seen: set[Coloring] = set()
-    for target in wmax_set.vectors:
-        if not leq(w, target):
-            continue
-        surplus = vec_sub(target, w)
-        for cert in _decompositions(target, colors, wmax_set.families, zero(n), {}):
-            full = _assemble(n, cert)
-            for sub in enumerate_subcolorings(full, surplus):
-                if sub not in seen:
-                    seen.add(sub)
-                    yield sub
+    adjacency = inst.graph.adjacency
+    bit = {x: 1 << i for i, x in enumerate(all_colors(inst.lists))}
+    options = [
+        [
+            (frozenset(subset), sum(bit[x] for x in subset))
+            for subset in combinations(sorted(inst.lists[v]), w[v])
+        ]
+        for v in range(n)
+    ]
+    earlier = [[u for u in adjacency.get(v, ()) if u < v] for v in range(n)]
+    tail = n
+    while tail > 0 and all(u < tail for u in adjacency.get(tail - 1, ())):
+        tail -= 1
+    chosen: list[frozenset[int]] = [frozenset()] * tail
+    masks = [0] * tail
+
+    def allowed(v: int) -> list[tuple[frozenset[int], int]]:
+        blocked = 0
+        for u in earlier[v]:
+            blocked |= masks[u]
+        return [option for option in options[v] if not option[1] & blocked]
+
+    def completions() -> Iterator[Coloring]:
+        prefix = tuple(chosen)
+        rest = [[s for s, _ in allowed(v)] for v in range(tail, n)]
+        return map(prefix.__add__, product(*rest))
+
+    if not tail:
+        yield from completions()
+        return
+    stack = [iter(allowed(0))]
+    while stack:
+        v = len(stack) - 1
+        option = next(stack[-1], None)
+        if option is None:
+            stack.pop()
+        else:
+            chosen[v], masks[v] = option
+            if v + 1 < tail:
+                stack.append(iter(allowed(v + 1)))
+            else:
+                yield from completions()
 
 
 def enumerate_colorings(

@@ -49,8 +49,8 @@ class ExtensionResult:
 
 
 def _validate_precoloring(graph: Graph, a0: int, c0: Coloring) -> None:
-    if a0 < 1:
-        raise ValueError("base palette size must be positive")
+    if a0 < 0:
+        raise ValueError("base palette size must be non-negative")
     if len(c0) != graph.n:
         raise ValueError("precoloring has wrong dimension")
     for v, held in enumerate(c0):
@@ -109,7 +109,8 @@ def extend_coloring(
 
     Args:
         graph: the conflict graph.
-        a0: size of the already-used palette {1..a0}.
+        a0: size of the already-used palette {1..a0}; with a0 = 0, c0 is
+            empty and the bound is the weighted chromatic number of w.
         c0: valid precoloring using only colors from {1..a0}.
         w: target demand, at least c0's weight at every vertex.
 

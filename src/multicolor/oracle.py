@@ -169,14 +169,14 @@ def brute_nonrecolor_chi(
     extension.
 
     Raises:
-        ValueError: if a0 < 1, c0 or w has the wrong length, c0 holds a
+        ValueError: if a0 < 0, c0 or w has the wrong length, c0 holds a
             color outside {1..a0} or shares a color across an edge, or
             w falls below c0's weight at some vertex.
         ResourceLimitExceeded: if some probe's search space exceeds
             max_branches before a witness is found.
     """
-    if a0 < 1:
-        raise ValueError("base palette size must be positive")
+    if a0 < 0:
+        raise ValueError("base palette size must be non-negative")
     if len(c0) != graph.n or len(w) != graph.n:
         raise ValueError("precoloring or demand has wrong dimension")
     for v in range(graph.n):

@@ -5,7 +5,8 @@ pass/fail line apiece, and each prints a summary of its scope.  The
 random corpora are seeded, so every run sees the same instances.
 
 1. Permissibility agrees with the exhaustive oracle everywhere.
-2. Coloring enumeration is complete against the oracle.
+2. Coloring enumeration is complete against the oracle, sorted and free
+   of repeats.
 3. Decompose/reassemble is the identity on every coloring criteria
    1 and 2 produced.
 4. General and uniform maximal-demand computations coincide.
@@ -153,7 +154,10 @@ def test_criterion_2_enumeration_is_complete():
             ws = wmax(g, lists)
             for w in product(range(3), repeat=n):
                 inst = Instance(g, lists, tuple(w))
-                found = set(enumerate_colorings(inst, wmax_set=ws))
+                stream = enumerate_colorings(inst, wmax_set=ws)
+                keys = [tuple(tuple(sorted(s)) for s in c) for c in stream]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (inst, w)
+                found = set(stream)
                 assert found == brute_all_colorings(inst), (inst, w)
                 for coloring in found:
                     POOL.record(coloring)

@@ -192,6 +192,29 @@ class TestExtend:
         assert proc.stdout == ""
         assert "exceeds limit 0" in proc.stderr
 
+    def test_empty_base_palette_answers_the_chromatic_number(self, run_cli, tmp_path):
+        inst = tmp_path / "edge.json"
+        inst.write_text(
+            json.dumps(
+                {
+                    "vertices": ["a", "b"],
+                    "edges": [["a", "b"]],
+                    "weights": {"a": 2, "b": 1},
+                }
+            )
+        )
+        pre = tmp_path / "pre.json"
+        pre.write_text("{}")
+        proc = run_cli(
+            "extend", str(inst), "--precoloring", str(pre), "--base-colors", "0", "--exact"
+        )
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        chi = json.loads(run_cli("chromatic", str(inst)).stdout.splitlines()[0])["chi"]
+        assert chi == 3
+        assert json.loads(lines[0]) == {"bound": chi}
+        assert json.loads(lines[2]) == {"exact": chi, "verdict": "EQUALITY"}
+
     def test_missing_precoloring_file(self, run_cli):
         proc = run_cli(
             "extend",

@@ -9,7 +9,6 @@ from multicolor import (
     build_max_coloring,
     decompose,
     enumerate_colorings,
-    enumerate_subcolorings,
     find_coloring,
     is_valid_coloring,
     iter_colorings,
@@ -28,9 +27,19 @@ from util import (
     SV,
     SV_LISTS,
     coloring,
+    graph_from_edges,
     random_graph,
     random_lists,
 )
+
+
+def sort_key(c):
+    return tuple(tuple(sorted(s)) for s in c)
+
+
+def assert_sorted_without_repeats(stream):
+    keys = [sort_key(c) for c in stream]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def p3_inst(w):
@@ -129,21 +138,6 @@ def test_shrink_respects_protected_colors():
     assert shrink(c, (1,), protected={0: frozenset({3})}) == coloring({1, 3})
 
 
-def test_subcolorings_single_vertex():
-    got = list(enumerate_subcolorings(coloring({1, 2}), (1,)))
-    assert got == [coloring({1}), coloring({2})]
-
-
-def test_subcolorings_zero_amount():
-    c = coloring({1}, {2})
-    assert list(enumerate_subcolorings(c, (0, 0))) == [c]
-
-
-def test_subcolorings_forced_removals():
-    got = list(enumerate_subcolorings(coloring({1}, set(), {2}), (1, 0, 1)))
-    assert got == [coloring(set(), set(), set())]
-
-
 def test_find_coloring_exact_demand():
     assert find_coloring(p3_inst((1, 0, 1))) == coloring({1}, set(), {2})
 
@@ -192,10 +186,23 @@ def test_enumerate_matches_brute_force():
         lists = random_lists(rng, graph.n, colors=3)
         w = tuple(rng.randint(0, 2) for _ in range(graph.n))
         inst = Instance(graph, lists, w)
-        got = set(enumerate_colorings(inst))
-        assert got == brute_all_colorings(inst)
+        got = enumerate_colorings(inst)
+        assert_sorted_without_repeats(got)
+        assert set(got) == brute_all_colorings(inst)
         for c in got:
             assert is_valid_coloring(inst, c).ok
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("k", range(2, 5))
+def test_cycle_stream_counts_proper_colorings(n, k):
+    cycle = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    inst = Instance(cycle, uniform_lists(n, k), (1,) * n)
+    stream = enumerate_colorings(inst)
+    assert len(stream) == (k - 1) ** n + (-1) ** n * (k - 1)
+    assert_sorted_without_repeats(stream)
+    for m in (1, 2, 7):
+        assert enumerate_colorings(inst, limit=m) == stream[:m]
 
 
 def test_enumerate_outputs_have_exact_weight():

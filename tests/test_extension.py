@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import multicolor.extension
 from multicolor import (
+    ExtensionResult,
     Instance,
     NotPermissibleError,
     ResourceLimitExceeded,
@@ -67,9 +68,14 @@ class TestWmaxConstrained:
             cert = ws.certificates[vec]
             assert cert[1][0] == 1
 
-    def test_rejects_zero_palette(self):
+    def test_zero_palette_serves_only_zero(self):
+        ws = wmax_constrained(K2, 0, coloring(set(), set()))
+        assert ws.vectors == ((0, 0),)
+        assert dict(ws.certificates) == {(0, 0): {}}
+
+    def test_rejects_negative_palette(self):
         with pytest.raises(ValueError):
-            wmax_constrained(K2, 0, coloring(set(), set()))
+            wmax_constrained(K2, -1, coloring(set(), set()))
 
     def test_rejects_out_of_range_precolor(self):
         with pytest.raises(ValueError):
@@ -102,6 +108,12 @@ class TestExtendColoring:
         inst = Instance(K3, uniform_lists(3, 3), (1, 1, 1))
         assert is_valid_coloring(inst, result.coloring).ok
         assert 1 in result.coloring[0]
+
+    def test_zero_palette_is_the_weighted_chromatic_number(self):
+        fresh = weighted_chromatic(K2, (2, 1))
+        result = extend_coloring(K2, 0, coloring(set(), set()), (2, 1))
+        assert result == ExtensionResult(bound=fresh.chi, coloring=fresh.coloring)
+        assert result.bound == 3
 
     def test_rejects_demand_below_precoloring(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,10 @@ class TestBruteNonrecolorChi:
         assert brute_chromatic(P3, (1, 1, 1)) == 2
         assert brute_nonrecolor_chi(P3, 2, coloring({1}, set(), {2}), (1, 1, 1)) == 3
 
+    def test_empty_base_palette_is_the_chromatic_number(self):
+        assert brute_nonrecolor_chi(K2, 0, coloring(set(), set()), (2, 1)) == 3
+        assert brute_nonrecolor_chi(K2, 0, coloring(set(), set()), (0, 0)) == 0
+
     def test_rejects_demand_below_precoloring(self):
         with pytest.raises(ValueError):
             brute_nonrecolor_chi(K2, 1, coloring({1}, set()), (0, 0))
@@ -113,14 +117,16 @@ class TestBruteNonrecolorChi:
     @pytest.mark.parametrize(
         "a0, c0, w",
         [
-            (0, coloring(set(), set()), (1, 1)),
+            (-1, coloring(set(), set()), (1, 1)),
+            (0, coloring({1}, set()), (1, 1)),
             (1, coloring({2}, set()), (1, 1)),
             (1, coloring({1}, {1}), (1, 1)),
             (1, coloring({1}), (1, 1)),
             (1, coloring({1}, set()), (1, 1, 1)),
         ],
         ids=[
-            "empty-base-palette",
+            "negative-base",
+            "color-in-empty",
             "precolor-outside-base",
             "precolor-shared-across-edge",
             "short-precoloring",
