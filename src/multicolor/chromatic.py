@@ -1,23 +1,63 @@
 """Weighted chromatic number: smallest uniform palette meeting a demand.
 
 With every vertex drawing from the same palette {1..a}, the demand w is
-satisfiable exactly when some multiset of a maximal independent sets has
-indicator sum dominating w.  The solver ascends from a lower bound and
-searches for such a composition at each palette size, so the first success
-is optimal.
+satisfiable exactly when some multiset of at most a maximal independent
+sets (MIS) has an indicator sum dominating w.  Deciding that is a covering
+problem with multiplicities, the pricing side of branch-and-price for
+graph multicoloring (Mehrotra and Trick, 2007).  The solver climbs from
+the lower bound max(ceil(|w|/alpha), max(w)) one palette size at a time,
+so the first level it can cover is optimal.
+
+A state is a deficit d (the demand not yet covered, clipped at 0) and a
+budget b (the picks left).  It is infeasible when some d[v] > b, when
+b * alpha < |d| (one MIS covers at most alpha units), or when
+d[u] + d[v] > b on an edge uv (an independent set holds at most one
+endpoint).  The exact search branches on the first vertex of largest
+deficit, over only the MIS that contain it, since every cover uses one of
+them, and skips an MIS whose overlap with the deficit's support lies
+inside another's.  A state's answer does not depend on w, so one memo
+serves every palette level and every demand on the same graph.  The memo
+is monotone in the budget: each deficit keeps the smallest budget known
+feasible, with one pick that achieves it, and the largest known
+infeasible.  The search runs on an explicit stack, so its depth is not
+bounded by Python's recursion limit.
+
+The witness is the lexicographically first non-decreasing sequence of MIS
+indices whose sum dominates w, padded with index 0 to the palette size.
+A greedy walk rebuilds it from any exact feasibility test: each position
+takes the smallest index, no smaller than the previous pick, whose
+remainder is still feasible with one pick fewer.  If a smaller index had
+a feasible remainder, sorting the cover it completes would give a
+sequence that is lexicographically smaller at or before this position.
+So the order in which the search explores MIS never shows in the witness.
+An index that lies in the cover already known for the remainder is
+accepted without a search.  Each level first walks optimistically,
+taking the first index that no prune or memo entry rules out; every index
+it skips is infeasible, so a walk that reaches a zero deficit is the
+witness, and the exact search runs only when the walk runs out of
+indices.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import ceil
 
 from .coloring import Coloring, _assemble, shrink, weight_of
+from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph
 from .mis import enumerate_mis
 from .vectors import Vec, norm, vec_sub
 
 __all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
+
+
+# bytes per item -> array typecode, to unpack a deficit's fields
+_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
 
 
 def independence_number(graph: Graph) -> int:
@@ -34,59 +74,274 @@ class ChromaticResult:
     coloring: Coloring
 
 
-def _compose(
-    family: tuple[Vec, ...], w: Vec, budget: int, start: int, acc: Vec, gain: int
-) -> list[int] | None:
-    """Indices of at most budget family members whose sum dominates w."""
-    deficit = sum(t - a for a, t in zip(acc, w) if t > a)
-    if deficit == 0:
-        return []
-    # one pick serves at most gain units of outstanding demand
-    if budget * gain < deficit:
+class ChromaticSolver:
+    """Weighted chromatic numbers on one graph, sharing one MIS family and memo.
+
+    A deficit is one packed int with vertex v in the field at bit
+    v * width; fields are whole bytes, wide enough that a field plus an
+    edge sum never carries into the next field, so each prune and the
+    clipped subtraction of an MIS are a few int operations.
+
+    Args:
+        graph: the conflict graph.
+        max_branches: cap on the states the walks and the search expand
+            over the solver's life; one more raises ResourceLimitExceeded.
+    """
+
+    def __init__(self, graph: Graph, max_branches: int = DEFAULT_MAX_BRANCHES) -> None:
+        self.n = graph.n
+        self.names = graph.names
+        self.family = enumerate_mis(graph)
+        self.alpha = max(map(norm, self.family))
+        self.edges = graph.edges
+        self.max_branches = max_branches
+        self.expanded = 0
+        self.level = 0
+        self._size = 0  # bytes per field; _fit sets it and the masks below
+
+    def _fit(self, w: Vec) -> None:
+        """Widen the fields, and drop the memo, if w's deficits do not fit."""
+        top, total = max(w), sum(w)
+        for size in sorted(_TYPECODES):
+            bits = 8 * size
+            # edge sums stay below the high bit, the total below 2**bits - 1
+            if 2 * top < 1 << (bits - 1) and total < (1 << bits) - 1:
+                break
+        else:
+            raise ResourceLimitExceeded(f"chromatic search: demand {top} is too large to pack")
+        if size <= self._size:
+            return
+        self._size, self._bits = size, bits
+        units = [1 << (bits * v) for v in range(self.n)]
+        self._ones = sum(units)
+        self._high = self._ones << (bits - 1)
+        self._cap = (1 << (bits - 1)) - 1
+        self._low = self._cap * self._ones
+        self._masks = [sum(u for u, x in zip(units, s) if x) for s in self.family]
+        # per vertex, (mask, index) of the MIS through it
+        self._through = [
+            [(m, i) for i, m in enumerate(self._masks) if m & u] for u in units
+        ]
+        # d + (d >> shift) puts d[u] + d[u + k] in field u; ends marks the
+        # high bit of field u for each edge (u, u + k)
+        pairs: dict[int, int] = {}
+        for i, j in self.edges:
+            pairs[bits * (j - i)] = pairs.get(bits * (j - i), 0) | 1 << (bits * i + bits - 1)
+        self._pairs = sorted(pairs.items())
+        # deficit -> (smallest budget known feasible, a first pick that achieves it)
+        self._feasible: dict[int, tuple[int, int]] = {}
+        # deficit -> largest budget known infeasible
+        self._infeasible: dict[int, int] = {}
+
+    def solve(self, w: Vec) -> ChromaticResult:
+        """Smallest palette size for demand w, its lower bound and the witness."""
+        total = norm(w)
+        if total == 0:
+            return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
+        self._fit(w)
+        for v, x in enumerate(w):
+            if x and not self._through[v]:
+                raise ValueError(f"vertex {self.names[v]} has demand {x} but is not in the graph")
+        d = sum(x << (self._bits * v) for v, x in enumerate(w))
+        lower = ceil(total / self.alpha)
+        a = max(lower, max(w))
+        while True:
+            self.level = a
+            picks = self._walk(d, a, None)
+            if picks is None and self._search(d, a):
+                picks = self._walk(d, a, self._cover(d))
+            if picks is not None:
+                break
+            a += 1
+        picks += [0] * (a - len(picks))
+        cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
+        full = _assemble(self.n, cert)
+        return ChromaticResult(a, lower, shrink(full, vec_sub(weight_of(full), w)))
+
+    def _support(self, d: int) -> int:
+        """The lowest bit of every nonzero field of d."""
+        return ((d + self._low) & self._high) >> (self._bits - 1)
+
+    def _known(self, d: int, b: int) -> bool | None:
+        """The verdict on (d, b) without expanding it, or None if unknown."""
+        if not d:
+            return True
+        hit = self._feasible.get(d)
+        if hit is not None and hit[0] <= b:
+            return True
+        if self._infeasible.get(d, -1) >= b:
+            return False
+        # the fields sum to less than 2**bits - 1, so this is |d|
+        if b * self.alpha < d % ((1 << self._bits) - 1):
+            return False
+        if b < self._cap:
+            # a field above b sets its high bit once cap - b is added
+            over = (self._cap - b) * self._ones
+            if (d + over) & self._high:
+                return False
+            for shift, ends in self._pairs:
+                if (d + (d >> shift) + over) & ends:
+                    return False
         return None
-    for idx in range(start, len(family)):
-        nxt = tuple(a + b for a, b in zip(acc, family[idx]))
-        # each later pick raises a coordinate by at most 1
-        if all(a + budget - 1 >= t for a, t in zip(nxt, w)):
-            tail = _compose(family, w, budget - 1, idx, nxt, gain)
-            if tail is not None:
-                return [idx] + tail
-    return None
+
+    def _tick(self) -> None:
+        """Count one state expanded, by the search or the walk, against the cap."""
+        self.expanded += 1
+        if self.expanded > self.max_branches:
+            raise ResourceLimitExceeded(
+                f"chromatic search at palette level {self.level}: expanded "
+                f"{self.expanded} states, limit {self.max_branches}"
+            )
+
+    def _branches(self, d: int) -> Iterator[tuple[int, int]]:
+        """(pick, child) for the MIS through the first most-deficient vertex.
+
+        Picks come by overlap with d's support, largest first.  A pick
+        whose overlap lies inside another's is skipped: its child dominates
+        the other's.  Most states succeed on their first pick, so the rest
+        are ranked only when the search comes back for them.
+        """
+        self._tick()
+        fields = array(_TYPECODES[self._size], d.to_bytes(self.n * self._size, "little"))
+        if sys.byteorder == "big":
+            fields.byteswap()
+        support = self._support(d)
+        through = self._through[fields.index(max(fields))]
+        first, size = 0, -1
+        for j, (m, _) in enumerate(through):
+            count = (m & support).bit_count()
+            if count > size:
+                first, size = j, count
+        top = through[first][0] & support
+        yield through[first][1], d - top
+        kept = [top]
+        rest = sorted(
+            [(m & support, i) for j, (m, i) in enumerate(through) if j != first],
+            key=lambda pair: -pair[0].bit_count(),
+        )
+        for r, i in rest:
+            for k in kept:
+                if not r & ~k:
+                    break
+            else:
+                kept.append(r)
+                yield i, d - r
+
+    def _search(self, d: int, b: int) -> bool:
+        """Whether at most b MIS cover the deficit d; records every expanded state."""
+        verdict = self._known(d, b)
+        if verdict is not None:
+            return verdict
+        known, branch, feasible = self._known, self._branches, self._feasible
+        # frame: deficit, budget, untried (pick, child), the pick last tried
+        stack: list[list] = [[d, b, branch(d), -1]]
+        while stack:
+            frame = stack[-1]
+            d, b, branches, _ = frame
+            if verdict:
+                hit = feasible.get(d)
+                if hit is None or b < hit[0]:
+                    feasible[d] = (b, frame[3])
+                stack.pop()
+                continue
+            for idx, child in branches:
+                frame[3] = idx
+                verdict = known(child, b - 1)
+                if verdict is None:
+                    stack.append([child, b - 1, branch(child), -1])
+                    break
+                if verdict:
+                    break
+            else:
+                self._infeasible[d] = max(b, self._infeasible.get(d, -1))
+                stack.pop()
+                verdict = False
+        return verdict
+
+    def _cover(self, d: int) -> Counter:
+        """The known cover of a feasible deficit, by following recorded picks."""
+        out: Counter = Counter()
+        while d:
+            idx = self._feasible[d][1]
+            out[idx] += 1
+            d -= self._masks[idx] & self._support(d)
+        return out
+
+    def _walk(self, d: int, a: int, known: Counter | None) -> list[int] | None:
+        """The lexicographically first non-decreasing cover of d by at most a MIS.
+
+        Each position takes the smallest index, no smaller than the last,
+        whose remainder is feasible with one pick fewer.  With known, a
+        cover of d, feasibility is exact: an index in the known cover
+        needs no search, and any other is searched.  Without it the walk
+        is optimistic: it takes the first index that no prune or memo
+        entry rules out, and returns None if it runs out of indices.  Every
+        index it skipped was infeasible, so a walk that reaches a zero
+        deficit has found the same sequence.
+        """
+        masks = self._masks
+        picks: list[int] = []
+        idx = 0
+        for budget in range(a - 1, -1, -1):
+            if not d:
+                break
+            self._tick()
+            support = self._support(d)
+            for idx in range(idx, len(masks)):
+                child = d - (masks[idx] & support)
+                if known is None:
+                    if self._known(child, budget) is not False:
+                        break
+                elif known[idx]:
+                    known[idx] -= 1
+                    break
+                elif self._search(child, budget):
+                    known = self._cover(child)
+                    break
+            else:
+                return None
+            picks.append(idx)
+            d = child
+        return picks
 
 
-def weighted_chromatic(graph: Graph, w: Vec) -> ChromaticResult:
+def weighted_chromatic(
+    graph: Graph, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES
+) -> ChromaticResult:
     """Smallest palette size a for which w is satisfiable, with a witness.
 
     The ascent starts at max(ceil(|w|/alpha), max(w)), both necessary; the
-    reported lower_bound is the first of the two.  Composition search at
-    each level prunes any partial multiset that leaves some vertex short
-    even if every remaining pick served it.
+    reported lower_bound is the first of the two.  At each level a greedy
+    walk looks for the witness directly, steered only by the prunes: a
+    vertex, the total, or an edge's two endpoints needing more picks than
+    remain.  If the walk gets stuck, an exact search decides whether a
+    maximal independent sets can cover w.  It branches on the first
+    most-deficient vertex over the MIS containing it and memoises clipped
+    deficits across levels, and the walk is then repeated with exact
+    feasibility.  The witness at the first feasible level is the
+    lexicographically first non-decreasing sequence of MIS indices whose
+    sum dominates w, padded with index 0, with each color class shrunk
+    until the weight is exactly w.  It does not depend on which route
+    found it.
 
     Args:
         graph: the conflict graph.
         w: per-vertex demand, non-negative.
+        max_branches: cap on the states the walks and the search may
+            expand: one per walk position, one per search branching.
 
     Returns:
         ChromaticResult whose coloring uses colors from {1..chi} and has
         weight exactly w.
+
+    Raises:
+        ValueError: if w has the wrong length or a negative entry, or
+            demands colors at a vertex outside graph.members.
+        ResourceLimitExceeded: if more than max_branches states are
+            expanded; the message names the palette level reached.
     """
     if len(w) != graph.n:
         raise ValueError("weight vector has wrong dimension")
     if any(x < 0 for x in w):
         raise ValueError("weights must be non-negative")
-    total = norm(w)
-    if total == 0:
-        return ChromaticResult(0, 0, tuple(frozenset() for _ in range(graph.n)))
-    family = enumerate_mis(graph)
-    alpha = max(map(norm, family))
-    lower = ceil(total / alpha)
-    a = max(lower, max(w))
-    while True:
-        picks = _compose(family, w, a, 0, tuple([0] * graph.n), alpha)
-        if picks is not None:
-            picks += [0] * (a - len(picks))
-            cert = {color: family[idx] for color, idx in enumerate(picks, start=1)}
-            full = _assemble(graph.n, cert)
-            witness = shrink(full, vec_sub(weight_of(full), w))
-            return ChromaticResult(a, lower, witness)
-        a += 1
+    return ChromaticSolver(graph, max_branches).solve(w)

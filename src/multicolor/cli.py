@@ -20,6 +20,7 @@ import sys
 from .chromatic import weighted_chromatic
 from .coloring import Coloring, find_coloring, is_valid_coloring, iter_colorings
 from .errors import (
+    DEFAULT_MAX_BRANCHES,
     InstanceFormatError,
     NotPermissibleError,
     ResourceLimitExceeded,
@@ -29,7 +30,6 @@ from .extension import extend_coloring
 from .instance import Graph, Instance, load_instance
 from .oncall import oncall_solutions
 from .oracle import (
-    DEFAULT_MAX_BRANCHES,
     brute_all_colorings,
     brute_chromatic,
     brute_colorable,
@@ -126,7 +126,7 @@ def _cmd_chromatic(args: argparse.Namespace) -> int:
     inst = _load(args)
     w = inst.require_weights()
     _warn_lists_ignored(inst)
-    result = weighted_chromatic(inst.graph, w)
+    result = weighted_chromatic(inst.graph, w, args.max_branches)
     print(json.dumps({"chi": result.chi, "lower_bound": result.lower_bound}))
     print(_coloring_line(inst.graph, result.coloring))
     return 0
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-branches",
             type=_int_at_least(0),
             default=DEFAULT_MAX_BRANCHES,
-            help="cap on brute-force search branches (default %(default)s)",
+            help="cap on search work: brute-force branches, or the states the "
+            "chromatic search expands (default %(default)s)",
         )
         p.set_defaults(func=handler)
         return p

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types and the default search guard shared across the package.
 
 The CLI maps these onto exit codes: infeasible answers exit 1, bad input
 exits 2, blown resource guards exit 3.
 """
+
+# default cap on a search: the oracle's estimated branches, or the states
+# the chromatic walk and search expand
+DEFAULT_MAX_BRANCHES = 10_000_000
 
 
 class InstanceFormatError(ValueError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chromatic import ChromaticResult, weighted_chromatic
+from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, _assemble, shrink, weight_of
 from .instance import Graph
 from .mis import enumerate_mis
@@ -105,7 +105,9 @@ def extend_coloring(
     first whose residual demand has the smallest chromatic number, and
     assembles the witness: the constrained certificate's coloring shrunk
     to min(w, w1) without touching c0's colors, plus the residual's
-    chromatic witness shifted into the fresh block {a0+1..bound}.
+    chromatic witness shifted into the fresh block {a0+1..bound}.  One
+    ChromaticSolver, with one MIS family and one memo, answers every
+    distinct residual.
 
     Args:
         graph: the conflict graph.
@@ -126,12 +128,13 @@ def extend_coloring(
     if not leq(w0, w):
         raise ValueError("target demand falls below the precoloring's weight")
     constrained = wmax_constrained(graph, a0, c0, max_vectors)
+    solver = ChromaticSolver(graph)
     by_residual: dict[Vec, ChromaticResult] = {}
     best: tuple[ChromaticResult, Vec] | None = None
     for w1 in constrained.vectors:
         residual = vec_sub(w, vec_min(w, w1))
         if residual not in by_residual:
-            by_residual[residual] = weighted_chromatic(graph, residual)
+            by_residual[residual] = solver.solve(residual)
         result = by_residual[residual]
         if best is None or result.chi < best[0].chi:
             best = (result, w1)

@@ -15,11 +15,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .errors import ResourceLimitExceeded
+from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists
 from .vectors import Vec, norm
-
-DEFAULT_MAX_BRANCHES = 10_000_000
 
 BruteColoring = tuple[frozenset[int], ...]
 

@@ -1,18 +1,88 @@
 import random
 from math import ceil
 
+import pytest
+
 import multicolor.chromatic
+import multicolor.extension
 from multicolor import (
     Instance,
+    ResourceLimitExceeded,
     brute_chromatic,
+    enumerate_mis,
+    extend_coloring,
     independence_number,
     is_valid_coloring,
     uniform_lists,
     weight_of,
     weighted_chromatic,
 )
-from multicolor.vectors import norm
-from util import C5, K2, K3, P3, complete_graph, random_graph
+from multicolor.chromatic import ChromaticSolver
+from multicolor.coloring import _assemble, shrink
+from multicolor.vectors import norm, vec_sub
+from util import C5, K2, K3, P3, complete_graph, graph_from_edges, random_graph
+
+
+def _reference_compose(family, w, budget, start, acc, gain):
+    """Indices of at most budget family members whose sum dominates w.
+
+    The depth-first composition search the memoised solver replaced: it
+    returns the lexicographically first non-decreasing index sequence.
+    """
+    deficit = sum(t - a for a, t in zip(acc, w) if t > a)
+    if deficit == 0:
+        return []
+    if budget * gain < deficit:
+        return None
+    for idx in range(start, len(family)):
+        nxt = tuple(a + b for a, b in zip(acc, family[idx]))
+        if all(a + budget - 1 >= t for a, t in zip(nxt, w)):
+            tail = _reference_compose(family, w, budget - 1, idx, nxt, gain)
+            if tail is not None:
+                return [idx] + tail
+    return None
+
+
+def reference_chromatic(graph, w):
+    """(chi, lower_bound, coloring) by ascending one level at a time."""
+    if norm(w) == 0:
+        return 0, 0, tuple(frozenset() for _ in range(graph.n))
+    family = enumerate_mis(graph)
+    alpha = max(map(norm, family))
+    lower = ceil(norm(w) / alpha)
+    a = max(lower, max(w))
+    while True:
+        picks = _reference_compose(family, w, a, 0, (0,) * graph.n, alpha)
+        if picks is not None:
+            picks += [0] * (a - len(picks))
+            full = _assemble(graph.n, dict(enumerate((family[i] for i in picks), start=1)))
+            return a, lower, shrink(full, vec_sub(weight_of(full), w))
+        a += 1
+
+
+def cycle(n):
+    return graph_from_edges(n, {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)})
+
+
+@pytest.fixture(params=["walk", "search"])
+def route(request, monkeypatch):
+    """Solve either way: walk first as shipped, or always by the exact search.
+
+    With the optimistic walk switched off, every witness comes from the
+    memoised search and the exact walk over its known covers.
+    """
+    if request.param == "search":
+        walk = ChromaticSolver._walk
+
+        def exact_only(self, d, a, known):
+            return None if known is None else walk(self, d, a, known)
+
+        monkeypatch.setattr(ChromaticSolver, "_walk", exact_only)
+    return request.param
+
+
+def as_triple(result):
+    return result.chi, result.lower_bound, result.coloring
 
 
 def test_independence_numbers():
@@ -39,6 +109,12 @@ def test_odd_cycle_double_demands():
 def test_cliques_unit_demands():
     for n in range(1, 7):
         assert weighted_chromatic(complete_graph(n), (1,) * n).chi == n
+
+
+def test_demand_outside_the_induced_subgraph_is_an_error():
+    # no maximal independent set of the subgraph holds v3
+    with pytest.raises(ValueError, match="vertex v3 has demand 1 but is not in the graph"):
+        weighted_chromatic(P3.induced({0, 1}), (1, 1, 1))
 
 
 def test_zero_demand():
@@ -87,3 +163,75 @@ def test_one_mis_enumeration_per_call(monkeypatch):
         calls.clear()
         weighted_chromatic(graph, w)
         assert calls == [graph]
+
+
+def test_matches_reference_on_random_graphs(route):
+    rng = random.Random(23)
+    for _ in range(300):
+        graph = random_graph(rng, rng.randint(1, 9), rng.random())
+        w = tuple(rng.randint(0, 3) for _ in range(graph.n))
+        assert as_triple(weighted_chromatic(graph, w)) == reference_chromatic(graph, w)
+
+
+@pytest.mark.parametrize("n", [9, 11, 13, 15])
+def test_matches_reference_on_odd_cycles(route, n):
+    for b in (2, 3):
+        w = (b,) * n
+        assert as_triple(weighted_chromatic(cycle(n), w)) == reference_chromatic(cycle(n), w)
+
+
+def test_odd_cycle_closed_form():
+    # chi(C_{2k+1}, b) = 2b + ceil(b/k)
+    for n in range(9, 22, 2):
+        k = n // 2
+        for b in (2, 3):
+            result = weighted_chromatic(cycle(n), (b,) * n)
+            assert result.chi == 2 * b + ceil(b / k)
+            assert weight_of(result.coloring) == (b,) * n
+
+
+def test_large_demand_needs_no_recursion(route):
+    result = weighted_chromatic(K2, (600, 600))
+    assert result.chi == 1200
+    assert result.coloring == (frozenset(range(601, 1201)), frozenset(range(1, 601)))
+
+
+def test_branch_cap_names_the_palette_level():
+    with pytest.raises(ResourceLimitExceeded, match="palette level 3: expanded 1 states, limit 0"):
+        weighted_chromatic(C5, (1,) * 5, max_branches=0)
+
+
+def test_branch_cap_counts_search_states(route):
+    # a cap of exactly the states expanded passes, one fewer trips
+    for graph, w in ((C5, (1,) * 5), (C5, (2,) * 5), (cycle(9), (3,) * 9)):
+        solver = ChromaticSolver(graph)
+        solver.solve(w)
+        used = solver.expanded
+        assert weighted_chromatic(graph, w, max_branches=used) == solver.solve(w)
+        with pytest.raises(ResourceLimitExceeded, match=f"limit {used - 1}"):
+            weighted_chromatic(graph, w, max_branches=used - 1)
+
+
+def test_extension_enumerates_mis_at_most_twice(monkeypatch):
+    calls, solved = [], []
+    real_mis = multicolor.chromatic.enumerate_mis
+    real_solve = ChromaticSolver.solve
+
+    def counting_mis(graph):
+        calls.append(graph)
+        return real_mis(graph)
+
+    def counting_solve(self, w):
+        solved.append(w)
+        return real_solve(self, w)
+
+    monkeypatch.setattr(multicolor.chromatic, "enumerate_mis", counting_mis)
+    monkeypatch.setattr(multicolor.extension, "enumerate_mis", counting_mis)
+    monkeypatch.setattr(ChromaticSolver, "solve", counting_solve)
+    ring = cycle(9)
+    c0 = tuple(frozenset({1}) if v in (0, 4) else frozenset() for v in range(9))
+    result = extend_coloring(ring, 2, c0, (3,) * 9)
+    assert len(set(solved)) == 23
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    assert result.bound == 2 + min(weighted_chromatic(ring, r).chi for r in set(solved))

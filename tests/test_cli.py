@@ -140,6 +140,29 @@ class TestChromatic:
         proc = run_cli("chromatic", "fix_c5.json")
         assert "lists are ignored" in proc.stderr
 
+    def test_branch_cap_is_a_resource_error(self, run_cli):
+        proc = run_cli("chromatic", "fix_c5.json", "--max-branches", "0")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "palette level 3" in proc.stderr
+        assert "expanded 1 states, limit 0" in proc.stderr
+
+    def test_large_demand_on_an_edge(self, run_cli, tmp_path):
+        # one search step per colour: 1200 steps outrun Python's recursion limit
+        inst = tmp_path / "edge.json"
+        inst.write_text(
+            json.dumps(
+                {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a": 600, "b": 600}}
+            )
+        )
+        proc = run_cli("chromatic", str(inst))
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert json.loads(lines[0]) == {"chi": 1200, "lower_bound": 1200}
+        witness = json.loads(lines[1])
+        assert witness["a"] == list(range(601, 1201))
+        assert witness["b"] == list(range(1, 601))
+
 
 class TestOncall:
     def test_prints_solution_vectors(self, run_cli):
