@@ -51,7 +51,7 @@ from .coloring import Coloring, _assemble, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph
 from .mis import enumerate_mis
-from .vectors import Vec, norm, vec_sub
+from .vectors import Vec, leq, norm, vec_sub
 
 __all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
 
@@ -80,28 +80,32 @@ class ChromaticSolver:
     A deficit is one packed int with vertex v in the field at bit
     v * width; fields are whole bytes, wide enough that a field plus an
     edge sum never carries into the next field, so each prune and the
-    clipped subtraction of an MIS are a few int operations.
+    clipped subtraction of an MIS are a few int operations.  The width is
+    fixed by the largest demand the solver will see.
 
     Args:
         graph: the conflict graph.
+        bound: a demand at least as large, at every vertex, as every
+            demand passed to solve; it sets the field width.
         max_branches: cap on the states the walks and the search expand
             over the solver's life; one more raises ResourceLimitExceeded.
+
+    Raises:
+        ResourceLimitExceeded: if bound is too large to pack.
     """
 
-    def __init__(self, graph: Graph, max_branches: int = DEFAULT_MAX_BRANCHES) -> None:
+    def __init__(
+        self, graph: Graph, bound: Vec, max_branches: int = DEFAULT_MAX_BRANCHES
+    ) -> None:
         self.n = graph.n
         self.names = graph.names
         self.family = enumerate_mis(graph)
         self.alpha = max(map(norm, self.family))
-        self.edges = graph.edges
+        self.bound = bound
         self.max_branches = max_branches
         self.expanded = 0
         self.level = 0
-        self._size = 0  # bytes per field; _fit sets it and the masks below
-
-    def _fit(self, w: Vec) -> None:
-        """Widen the fields, and drop the memo, if w's deficits do not fit."""
-        top, total = max(w), sum(w)
+        top, total = max(bound, default=0), sum(bound)
         for size in sorted(_TYPECODES):
             bits = 8 * size
             # edge sums stay below the high bit, the total below 2**bits - 1
@@ -109,8 +113,6 @@ class ChromaticSolver:
                 break
         else:
             raise ResourceLimitExceeded(f"chromatic search: demand {top} is too large to pack")
-        if size <= self._size:
-            return
         self._size, self._bits = size, bits
         units = [1 << (bits * v) for v in range(self.n)]
         self._ones = sum(units)
@@ -125,7 +127,7 @@ class ChromaticSolver:
         # d + (d >> shift) puts d[u] + d[u + k] in field u; ends marks the
         # high bit of field u for each edge (u, u + k)
         pairs: dict[int, int] = {}
-        for i, j in self.edges:
+        for i, j in graph.edges:
             pairs[bits * (j - i)] = pairs.get(bits * (j - i), 0) | 1 << (bits * i + bits - 1)
         self._pairs = sorted(pairs.items())
         # deficit -> (smallest budget known feasible, a first pick that achieves it)
@@ -134,11 +136,17 @@ class ChromaticSolver:
         self._infeasible: dict[int, int] = {}
 
     def solve(self, w: Vec) -> ChromaticResult:
-        """Smallest palette size for demand w, its lower bound and the witness."""
+        """Smallest palette size for demand w, its lower bound and the witness.
+
+        Raises:
+            ValueError: if w exceeds the solver's bound at some vertex, or
+                demands colors at a vertex outside graph.members.
+        """
+        if not leq(w, self.bound):
+            raise ValueError("demand exceeds the solver's bound")
         total = norm(w)
         if total == 0:
             return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
-        self._fit(w)
         for v, x in enumerate(w):
             if x and not self._through[v]:
                 raise ValueError(f"vertex {self.names[v]} has demand {x} but is not in the graph")
@@ -344,4 +352,4 @@ def weighted_chromatic(
         raise ValueError("weight vector has wrong dimension")
     if any(x < 0 for x in w):
         raise ValueError("weights must be non-negative")
-    return ChromaticSolver(graph, max_branches).solve(w)
+    return ChromaticSolver(graph, w, max_branches).solve(w)

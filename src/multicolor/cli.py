@@ -176,12 +176,15 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     w = inst.require_weights()
     _warn_lists_ignored(inst)
     c0 = _parse_precoloring(args.precoloring, inst.graph)
-    result = extend_coloring(inst.graph, args.base_colors, c0, w, args.max_vectors)
-    # the oracle runs before any output, so a tripped guard leaves stdout empty
+    # the oracle and the solver both run before any output, so a tripped
+    # guard leaves stdout empty
     exact = (
         brute_nonrecolor_chi(inst.graph, args.base_colors, c0, w, args.max_branches)
         if args.exact
         else None
+    )
+    result = extend_coloring(
+        inst.graph, args.base_colors, c0, w, args.max_vectors, args.max_branches
     )
     print(json.dumps({"bound": result.bound}))
     print(_coloring_line(inst.graph, result.coloring))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, _assemble, shrink, weight_of
+from .errors import DEFAULT_MAX_BRANCHES
 from .instance import Graph
 from .mis import enumerate_mis
 from .vectors import Vec, indicator, leq, vec_min, vec_sub
@@ -98,6 +99,7 @@ def extend_coloring(
     c0: Coloring,
     w: Vec,
     max_vectors: int = DEFAULT_MAX_VECTORS,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> ExtensionResult:
     """Extend c0 to weight w on the smallest palette that admits it.
 
@@ -107,7 +109,7 @@ def extend_coloring(
     to min(w, w1) without touching c0's colors, plus the residual's
     chromatic witness shifted into the fresh block {a0+1..bound}.  One
     ChromaticSolver, with one MIS family and one memo, answers every
-    distinct residual.
+    distinct residual; every residual is at most w, so w sizes it.
 
     Args:
         graph: the conflict graph.
@@ -115,11 +117,17 @@ def extend_coloring(
             empty and the bound is the weighted chromatic number of w.
         c0: valid precoloring using only colors from {1..a0}.
         w: target demand, at least c0's weight at every vertex.
+        max_vectors: cap on the constrained maximal vector set.
+        max_branches: cap on the states the chromatic solver expands over
+            all residuals together.
 
     Returns:
         ExtensionResult; its coloring has weight w, contains c0 at every
         vertex, and uses colors from {1..bound} only, and no coloring
         with those properties fits a smaller palette.
+
+    Raises:
+        ResourceLimitExceeded: if either cap is exceeded.
     """
     _validate_precoloring(graph, a0, c0)
     w0 = weight_of(c0)
@@ -128,7 +136,7 @@ def extend_coloring(
     if not leq(w0, w):
         raise ValueError("target demand falls below the precoloring's weight")
     constrained = wmax_constrained(graph, a0, c0, max_vectors)
-    solver = ChromaticSolver(graph)
+    solver = ChromaticSolver(graph, w, max_branches)
     by_residual: dict[Vec, ChromaticResult] = {}
     best: tuple[ChromaticResult, Vec] | None = None
     for w1 in constrained.vectors:

@@ -204,12 +204,34 @@ def test_branch_cap_names_the_palette_level():
 def test_branch_cap_counts_search_states(route):
     # a cap of exactly the states expanded passes, one fewer trips
     for graph, w in ((C5, (1,) * 5), (C5, (2,) * 5), (cycle(9), (3,) * 9)):
-        solver = ChromaticSolver(graph)
+        solver = ChromaticSolver(graph, w)
         solver.solve(w)
         used = solver.expanded
         assert weighted_chromatic(graph, w, max_branches=used) == solver.solve(w)
         with pytest.raises(ResourceLimitExceeded, match=f"limit {used - 1}"):
             weighted_chromatic(graph, w, max_branches=used - 1)
+
+
+def test_one_solver_answers_every_demand_below_its_bound(route):
+    # the field width is set once from the bound; small demands share the memo
+    rng = random.Random(5)
+    cases = []
+    for _ in range(20):
+        graph = random_graph(rng, rng.randint(3, 8), 0.5)
+        cases.append((graph, tuple(rng.randint(0, 4) for _ in range(graph.n))))
+    cases.append((C5, (150, 3, 150, 0, 12)))  # 150 does not fit below a byte's high bit
+    for graph, bound in cases:
+        solver = ChromaticSolver(graph, bound)
+        for _ in range(5):
+            w = tuple(rng.randint(0, x) for x in bound)
+            assert solver.solve(w) == weighted_chromatic(graph, w)
+        assert solver.solve(bound) == weighted_chromatic(graph, bound)
+
+
+def test_solver_rejects_a_demand_above_its_bound():
+    solver = ChromaticSolver(K2, (2, 2))
+    with pytest.raises(ValueError, match="exceeds the solver's bound"):
+        solver.solve((3, 0))
 
 
 def test_extension_enumerates_mis_at_most_twice(monkeypatch):

@@ -215,6 +215,21 @@ class TestExtend:
         assert proc.stdout == ""
         assert "exceeds limit 0" in proc.stderr
 
+    def test_branch_cap_covers_the_chromatic_solver(self, run_cli):
+        proc = run_cli(
+            "extend",
+            "fix_k3.json",
+            "--precoloring",
+            "pre_k3.json",
+            "--base-colors",
+            "2",
+            "--max-branches",
+            "0",
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "chromatic search at palette level 1: expanded 1 states, limit 0" in proc.stderr
+
     def test_empty_base_palette_answers_the_chromatic_number(self, run_cli, tmp_path):
         inst = tmp_path / "edge.json"
         inst.write_text(

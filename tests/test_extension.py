@@ -119,6 +119,11 @@ class TestExtendColoring:
         with pytest.raises(ValueError):
             extend_coloring(K2, 1, C0_K2, (0, 1))
 
+    def test_branch_cap_covers_the_residual_solves(self):
+        with pytest.raises(ResourceLimitExceeded, match="chromatic search at palette level 1"):
+            extend_coloring(K3, 2, C0_K3, (1, 1, 1), max_branches=0)
+        assert extend_coloring(K3, 2, C0_K3, (1, 1, 1), max_branches=100).bound == 3
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             extend_coloring(K2, 1, C0_K2, (1,))
