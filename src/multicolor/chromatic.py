@@ -12,15 +12,16 @@ A state is a deficit d (the demand not yet covered, clipped at 0) and a
 budget b (the picks left).  It is infeasible when some d[v] > b, when
 b * alpha < |d| (one MIS covers at most alpha units), or when
 d[u] + d[v] > b on an edge uv (an independent set holds at most one
-endpoint).  The exact search branches on the first vertex of largest
+endpoint).  The exact search branches on the lowest-index vertex with a
 deficit, over only the MIS that contain it, since every cover uses one of
-them, and skips an MIS whose overlap with the deficit's support lies
-inside another's.  A state's answer does not depend on w, so one memo
-serves every palette level and every demand on the same graph.  The memo
-is monotone in the budget: each deficit keeps the smallest budget known
-feasible, with one pick that achieves it, and the largest known
-infeasible.  The search runs on an explicit stack, so its depth is not
-bounded by Python's recursion limit.
+them.  It tries them in index order and skips an MIS whose overlap with
+the deficit's support lies inside the overlap of one already tried.  A
+state's answer does not depend on w, so one memo serves every palette
+level and every demand on the same graph.  The memo is monotone in the
+budget: each deficit keeps the smallest budget known feasible, with one
+pick that achieves it, and the largest known infeasible.  The search
+runs on an explicit stack, so its depth is not bounded by Python's
+recursion limit.
 
 The witness is the lexicographically first non-decreasing sequence of MIS
 indices whose sum dominates w, padded with index 0 to the palette size.
@@ -40,8 +41,6 @@ indices.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -54,10 +53,6 @@ from .mis import enumerate_mis
 from .vectors import Vec, leq, norm, vec_sub
 
 __all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
-
-
-# bytes per item -> array typecode, to unpack a deficit's fields
-_TYPECODES = {array(t).itemsize: t for t in "BHILQ"}
 
 
 def independence_number(graph: Graph) -> int:
@@ -78,10 +73,11 @@ class ChromaticSolver:
     """Weighted chromatic numbers on one graph, sharing one MIS family and memo.
 
     A deficit is one packed int with vertex v in the field at bit
-    v * width; fields are whole bytes, wide enough that a field plus an
-    edge sum never carries into the next field, so each prune and the
-    clipped subtraction of an MIS are a few int operations.  The width is
-    fixed by the largest demand the solver will see.
+    v * width.  The width is the fewest bits that keep twice the largest
+    demand below a field's high bit and the total demand below the field
+    mask, so an edge sum never carries into the next field and each
+    prune and the clipped subtraction of an MIS are a few int
+    operations.  It is fixed by the largest demand the solver will see.
 
     Args:
         graph: the conflict graph.
@@ -89,9 +85,6 @@ class ChromaticSolver:
             demand passed to solve; it sets the field width.
         max_branches: cap on the states the walks and the search expand
             over the solver's life; one more raises ResourceLimitExceeded.
-
-    Raises:
-        ResourceLimitExceeded: if bound is too large to pack.
     """
 
     def __init__(
@@ -106,14 +99,8 @@ class ChromaticSolver:
         self.expanded = 0
         self.level = 0
         top, total = max(bound, default=0), sum(bound)
-        for size in sorted(_TYPECODES):
-            bits = 8 * size
-            # edge sums stay below the high bit, the total below 2**bits - 1
-            if 2 * top < 1 << (bits - 1) and total < (1 << bits) - 1:
-                break
-        else:
-            raise ResourceLimitExceeded(f"chromatic search: demand {top} is too large to pack")
-        self._size, self._bits = size, bits
+        # edge sums stay below the high bit, the total below 2**bits - 1
+        self._bits = bits = max((2 * top).bit_length() + 1, (total + 1).bit_length())
         units = [1 << (bits * v) for v in range(self.n)]
         self._ones = sum(units)
         self._high = self._ones << (bits - 1)
@@ -202,36 +189,19 @@ class ChromaticSolver:
             )
 
     def _branches(self, d: int) -> Iterator[tuple[int, int]]:
-        """(pick, child) for the MIS through the first most-deficient vertex.
+        """(pick, child) for the MIS through the lowest deficient vertex.
 
-        Picks come by overlap with d's support, largest first.  A pick
-        whose overlap lies inside another's is skipped: its child dominates
-        the other's.  Most states succeed on their first pick, so the rest
-        are ranked only when the search comes back for them.
+        Picks come in index order.  A pick whose overlap with d's support
+        lies inside the overlap of an earlier pick is skipped: its child
+        dominates the earlier child, which the search has already found
+        infeasible.
         """
         self._tick()
-        fields = array(_TYPECODES[self._size], d.to_bytes(self.n * self._size, "little"))
-        if sys.byteorder == "big":
-            fields.byteswap()
         support = self._support(d)
-        through = self._through[fields.index(max(fields))]
-        first, size = 0, -1
-        for j, (m, _) in enumerate(through):
-            count = (m & support).bit_count()
-            if count > size:
-                first, size = j, count
-        top = through[first][0] & support
-        yield through[first][1], d - top
-        kept = [top]
-        rest = sorted(
-            [(m & support, i) for j, (m, i) in enumerate(through) if j != first],
-            key=lambda pair: -pair[0].bit_count(),
-        )
-        for r, i in rest:
-            for k in kept:
-                if not r & ~k:
-                    break
-            else:
+        kept: list[int] = []
+        for m, i in self._through[(support & -support).bit_length() // self._bits]:
+            r = m & support
+            if all(r & ~k for k in kept):
                 kept.append(r)
                 yield i, d - r
 
@@ -323,14 +293,14 @@ def weighted_chromatic(
     walk looks for the witness directly, steered only by the prunes: a
     vertex, the total, or an edge's two endpoints needing more picks than
     remain.  If the walk gets stuck, an exact search decides whether a
-    maximal independent sets can cover w.  It branches on the first
-    most-deficient vertex over the MIS containing it and memoises clipped
-    deficits across levels, and the walk is then repeated with exact
-    feasibility.  The witness at the first feasible level is the
-    lexicographically first non-decreasing sequence of MIS indices whose
-    sum dominates w, padded with index 0, with each color class shrunk
-    until the weight is exactly w.  It does not depend on which route
-    found it.
+    maximal independent sets can cover w.  It branches on the lowest
+    deficient vertex over the MIS containing it, in index order, and
+    memoises clipped deficits across levels, and the walk is then
+    repeated with exact feasibility.  The witness at the first feasible
+    level is the lexicographically first non-decreasing sequence of MIS
+    indices whose sum dominates w, padded with index 0, with each color
+    class shrunk until the weight is exactly w.  It does not depend on
+    which route found it.
 
     Args:
         graph: the conflict graph.

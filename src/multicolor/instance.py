@@ -56,10 +56,10 @@ class Graph:
         n = len(names)
         normalized = set()
         for i, j in edges:
-            if i == j:
-                raise InstanceFormatError(f"self-loop at vertex {names[i]!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise InstanceFormatError(f"edge ({i},{j}) out of range")
+            if i == j:
+                raise InstanceFormatError(f"self-loop at vertex {names[i]!r}")
             normalized.add((min(i, j), max(i, j)))
         return Graph(names=names, members=frozenset(range(n)), edges=frozenset(normalized))
 
@@ -155,11 +155,16 @@ def parse_instance(text: str) -> Instance:
     names = tuple(names_raw)
     index = _index_of(names)
 
+    edges_raw = doc.get("edges", [])
+    if not isinstance(edges_raw, list):
+        raise InstanceFormatError('"edges" must be a list of vertex-name pairs')
     edges: set[tuple[int, int]] = set()
-    for pair in doc.get("edges", []):
+    for pair in edges_raw:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InstanceFormatError(f"malformed edge {pair!r}")
         u, v = pair
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise InstanceFormatError(f"malformed edge {pair!r}")
         if u not in index or v not in index:
             raise InstanceFormatError(f"edge {pair!r} references an unknown vertex")
         if u == v:

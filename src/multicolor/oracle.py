@@ -134,15 +134,6 @@ def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> se
     return {tuple(0 for _ in w)}
 
 
-def brute_permissible_set(inst: Instance, cap: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[Vec]:
-    """All satisfiable demands w* <= cap; exhaustive, for small caps only."""
-    out = set()
-    for cand in product(*(range(x + 1) for x in cap)):
-        if brute_colorable(inst.with_weights(cand), max_branches) is not None:
-            out.add(cand)
-    return out
-
-
 def brute_is_permissible(inst: Instance, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> bool:
     if len(w) != inst.n:
         raise ValueError("weight vector has wrong dimension")

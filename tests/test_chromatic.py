@@ -219,13 +219,29 @@ def test_one_solver_answers_every_demand_below_its_bound(route):
     for _ in range(20):
         graph = random_graph(rng, rng.randint(3, 8), 0.5)
         cases.append((graph, tuple(rng.randint(0, 4) for _ in range(graph.n))))
-    cases.append((C5, (150, 3, 150, 0, 12)))  # 150 does not fit below a byte's high bit
+    # fields of 10 bits keep 2 * 150 below the high bit; the demands drawn below it need fewer
+    cases.append((C5, (150, 3, 150, 0, 12)))
     for graph, bound in cases:
         solver = ChromaticSolver(graph, bound)
         for _ in range(5):
             w = tuple(rng.randint(0, x) for x in bound)
             assert solver.solve(w) == weighted_chromatic(graph, w)
         assert solver.solve(bound) == weighted_chromatic(graph, bound)
+
+
+def test_climb_through_infeasible_levels_stays_small(route):
+    # chi sits 16 levels above the bound; every level below it is refuted
+    graph = graph_from_edges(6, {(0, 2), (0, 3), (0, 5), (1, 4), (2, 3), (2, 5), (4, 5)})
+    w = tuple(10 * x for x in (1, 1, 2, 2, 2, 2))
+    result = weighted_chromatic(graph, w, max_branches=2_000)
+    assert (result.chi, result.lower_bound) == (50, 34)
+    assert weight_of(result.coloring) == w
+
+
+def test_huge_demand_meets_the_branch_cap():
+    # fields widen to fit any demand, so only the cap stops the climb
+    with pytest.raises(ResourceLimitExceeded, match="limit 1000"):
+        weighted_chromatic(K2, (2**62, 1), max_branches=1000)
 
 
 def test_solver_rejects_a_demand_above_its_bound():

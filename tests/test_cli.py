@@ -312,6 +312,14 @@ class TestFailureModes:
         proc = run_cli("check", str(bad))
         assert proc.returncode == 2
 
+    def test_malformed_edges(self, run_cli, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vertices": ["a", "b"], "edges": 5}')
+        proc = run_cli("check", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_in_process_usage_error_leaves_the_parser_intact(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", str(FIXTURES / "fix_p3.json"), "--max-vectors", "-1"])

@@ -63,6 +63,12 @@ def test_parse_rejects_self_loop():
         parse_instance(doc(edges=[["v1", "v1"]]))
 
 
+@pytest.mark.parametrize("edges", [5, None, [[["a"], "b"]]])
+def test_parse_rejects_malformed_edges(edges):
+    with pytest.raises(InstanceFormatError):
+        parse_instance(doc(edges=edges))
+
+
 def test_parse_rejects_nonpositive_color():
     with pytest.raises(InstanceFormatError):
         parse_instance(doc(lists={"v1": [0]}))
@@ -120,8 +126,10 @@ def test_uniform_lists():
 
 
 def test_graph_rejects_out_of_range_edge():
-    with pytest.raises(InstanceFormatError):
-        Graph.build(("a", "b"), {(0, 5)})
+    # the range is checked before self-loops
+    for edge in ((0, 5), (5, 5), (-1, -1)):
+        with pytest.raises(InstanceFormatError, match="out of range"):
+            Graph.build(("a", "b"), {edge})
 
 
 def test_dimacs_parse():
