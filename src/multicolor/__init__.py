@@ -14,7 +14,6 @@ from .chromatic import ChromaticResult, independence_number, weighted_chromatic
 from .coloring import (
     Coloring,
     ValidationResult,
-    build_max_coloring,
     decompose,
     enumerate_colorings,
     find_coloring,
@@ -34,14 +33,13 @@ from .instance import (
     Graph,
     Instance,
     all_colors,
-    color_subgraph,
     load_instance,
     parse_dimacs,
     parse_instance,
     serialize_instance,
     uniform_lists,
 )
-from .mis import enumerate_mis, is_maximal_independent
+from .mis import enumerate_mis
 from .oncall import oncall_solutions
 from .oracle import (
     brute_all_colorings,
@@ -81,8 +79,6 @@ __all__ = [
     "brute_colorable",
     "brute_nonrecolor_chi",
     "brute_oncall",
-    "build_max_coloring",
-    "color_subgraph",
     "decompose",
     "enumerate_colorings",
     "enumerate_mis",
@@ -91,7 +87,6 @@ __all__ = [
     "in_hyperrectangle",
     "independence_number",
     "indicator",
-    "is_maximal_independent",
     "is_permissible",
     "is_valid_coloring",
     "iter_colorings",

@@ -6,7 +6,8 @@ sets (MIS) has an indicator sum dominating w.  Deciding that is a covering
 problem with multiplicities, the pricing side of branch-and-price for
 graph multicoloring (Mehrotra and Trick, 2007).  The solver climbs from
 the lower bound max(ceil(|w|/alpha), max(w)) one palette size at a time,
-so the first level it can cover is optimal.
+so the first level it can cover is optimal.  Every vertex lies in some
+MIS, so the climb ends.
 
 A state is a deficit d (the demand not yet covered, clipped at 0) and a
 budget b (the picks left).  It is infeasible when some d[v] > b, when
@@ -91,7 +92,6 @@ class ChromaticSolver:
         self, graph: Graph, bound: Vec, max_branches: int = DEFAULT_MAX_BRANCHES
     ) -> None:
         self.n = graph.n
-        self.names = graph.names
         self.family = enumerate_mis(graph)
         self.alpha = max(map(norm, self.family))
         self.bound = bound
@@ -126,17 +126,13 @@ class ChromaticSolver:
         """Smallest palette size for demand w, its lower bound and the witness.
 
         Raises:
-            ValueError: if w exceeds the solver's bound at some vertex, or
-                demands colors at a vertex outside graph.members.
+            ValueError: if w exceeds the solver's bound at some vertex.
         """
         if not leq(w, self.bound):
             raise ValueError("demand exceeds the solver's bound")
         total = norm(w)
         if total == 0:
             return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
-        for v, x in enumerate(w):
-            if x and not self._through[v]:
-                raise ValueError(f"vertex {self.names[v]} has demand {x} but is not in the graph")
         d = sum(x << (self._bits * v) for v, x in enumerate(w))
         lower = ceil(total / self.alpha)
         a = max(lower, max(w))
@@ -313,8 +309,7 @@ def weighted_chromatic(
         weight exactly w.
 
     Raises:
-        ValueError: if w has the wrong length or a negative entry, or
-            demands colors at a vertex outside graph.members.
+        ValueError: if w has the wrong length or a negative entry.
         ResourceLimitExceeded: if more than max_branches states are
             expanded; the message names the palette level reached.
     """

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .errors import NotPermissibleError
-from .instance import Instance, all_colors, color_subgraph
+from .errors import NotPermissibleError, UnknownColorError
+from .instance import Instance, all_colors, color_masks
 from .mis import is_maximal_independent
 from .vectors import Vec, in_hyperrectangle, support, vec_sub
 from .wmax import DEFAULT_MAX_VECTORS, Certificate, WmaxSet, wmax
@@ -101,9 +101,11 @@ def build_max_coloring(inst: Instance, certificate: Certificate) -> Coloring:
         ValueError: if some entry is not maximal independent in its
             color's subgraph.
     """
+    masks = color_masks(inst.lists)
     for x in sorted(certificate):
-        sub = color_subgraph(inst.graph, inst.lists, x)
-        if not is_maximal_independent(sub, support(certificate[x])):
+        if x not in masks:
+            raise UnknownColorError(f"color {x} appears in no vertex list")
+        if not is_maximal_independent(inst.graph, support(certificate[x]), masks[x]):
             raise ValueError(
                 f"certificate entry for color {x} is not maximal independent "
                 "in that color's subgraph"
@@ -182,7 +184,6 @@ def iter_colorings(
     if in_hyperrectangle(w, wmax_set.vectors) is None:
         return
     n = inst.graph.n
-    adjacency = inst.graph.adjacency
     bit = {x: 1 << i for i, x in enumerate(all_colors(inst.lists))}
     options = [
         [
@@ -191,10 +192,11 @@ def iter_colorings(
         ]
         for v in range(n)
     ]
-    earlier = [[u for u in adjacency.get(v, ()) if u < v] for v in range(n)]
-    tail = n
-    while tail > 0 and all(u < tail for u in adjacency.get(tail - 1, ())):
-        tail -= 1
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for u, v in inst.graph.edges:
+        earlier[v].append(u)
+    # vertices from tail on have no later neighbors, so none among themselves
+    tail = 1 + max((u for u, _ in inst.graph.edges), default=-1)
     chosen: list[frozenset[int]] = [frozenset()] * tail
     masks = [0] * tail
 

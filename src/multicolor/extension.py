@@ -24,6 +24,11 @@ no extension does better, so the bound is the optimum:
 3. Colors a0+1..a are a uniform coloring of w - u, and
    w - u >= w - min(w, w1).  chi is monotone, so
    a - a0 >= chi(w - min(w, w1)).  Hence a >= bound.
+
+wmax_constrained needs no search of its own: the maximal independent
+sets that contain the vertices precolored x are those of the graph
+without their neighbors, so a precoloring is the list assignment
+{1..a0} minus the neighbors' precolors, folded by wmax.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, _assemble, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES
 from .instance import Graph
-from .mis import enumerate_mis
-from .vectors import Vec, indicator, leq, vec_min, vec_sub
-from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families
+from .vectors import Vec, leq, vec_min, vec_sub
+from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, wmax
 
 __all__ = ["ExtensionResult", "extend_coloring", "wmax_constrained"]
 
@@ -77,20 +81,20 @@ def wmax_constrained(
 ) -> WmaxSet:
     """Maximal demand vectors over {1..a0} among colorings containing c0.
 
-    Under a uniform assignment every color subgraph is the whole graph, so
-    the per-color family is simply the maximal independent sets containing
-    that color's precolored vertices; the result is their colorwise sum
-    set.  With an all-empty precoloring this is the unconstrained maximal
-    set of the uniform assignment.
+    The family for color x is the maximal independent sets that contain
+    R_x, the vertices precolored x.  R_x is independent, so these are
+    exactly the maximal independent sets of G - N(R_x), in which every
+    vertex of R_x is isolated.  Each vertex's list is therefore {1..a0}
+    minus the colors c0 gives its neighbors, and the result is wmax of
+    that assignment.  With an all-empty precoloring this is the
+    unconstrained maximal set of the uniform assignment.
     """
     _validate_precoloring(graph, a0, c0)
-    parent = enumerate_mis(graph)
-    families: dict[int, tuple[Vec, ...]] = {}
-    for x in range(1, a0 + 1):
-        required = indicator((v for v in range(graph.n) if x in c0[v]), graph.n)
-        families[x] = tuple(s for s in parent if leq(required, s))
-    acc = vecsum_families(families, graph.n, max_vectors)
-    return WmaxSet(vectors=tuple(sorted(acc)), certificates=acc, families=families)
+    lists = [frozenset(range(1, a0 + 1))] * graph.n
+    for i, j in graph.edges:
+        lists[i] -= c0[j]
+        lists[j] -= c0[i]
+    return wmax(graph, tuple(lists), max_vectors)
 
 
 def extend_coloring(

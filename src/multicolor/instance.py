@@ -5,9 +5,9 @@ finite set of allowed colors (the list assignment) and, optionally, a
 per-vertex demand: how many distinct colors that vertex must receive.
 
 Vertices are named in the instance file; their file order is canonical and
-fixes coordinate i of every demand vector.  Induced subgraphs keep the
-original indexing, so indicator vectors taken on a subgraph stay
-n-dimensional and can be summed with vectors taken on any other subgraph.
+fixes coordinate i of every demand vector.  A set of vertices, such as the
+vertices whose list holds one color, is an int mask with vertex i at bit
+n-1-i, so masks order as the indicator vectors of their sets do.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InstanceFormatError, UnknownColorError
+from .errors import InstanceFormatError
 from .vectors import Vec
 
 Lists = tuple[frozenset[int], ...]
@@ -24,35 +24,40 @@ Lists = tuple[frozenset[int], ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph, possibly an induced subgraph.
+    """A simple undirected graph.
 
     Attributes:
-        names: names of all vertices of the *original* instance, in canonical
-            order; fixes the dimension of every vector even for subgraphs.
-        members: indices (into names) of the vertices present in this graph.
-        edges: induced edges, each a pair (i, j) with i < j.
+        names: vertex names in canonical order; fixes the dimension of
+            every vector.
+        edges: edges, each a pair (i, j) with i < j.
     """
 
     names: tuple[str, ...]
-    members: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
     @property
     def n(self) -> int:
-        """Dimension of the vector space: vertex count of the full instance."""
+        """Dimension of the vector space: the number of vertices."""
         return len(self.names)
 
+    @property
+    def members(self) -> range:
+        """Indices of all vertices; every graph holds all the vertices it names."""
+        return range(self.n)
+
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in self.members}
+    def adjacency(self) -> tuple[int, ...]:
+        """Per vertex, the mask of its neighbors, vertex v at bit n-1-v."""
+        top = self.n - 1
+        adj = [0] * self.n
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return {i: frozenset(nbrs) for i, nbrs in adj.items()}
+            adj[i] |= 1 << (top - j)
+            adj[j] |= 1 << (top - i)
+        return tuple(adj)
 
     @staticmethod
     def build(names: tuple[str, ...], edges: set[tuple[int, int]]) -> "Graph":
-        """Full graph on all named vertices; edges given as index pairs."""
+        """Graph on the named vertices; edges given as index pairs."""
         n = len(names)
         normalized = set()
         for i, j in edges:
@@ -61,14 +66,7 @@ class Graph:
             if i == j:
                 raise InstanceFormatError(f"self-loop at vertex {names[i]!r}")
             normalized.add((min(i, j), max(i, j)))
-        return Graph(names=names, members=frozenset(range(n)), edges=frozenset(normalized))
-
-    def induced(self, keep: frozenset[int]) -> "Graph":
-        """Induced subgraph on a subset of this graph's members."""
-        if not keep <= self.members:
-            raise ValueError("induced vertex set is not a subset of the graph")
-        kept_edges = frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return Graph(names=self.names, members=keep, edges=kept_edges)
+        return Graph(names=names, edges=frozenset(normalized))
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,14 @@ def all_colors(lists: Lists) -> tuple[int, ...]:
     return tuple(sorted(colors))
 
 
-def color_subgraph(graph: Graph, lists: Lists, color: int) -> Graph:
-    """Subgraph induced by the vertices whose list contains `color`.
-
-    Raises:
-        UnknownColorError: if no vertex lists the color.
-    """
-    keep = frozenset(i for i in graph.members if color in lists[i])
-    if not keep:
-        raise UnknownColorError(f"color {color} appears in no vertex list")
-    return graph.induced(keep)
+def color_masks(lists: Lists) -> dict[int, int]:
+    """Per color, ascending, the mask of the vertices whose list holds it."""
+    top = len(lists) - 1
+    masks: dict[int, int] = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            masks[c] = masks.get(c, 0) | 1 << (top - v)
+    return dict(sorted(masks.items()))
 
 
 def uniform_lists(n: int, a: int) -> Lists:
@@ -223,6 +219,10 @@ def parse_dimacs(text: str) -> Graph:
     Vertices are 1-based in the format and named "1".."n" here so a JSON
     sidecar can refer to them.  Duplicate edges are collapsed; comment (`c`)
     lines are skipped.
+
+    Raises:
+        InstanceFormatError: on a missing, repeated or malformed problem
+            line, a negative vertex count, or a malformed edge line.
     """
     n = None
     edges: set[tuple[int, int]] = set()
@@ -232,12 +232,16 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise InstanceFormatError(f"line {lineno}: second problem line")
             if len(parts) < 4:
                 raise InstanceFormatError(f"line {lineno}: malformed problem line")
             try:
                 n = int(parts[2])
             except ValueError as exc:
                 raise InstanceFormatError(f"line {lineno}: bad vertex count") from exc
+            if n < 0:
+                raise InstanceFormatError(f"line {lineno}: negative vertex count")
         elif parts[0] == "e":
             if n is None:
                 raise InstanceFormatError(f"line {lineno}: edge before problem line")

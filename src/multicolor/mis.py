@@ -3,10 +3,12 @@
 "Maximal" throughout this package means inclusion-maximal: an independent
 set not properly contained in another independent set.  (The independence
 number, by contrast, is defined by maximum cardinality; see
-chromatic.independence_number.)  Indicator vectors always live on the full
-instance index space, so the family of a color subgraph has zeros at the
-vertices outside it and families taken on different subgraphs can be
-summed coordinatewise.
+chromatic.independence_number.)  Both functions here work on the subgraph
+on the vertices of a member mask (vertex v at bit n-1-v, the whole graph
+by default), such as the vertices whose list holds one color.  Indicator
+vectors always live on the full instance index space, so a family has
+zeros outside its members and families taken on different member sets can
+be summed coordinatewise.
 """
 
 from __future__ import annotations
@@ -17,45 +19,46 @@ from .instance import Graph
 from .vectors import Vec
 
 
-def is_maximal_independent(graph: Graph, subset: Iterable[int]) -> bool:
+def is_maximal_independent(
+    graph: Graph, subset: Iterable[int], members: int | None = None
+) -> bool:
     """True iff the subset is independent and no member vertex can be added.
 
     Raises:
-        ValueError: if the subset is not contained in the graph's vertices.
+        ValueError: if the subset holds a vertex outside the members.
     """
-    chosen = frozenset(subset)
-    if not chosen <= graph.members:
-        raise ValueError("subset contains vertices outside the graph")
-    adj = graph.adjacency
-    for v in chosen:
-        if adj[v] & chosen:
+    n = graph.n
+    everyone = (1 << n) - 1 if members is None else members
+    vertices = set(subset)
+    chosen = reach = 0
+    for v in vertices:
+        if not (0 <= v < n and everyone >> (n - 1 - v) & 1):
+            raise ValueError("subset contains vertices outside the graph")
+        chosen |= 1 << (n - 1 - v)
+    for v in vertices:
+        if graph.adjacency[v] & chosen:
             return False
-    for v in graph.members - chosen:
-        if not (adj[v] & chosen):
-            return False
-    return True
+        reach |= graph.adjacency[v]
+    return not everyone & ~(chosen | reach)
 
 
-def enumerate_mis(graph: Graph) -> tuple[Vec, ...]:
-    """All inclusion-maximal independent sets, as sorted indicator vectors.
+def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[Vec, ...]:
+    """All inclusion-maximal independent sets of the members, sorted.
 
     Bron-Kerbosch with the pivot rule of Tomita, Tanaka and Takahashi
-    (TCS 2006), run on the non-adjacency relation of the graph's members.
-    Vertex sets are int bitmasks with vertex v at bit n-1-v, so ordering
-    the masks as ints orders their indicator vectors lexicographically;
-    tuples are built once, at the end.  The empty graph has the empty set
-    as its unique maximal independent set, so it yields the zero vector.
+    (TCS 2006), run on the non-adjacency relation of the members (all
+    vertices when members is None).  Vertex sets are int masks with vertex
+    v at bit n-1-v, so ordering the masks as ints orders their indicator
+    vectors lexicographically; tuples are built once, at the end.  An
+    empty member set has the empty set as its unique maximal independent
+    set, so it yields the zero vector.
     """
     n = graph.n
     top = n - 1
-    everyone = 0
-    for v in graph.members:
-        everyone |= 1 << (top - v)
+    everyone = (1 << n) - 1 if members is None else members
+    adjacency = graph.adjacency
     # compat[b]: the members other than the vertex at bit b and its neighbours
-    compat = [everyone & ~(1 << b) for b in range(n)]
-    for i, j in graph.edges:
-        compat[top - i] &= ~(1 << (top - j))
-        compat[top - j] &= ~(1 << (top - i))
+    compat = [everyone & ~(1 << b | adjacency[top - b]) for b in range(n)]
 
     out: list[int] = []
 

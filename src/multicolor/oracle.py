@@ -50,7 +50,7 @@ def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
     """
     w = inst.require_weights()
     n = inst.n
-    adjacency = inst.graph.adjacency
+    earlier = [[j for j in range(i) if (j, i) in inst.graph.edges] for i in range(n)]
     choices: list[list[frozenset[int]]] = [
         [frozenset(c) for c in combinations(sorted(inst.lists[i]), w[i])]
         for i in range(n)
@@ -62,9 +62,8 @@ def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
         if i == n:
             found.append(tuple(assigned))
             return not collect_all
-        earlier = [j for j in adjacency[i] if j < i]
         for pick in choices[i]:
-            if any(pick & assigned[j] for j in earlier):
+            if any(pick & assigned[j] for j in earlier[i]):
                 continue
             assigned[i] = pick
             if place(i + 1):
@@ -176,7 +175,10 @@ def brute_nonrecolor_chi(
     for i, j in graph.edges:
         if c0[i] & c0[j]:
             raise ValueError(f"edge {graph.names[i]}-{graph.names[j]}: precoloring shares a color")
-    blocked = [c0[v].union(*(c0[u] for u in graph.adjacency[v])) for v in range(graph.n)]
+    blocked = [frozenset(held) for held in c0]
+    for i, j in graph.edges:
+        blocked[i] |= c0[j]
+        blocked[j] |= c0[i]
     extra = tuple(w[v] - len(c0[v]) for v in range(graph.n))
     a = a0
     while True:

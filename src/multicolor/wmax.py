@@ -5,7 +5,11 @@ closure of one finite set: the coordinatewise sums, over the colors x of the
 assignment, of indicator vectors of maximal independent sets of the x-color
 subgraphs.  This module computes that generating set together with one
 certificate per vector (the chosen maximal independent set for each color),
-from which a coloring of that exact demand can be assembled directly.
+from which a coloring of that exact demand can be assembled directly.  The
+x-color subgraph is a member mask, the vertices whose list holds x (see
+instance.color_masks), and colors with the same mask share one
+enumeration.  The uniform palette, and a precoloring to extend (see
+extension.wmax_constrained), are list assignments folded the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitExceeded
-from .instance import Graph, Lists, all_colors, color_subgraph
+from .instance import Graph, Lists, color_masks, uniform_lists
 from .mis import enumerate_mis
 from .vectors import Vec, in_hyperrectangle
 
@@ -52,13 +56,20 @@ class WmaxSet:
 
 
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]:
-    """Maximal independent sets of every color subgraph, by color.
+    """Maximal independent sets of every color subgraph, by ascending color.
 
-    Each family is enumerated on its own color subgraph, the vertices whose
-    list holds that color, so its cost follows the subgraph and not the
-    whole graph.  An assignment that lists no color has no families.
+    Each family is enumerated on its color's member mask, the vertices
+    whose list holds that color, so its cost follows the subgraph and not
+    the whole graph; colors with equal masks share one enumeration.  An
+    assignment that lists no color has no families.
     """
-    return {c: enumerate_mis(color_subgraph(graph, lists, c)) for c in all_colors(lists)}
+    families: dict[int, tuple[Vec, ...]] = {}
+    by_mask: dict[int, tuple[Vec, ...]] = {}
+    for c, m in color_masks(lists).items():
+        if m not in by_mask:
+            by_mask[m] = enumerate_mis(graph, m)
+        families[c] = by_mask[m]
+    return families
 
 
 def vecsum_families(
@@ -149,19 +160,16 @@ def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> 
 def wmax_uniform(graph: Graph, a: int, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:
     """Maximal demand vectors under the uniform assignment {1..a}.
 
-    Every color subgraph equals the graph itself, so each of the a colors
-    folds in the graph's own maximal-independent-set family.  A palette of
-    size 0 folds nothing and leaves the zero vector.  The max_vectors cap
-    trips exactly when the final set outgrows it: adding one fixed set maps
-    the k-fold sums injectively into the (k+1)-fold sums, so no
-    intermediate set is larger than the final one.
+    Every color subgraph is the graph itself, so its maximal-independent-set
+    family is enumerated once and folded in a times.  A palette of size 0,
+    or a graph with no vertex, folds nothing and leaves the zero vector.
+    The max_vectors cap trips exactly when the final set outgrows it:
+    adding one fixed set maps the k-fold sums injectively into the
+    (k+1)-fold sums, so no intermediate set is larger than the final one.
     """
     if a < 0:
         raise ValueError("palette size must be non-negative")
-    family = enumerate_mis(graph)
-    families = {c: family for c in range(1, a + 1)}
-    acc = vecsum_families(families, graph.n, max_vectors)
-    return WmaxSet(vectors=tuple(sorted(acc)), certificates=acc, families=families)
+    return wmax(graph, uniform_lists(graph.n, a), max_vectors)
 
 
 def is_permissible(

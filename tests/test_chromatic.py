@@ -1,10 +1,11 @@
 import random
+import sys
 from math import ceil
 
 import pytest
 
 import multicolor.chromatic
-import multicolor.extension
+import multicolor.mis
 from multicolor import (
     Instance,
     ResourceLimitExceeded,
@@ -109,12 +110,6 @@ def test_odd_cycle_double_demands():
 def test_cliques_unit_demands():
     for n in range(1, 7):
         assert weighted_chromatic(complete_graph(n), (1,) * n).chi == n
-
-
-def test_demand_outside_the_induced_subgraph_is_an_error():
-    # no maximal independent set of the subgraph holds v3
-    with pytest.raises(ValueError, match="vertex v3 has demand 1 but is not in the graph"):
-        weighted_chromatic(P3.induced({0, 1}), (1, 1, 1))
 
 
 def test_zero_demand():
@@ -250,26 +245,34 @@ def test_solver_rejects_a_demand_above_its_bound():
         solver.solve((3, 0))
 
 
-def test_extension_enumerates_mis_at_most_twice(monkeypatch):
-    calls, solved = [], []
-    real_mis = multicolor.chromatic.enumerate_mis
+def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
+    calls, solved = {"wmax": [], "chromatic": []}, []
+    real_mis = multicolor.mis.enumerate_mis
     real_solve = ChromaticSolver.solve
 
-    def counting_mis(graph):
-        calls.append(graph)
-        return real_mis(graph)
+    def counting(site):
+        def counting_mis(graph, members=None):
+            calls[site].append(members)
+            return real_mis(graph, members)
+
+        return counting_mis
 
     def counting_solve(self, w):
         solved.append(w)
         return real_solve(self, w)
 
-    monkeypatch.setattr(multicolor.chromatic, "enumerate_mis", counting_mis)
-    monkeypatch.setattr(multicolor.extension, "enumerate_mis", counting_mis)
+    monkeypatch.setattr(multicolor.chromatic, "enumerate_mis", counting("chromatic"))
+    monkeypatch.setattr(sys.modules["multicolor.wmax"], "enumerate_mis", counting("wmax"))
     monkeypatch.setattr(ChromaticSolver, "solve", counting_solve)
     ring = cycle(9)
     c0 = tuple(frozenset({1}) if v in (0, 4) else frozenset() for v in range(9))
     result = extend_coloring(ring, 2, c0, (3,) * 9)
     assert len(set(solved)) == 23
-    assert len(calls) <= 2
+    # wmax enumerates once per distinct color vertex set: color 1 leaves out
+    # v1, v3, v5 and v8, the neighbours of the vertices precolored 1
+    everyone = (1 << 9) - 1
+    color_1 = everyone & ~sum(1 << (8 - v) for v in (1, 3, 5, 8))
+    assert calls["wmax"] == [color_1, everyone]
+    assert calls["chromatic"] == [None]
     monkeypatch.undo()
     assert result.bound == 2 + min(weighted_chromatic(ring, r).chi for r in set(solved))

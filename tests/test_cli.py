@@ -320,6 +320,22 @@ class TestFailureModes:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge -3 0\n", "negative vertex count"),
+            ("p edge 3 1\ne 1 2\np edge 2 0\n", "second problem line"),
+        ],
+    )
+    def test_malformed_dimacs_problem_line(self, run_cli, tmp_path, text, message):
+        bad = tmp_path / "bad.col"
+        bad.write_text(text)
+        proc = run_cli("wmax", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_in_process_usage_error_leaves_the_parser_intact(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", str(FIXTURES / "fix_p3.json"), "--max-vectors", "-1"])

@@ -5,8 +5,8 @@ import pytest
 from multicolor import (
     Instance,
     NotPermissibleError,
+    UnknownColorError,
     brute_all_colorings,
-    build_max_coloring,
     decompose,
     enumerate_colorings,
     find_coloring,
@@ -16,6 +16,7 @@ from multicolor import (
     uniform_lists,
     weight_of,
 )
+from multicolor.coloring import build_max_coloring
 from multicolor.vectors import indicator, vec_add, zero
 from util import (
     K2,
@@ -115,6 +116,12 @@ def test_build_rejects_non_maximal_entry():
     inst = p3_inst((1, 1, 0))
     with pytest.raises(ValueError):
         build_max_coloring(inst, {1: indicator({0, 1}, 3)})
+
+
+def test_build_rejects_unknown_color():
+    inst = p3_inst((1, 0, 1))
+    with pytest.raises(UnknownColorError, match="color 3 appears in no vertex list"):
+        build_max_coloring(inst, {1: indicator({0}, 3), 3: indicator({2}, 3)})
 
 
 def test_shrink_removes_largest_colors_first():

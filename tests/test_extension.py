@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multicolor.extension
+import multicolor.oracle
 from multicolor import (
     ExtensionResult,
+    Graph,
     Instance,
     NotPermissibleError,
     ResourceLimitExceeded,
@@ -21,6 +24,9 @@ from multicolor import (
     wmax_constrained,
     wmax_uniform,
 )
+from multicolor.mis import enumerate_mis
+from multicolor.vectors import indicator, leq
+from multicolor.wmax import vecsum_families
 from util import K2, K3, P3, coloring, graph_from_edges, random_graph
 
 C0_K2 = coloring({1}, set())
@@ -38,6 +44,28 @@ def sample_precoloring(rng, graph, a0):
         return find_coloring(Instance(graph, uniform_lists(graph.n, a0), w0))
     except NotPermissibleError:
         return empty_precoloring(graph.n)
+
+
+def random_precoloring(rng, graph, a0):
+    """A valid precoloring over {1..a0} with 0 to 2 colors per vertex."""
+    held = [frozenset()] * graph.n
+    for v in range(graph.n):
+        taken = set().union(*(held[i + j - v] for i, j in graph.edges if v in (i, j)))
+        free = sorted(set(range(1, a0 + 1)) - taken)
+        held[v] = frozenset(rng.sample(free, min(rng.randint(0, 2), len(free))))
+    return tuple(held)
+
+
+def reference_wmax_constrained(graph, a0, c0):
+    """The constrained set by its definition: each color's family is the
+    whole graph's maximal independent sets that hold that color's
+    precolored vertices, and the families are folded as wmax folds them."""
+    parent = enumerate_mis(graph)
+    families = {}
+    for x in range(1, a0 + 1):
+        required = indicator((v for v in range(graph.n) if x in c0[v]), graph.n)
+        families[x] = tuple(s for s in parent if leq(required, s))
+    return vecsum_families(families, graph.n), families
 
 
 class TestWmaxConstrained:
@@ -72,6 +100,24 @@ class TestWmaxConstrained:
         ws = wmax_constrained(K2, 0, coloring(set(), set()))
         assert ws.vectors == ((0, 0),)
         assert dict(ws.certificates) == {(0, 0): {}}
+
+    def test_matches_the_filtered_whole_graph_family(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            graph = random_graph(rng, rng.randint(1, 9), rng.random())
+            a0 = rng.randint(0, 4)
+            c0 = random_precoloring(rng, graph, a0)
+            got = wmax_constrained(graph, a0, c0)
+            sums, families = reference_wmax_constrained(graph, a0, c0)
+            assert got.vectors == tuple(sorted(sums)), (graph, a0, c0)
+            assert dict(got.certificates) == sums
+            assert dict(got.families) == families
+
+    def test_empty_graph_serves_only_the_empty_vector(self):
+        empty = Graph.build((), set())
+        for a0 in range(3):
+            sums, _ = reference_wmax_constrained(empty, a0, ())
+            assert wmax_constrained(empty, a0, ()).vectors == tuple(sums) == ((),)
 
     def test_rejects_negative_palette(self):
         with pytest.raises(ValueError):
@@ -157,7 +203,8 @@ def extension_cases(draw):
     held = [set() for _ in range(n)]
     for v in range(n):
         for x in range(1, a0 + 1):
-            if all(x not in held[u] for u in graph.adjacency[v]) and draw(st.booleans()):
+            neighbours = {i + j - v for i, j in graph.edges if v in (i, j)}
+            if all(x not in held[u] for u in neighbours) and draw(st.booleans()):
                 held[v].add(x)
     c0 = tuple(frozenset(s) for s in held)
     w = tuple(len(c0[v]) + draw(st.integers(0, 2)) for v in range(n))
@@ -183,13 +230,35 @@ def test_bound_equals_brute_force_optimum():
     assert len(compared) >= 250
 
 
-def test_extension_does_not_import_the_oracle():
-    tree = ast.parse(Path(multicolor.extension.__file__).read_text(encoding="utf-8"))
-    imported = set()
+def imported_modules(path):
+    """Every module a source file imports, with `from . import x` as `.x`."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
+            prefix = "." * node.level + (node.module or "")
+            if node.module is None:
+                names.update(prefix + alias.name for alias in node.names)
+            else:
+                names.add(prefix)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_extension_does_not_import_the_oracle():
+    imported = imported_modules(multicolor.extension.__file__)
     assert not any("oracle" in name for name in imported), imported
+
+
+def test_oracle_imports_only_the_instance_model():
+    imported = imported_modules(multicolor.oracle.__file__) - set(sys.stdlib_module_names)
+    assert imported <= {"__future__", ".errors", ".instance", ".vectors"}, imported
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    package = Path(multicolor.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for name in imported_modules(path):
+            top = name.split(".")[0]
+            assert name.startswith(".") or top in sys.stdlib_module_names, (path.name, name)

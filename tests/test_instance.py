@@ -5,9 +5,7 @@ import pytest
 from multicolor import (
     Graph,
     InstanceFormatError,
-    UnknownColorError,
     all_colors,
-    color_subgraph,
     load_instance,
     parse_dimacs,
     parse_instance,
@@ -91,30 +89,6 @@ def test_round_trip_is_identity():
     assert serialize_instance(again) == serialize_instance(inst)
 
 
-def test_color_subgraph_retains_indexing():
-    sub = color_subgraph(P3, P3_LISTS, 1)
-    assert sub.members == frozenset({0, 1})
-    assert sub.edges == frozenset({(0, 1)})
-    assert sub.n == 3
-
-    sub2 = color_subgraph(P3, P3_LISTS, 2)
-    assert sub2.members == frozenset({1, 2})
-    assert sub2.edges == frozenset({(1, 2)})
-
-
-def test_color_subgraph_unknown_color():
-    with pytest.raises(UnknownColorError):
-        color_subgraph(P3, P3_LISTS, 3)
-
-
-def test_color_subgraph_is_induced():
-    lists = uniform_lists(3, 2)
-    sub = color_subgraph(P3, lists, 1)
-    assert sub.edges == {
-        e for e in P3.edges if e[0] in sub.members and e[1] in sub.members
-    }
-
-
 def test_all_colors_sorted_union():
     assert all_colors(P3_LISTS) == (1, 2)
     assert all_colors((frozenset(), frozenset())) == ()
@@ -141,6 +115,16 @@ def test_dimacs_parse():
 def test_dimacs_rejects_bad_header():
     with pytest.raises(InstanceFormatError):
         parse_dimacs("p edge x y\n")
+
+
+def test_dimacs_rejects_negative_vertex_count():
+    with pytest.raises(InstanceFormatError, match="line 1: negative vertex count"):
+        parse_dimacs("p edge -3 0\n")
+
+
+def test_dimacs_rejects_a_second_problem_line():
+    with pytest.raises(InstanceFormatError, match="line 3: second problem line"):
+        parse_dimacs("p edge 3 1\ne 1 2\np edge 2 0\n")
 
 
 def test_load_dimacs_with_sidecar():

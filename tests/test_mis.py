@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multicolor import (
-    all_colors,
-    color_subgraph,
-    enumerate_mis,
-    is_maximal_independent,
-)
+from multicolor import all_colors, enumerate_mis
+from multicolor.mis import is_maximal_independent
 from multicolor.vectors import support
 from multicolor.wmax import color_mis_families
 from util import C5, K2, K3, P3, graph_from_edges, random_graph
@@ -18,10 +14,11 @@ from util import C5, K2, K3, P3, graph_from_edges, random_graph
 import graphgen
 
 
-def brute_mis(graph):
-    """All maximal independent sets by scanning every vertex subset."""
+def brute_mis(graph, members=None):
+    """All maximal independent sets of the subgraph induced by a vertex set
+    (all vertices by default), by scanning every subset of it."""
+    members = sorted(range(graph.n) if members is None else members)
     found = set()
-    members = sorted(graph.members)
     for r in range(len(members) + 1):
         for subset in combinations(members, r):
             chosen = set(subset)
@@ -30,10 +27,10 @@ def brute_mis(graph):
             )
             if not independent:
                 continue
-            dominating = all(
-                v in chosen or (graph.adjacency[v] & chosen) for v in members
+            dominated = chosen.union(
+                *({i, j} for i, j in graph.edges if i in chosen or j in chosen)
             )
-            if dominating:
+            if dominated >= set(members):
                 found.add(tuple(1 if v in chosen else 0 for v in range(graph.n)))
     return found
 
@@ -61,8 +58,7 @@ def test_every_member_is_maximal_independent():
 
 
 def test_empty_member_set_graph():
-    empty = P3.induced(frozenset())
-    assert enumerate_mis(empty) == ((0, 0, 0),)
+    assert enumerate_mis(P3, 0) == ((0, 0, 0),)
 
 
 def test_maximality_check_rejects_non_independent():
@@ -78,9 +74,11 @@ def test_maximality_check_accepts():
 
 
 def test_maximality_check_rejects_foreign_vertex():
-    sub = P3.induced(frozenset({0, 1}))
+    # members v1 and v2 of P3, at bits 2 and 1
     with pytest.raises(ValueError):
-        is_maximal_independent(sub, {2})
+        is_maximal_independent(P3, {2}, 0b110)
+    with pytest.raises(ValueError):
+        is_maximal_independent(P3, {3})
 
 
 def test_matches_brute_force_on_all_small_graphs():
@@ -113,4 +111,5 @@ def test_color_families_match_brute_force(case):
     families = color_mis_families(graph, lists)
     assert list(families) == list(all_colors(lists))
     for x, family in families.items():
-        assert family == tuple(sorted(brute_mis(color_subgraph(graph, lists, x))))
+        members = [v for v in range(graph.n) if x in lists[v]]
+        assert family == tuple(sorted(brute_mis(graph, members)))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -8,14 +9,14 @@ from multicolor import (
     Graph,
     Instance,
     ResourceLimitExceeded,
-    is_maximal_independent,
     is_permissible,
     prune_dominated,
     uniform_lists,
     wmax,
     wmax_uniform,
 )
-from multicolor.instance import color_subgraph
+from multicolor.instance import color_masks
+from multicolor.mis import enumerate_mis, is_maximal_independent
 from multicolor.oracle import brute_is_permissible
 from multicolor.vectors import leq, support, vec_add, zero
 from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families
@@ -75,8 +76,7 @@ def test_certificates_sum_to_their_vector():
         total = zero(P3.n)
         for x, part in cert.items():
             total = vec_add(total, part)
-            sub = color_subgraph(P3, P3_LISTS, x)
-            assert is_maximal_independent(sub, support(part))
+            assert is_maximal_independent(P3, support(part), color_masks(P3_LISTS)[x])
         assert total == v
 
 
@@ -134,10 +134,25 @@ def test_uniform_agrees_with_general_construction():
     rng = random.Random(3)
     for _ in range(25):
         graph = random_graph(rng, rng.randint(1, 6), rng.random())
-        a = rng.randint(1, 3)
-        assert set(wmax(graph, uniform_lists(graph.n, a)).vectors) == set(
-            wmax_uniform(graph, a).vectors
-        )
+        a = rng.randint(0, 3)
+        general = wmax(graph, uniform_lists(graph.n, a))
+        uniform = wmax_uniform(graph, a)
+        assert uniform.vectors == general.vectors
+        assert dict(uniform.certificates) == dict(general.certificates)
+        assert dict(uniform.families) == dict(general.families)
+
+
+def test_uniform_lists_enumerate_once(monkeypatch):
+    calls = []
+
+    def counting_mis(graph, members=None):
+        calls.append(members)
+        return enumerate_mis(graph, members)
+
+    monkeypatch.setattr(sys.modules["multicolor.wmax"], "enumerate_mis", counting_mis)
+    ws = wmax(P3, uniform_lists(3, 4))
+    assert calls == [0b111]
+    assert dict(ws.families) == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3, 4)}
 
 
 def test_permissible_membership_witness():
