@@ -48,14 +48,7 @@ from .oracle import (
     brute_nonrecolor_chi,
     brute_oncall,
 )
-from .vectors import (
-    Vec,
-    in_hyperrectangle,
-    indicator,
-    leq,
-    norm,
-    vec_min,
-)
+from .vectors import Vec, in_hyperrectangle
 from .wmax import WmaxSet, is_permissible, prune_dominated, wmax, wmax_uniform
 
 __version__ = "0.1.0"
@@ -86,13 +79,10 @@ __all__ = [
     "find_coloring",
     "in_hyperrectangle",
     "independence_number",
-    "indicator",
     "is_permissible",
     "is_valid_coloring",
     "iter_colorings",
-    "leq",
     "load_instance",
-    "norm",
     "oncall_solutions",
     "parse_dimacs",
     "parse_instance",
@@ -100,7 +90,6 @@ __all__ = [
     "serialize_instance",
     "shrink",
     "uniform_lists",
-    "vec_min",
     "weight_of",
     "weighted_chromatic",
     "wmax",

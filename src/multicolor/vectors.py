@@ -29,11 +29,6 @@ def norm(x: Vec) -> int:
     return sum(x)
 
 
-def vec_add(x: Vec, y: Vec) -> Vec:
-    _check_dims(x, y)
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_sub(x: Vec, y: Vec) -> Vec:
     """Componentwise difference x - y; requires y <= x."""
     if not leq(y, x):
@@ -45,20 +40,6 @@ def vec_min(x: Vec, y: Vec) -> Vec:
     """Componentwise minimum."""
     _check_dims(x, y)
     return tuple(min(a, b) for a, b in zip(x, y))
-
-
-def zero(n: int) -> Vec:
-    return (0,) * n
-
-
-def indicator(members: Iterable[int], n: int) -> Vec:
-    """0/1 vector of length n with ones exactly at the given indices."""
-    coords = [0] * n
-    for i in members:
-        if not 0 <= i < n:
-            raise ValueError(f"vertex index {i} out of range for dimension {n}")
-        coords[i] = 1
-    return tuple(coords)
 
 
 def support(x: Vec) -> frozenset[int]:

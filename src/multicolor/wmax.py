@@ -15,7 +15,9 @@ extension.wmax_constrained), are list assignments folded the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import and_, getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -195,22 +197,22 @@ def is_permissible(
 def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     """Drop every vector lying below another member; closure is unchanged.
 
-    The maxima scan of Kung, Luccio and Preparata ("On finding the maxima
-    of a set of vectors", J. ACM 1975): distinct vectors are visited in
-    descending coordinate sum, and each is tested only against the maxima
-    kept so far.  A vector can lie below another distinct one only if that
-    one has a strictly larger sum, and whatever lies below a discarded
-    vector lies below the kept vector that discarded it.
+    The bitmap test of Tan, Eng and Ooi ("Efficient progressive skyline
+    computation", VLDB 2001) checks every candidate against all members
+    at once.  The N distinct vectors are sorted lexicographically and
+    vector j is bit j.  For each coordinate i and each value a occurring
+    there, one int bitset ``above[i][a]`` has bit j set when vector j has
+    coordinate i >= a; a column is built in one pass, then OR-accumulated
+    over its distinct values in descending order.  The AND of
+    ``above[i][x[i]]`` over all i holds exactly the members >= x, x itself
+    included, so x is a maximum iff that AND is its own bit alone.
 
-    Each test is one big-int operation.  A vector is packed into an int
-    with coordinate 0 in the most significant field; every field is
-    ``(hi - lo).bit_length() + 1`` bits wide, where hi and lo are the
-    largest and smallest coordinates in the set, holds ``a - lo`` and
-    keeps its top bit free as a guard.  With G the mask of all guard bits,
-    x <= y iff ``((pack(y) | G) - pack(x)) & G == G``: a field whose
-    guard survives the subtraction has ``a_y >= a_x``, and no field
-    borrows from its neighbour.  The test is exact for any equal-length
-    tuples of ints, negative or arbitrarily large coordinates included.
+    Cost: dim x N ANDs of N-bit ints, plus one N-bit OR per member and per
+    distinct value of each column to build the bitsets.  Memory: N bits per
+    distinct value per coordinate.  In a wmax set, coordinate v counts the
+    colors whose chosen set contains v, so a column holds at most
+    |L(v)| + 1 distinct values.  Coordinates may be any ints, negative or
+    arbitrarily large.
 
     Returns:
         The maxima, sorted lexicographically.
@@ -218,29 +220,25 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     Raises:
         ValueError: if the vectors do not all have the same length.
     """
-    items = set(vecs)
+    items = sorted(set(vecs))
     if not items:
         return ()
-    dim = len(next(iter(items)))
+    dim = len(items[0])
     for x in items:
         if len(x) != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {len(x)}")
-    lo = min(map(min, items)) if dim else 0
-    hi = max(map(max, items)) if dim else 0
-    width = (hi - lo).bit_length() + 1
-    guards = 0
-    for _ in range(dim):
-        guards = (guards << width) | (1 << (width - 1))
-    kept: list[Vec] = []
-    kept_packed: list[int] = []  # each kept vector packed, guards set
-    for x in sorted(items, key=lambda v: (-sum(v), v)):
-        px = 0
-        for a in x:
-            px = (px << width) | (a - lo)
-        for py in kept_packed:
-            if (py - px) & guards == guards:
-                break
-        else:
-            kept.append(x)
-            kept_packed.append(px | guards)
-    return tuple(sorted(kept))
+    if not dim:
+        return ((),)
+    above: list[dict[int, int]] = []
+    for column in zip(*items):
+        at: dict[int, int] = {}
+        bit = 1
+        for a in column:
+            at[a] = at.get(a, 0) | bit
+            bit <<= 1
+        acc = 0
+        for a in sorted(at, reverse=True):
+            acc |= at[a]
+            at[a] = acc
+        above.append(at)
+    return tuple(x for j, x in enumerate(items) if reduce(and_, map(getitem, above, x)) == 1 << j)

@@ -17,7 +17,6 @@ from multicolor import (
     weight_of,
 )
 from multicolor.coloring import build_max_coloring
-from multicolor.vectors import indicator, vec_add, zero
 from util import (
     K2,
     K2_LISTS,
@@ -29,8 +28,11 @@ from util import (
     SV_LISTS,
     coloring,
     graph_from_edges,
+    indicator,
     random_graph,
     random_lists,
+    vec_add,
+    zero,
 )
 
 

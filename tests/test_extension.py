@@ -25,9 +25,9 @@ from multicolor import (
     wmax_uniform,
 )
 from multicolor.mis import enumerate_mis
-from multicolor.vectors import indicator, leq
+from multicolor.vectors import leq
 from multicolor.wmax import vecsum_families
-from util import K2, K3, P3, coloring, graph_from_edges, random_graph
+from util import K2, K3, P3, coloring, graph_from_edges, indicator, random_graph
 
 C0_K2 = coloring({1}, set())
 C0_K3 = coloring({1}, set(), set())

@@ -2,17 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multicolor.vectors import (
-    in_hyperrectangle,
-    indicator,
-    leq,
-    norm,
-    support,
-    vec_add,
-    vec_min,
-    vec_sub,
-    zero,
-)
+from multicolor.vectors import in_hyperrectangle, leq, norm, support, vec_min, vec_sub
+from util import indicator, vec_add, zero
 
 P3_WMAX = {(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
 

@@ -18,7 +18,7 @@ from multicolor import (
 from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis, is_maximal_independent
 from multicolor.oracle import brute_is_permissible
-from multicolor.vectors import leq, support, vec_add, zero
+from multicolor.vectors import leq, support
 from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families
 from util import (
     K2,
@@ -30,6 +30,8 @@ from util import (
     SV_LISTS,
     random_graph,
     random_lists,
+    vec_add,
+    zero,
 )
 
 P3_WMAX = {(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
@@ -250,6 +252,26 @@ def test_prune_equals_all_pairs_definition(vecs):
     expected = all_pairs_maxima(vecs)
     assert prune_dominated(vecs) == expected
     assert prune_dominated(iter(vecs)) == expected
+
+
+def test_prune_equals_all_pairs_definition_at_workload_scale():
+    """Sets of hundreds of vectors, so every bitset spans many machine words."""
+    rng = random.Random(1)
+    sizes = []
+    for n in (10, 11, 10, 11):
+        vecs = wmax(random_graph(rng, n, 0.5), random_lists(rng, n, colors=4)).vectors
+        sizes.append(len(vecs))
+        assert prune_dominated(vecs) == all_pairs_maxima(vecs)
+    assert max(sizes) >= 500 and sum(sizes) >= 1_500
+
+    # wide and negative coordinates, with dominated members and repeats
+    rng = random.Random(2)
+    pool = [tuple(rng.randint(-(2**40), 2**40) for _ in range(6)) for _ in range(200)]
+    below = [tuple(a - rng.choice((0, 1, 2**39)) for a in rng.choice(pool)) for _ in range(80)]
+    vecs = pool + below + rng.sample(pool, 20)
+    expected = all_pairs_maxima(vecs)
+    assert prune_dominated(vecs) == expected
+    assert 0 < len(expected) < len(set(vecs))
 
 
 @given(vector_lists().filter(bool), st.data())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from multicolor import Graph, uniform_lists
+from multicolor import Graph, Vec, uniform_lists
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,3 +55,23 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def random_weight(rng: random.Random, n: int, cap: int = 3):
     return tuple(rng.randint(0, cap) for _ in range(n))
+
+
+def zero(n: int) -> Vec:
+    return (0,) * n
+
+
+def vec_add(x: Vec, y: Vec) -> Vec:
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def indicator(members, n: int) -> Vec:
+    """0/1 vector of length n with ones exactly at the given indices."""
+    coords = [0] * n
+    for i in members:
+        if not 0 <= i < n:
+            raise ValueError(f"vertex index {i} out of range for dimension {n}")
+        coords[i] = 1
+    return tuple(coords)
