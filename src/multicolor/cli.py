@@ -92,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     inst = _load(args)
     w = inst.require_weights()
     ws = wmax(inst.graph, inst.lists, args.max_vectors)
-    witness = in_hyperrectangle(w, ws.vectors)
+    witness = in_hyperrectangle(w, ws.packed)
     if witness is None:
         print("NOT PERMISSIBLE")
         return 1
@@ -208,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
 
-    witness = in_hyperrectangle(w, ws.vectors)
+    witness = in_hyperrectangle(w, ws.packed)
     try:
         brute_witness = brute_colorable(inst, args.max_branches)
     except ResourceLimitExceeded:

@@ -155,7 +155,7 @@ def find_coloring(
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists, max_vectors)
-    witness = in_hyperrectangle(w, wmax_set.vectors)
+    witness = in_hyperrectangle(w, wmax_set.packed)
     if witness is None:
         raise NotPermissibleError(w)
     full = _assemble(inst.graph.n, wmax_set.certificates[witness])
@@ -181,7 +181,7 @@ def iter_colorings(
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists, max_vectors)
-    if in_hyperrectangle(w, wmax_set.vectors) is None:
+    if in_hyperrectangle(w, wmax_set.packed) is None:
         return
     n = inst.graph.n
     bit = {x: 1 << i for i, x in enumerate(all_colors(inst.lists))}

@@ -3,7 +3,8 @@
 If the demand w cannot be met in full, the interesting fallbacks are the
 satisfiable vectors u <= w of greatest total size.  Every such optimum is
 the coordinatewise minimum of w with some maximal demand vector, so the
-candidates are finitely many and scanned directly.
+candidates are finitely many; the packed maximal set yields them all at
+once (PackedVectors.best_minima).
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def oncall_solutions(
     with one of its colorings: the minimum with a dominating maximal
     vector reproduces w, and nothing below it has larger norm.
 
+    Method and cost: on the packed maximal set (WmaxSet.packed), one
+    whole-set subtraction of w gives min(w, m) for every member m at once
+    and one multiplication gives every total, with no loop over the
+    vectors; only the members reaching the best total are visited (see
+    PackedVectors.best_minima), and each optimum costs one find_coloring.
+    Fields are the smallest whole number of bytes that hold the largest
+    coordinate below a guard bit, and n times it.
+
     Args:
         inst: instance whose weights field holds the requested demand.
         wmax_set: optional precomputed maximal set for the same instance.
@@ -37,24 +46,15 @@ def oncall_solutions(
         The optimal vectors with witnesses; never empty.
 
     Raises:
-        ValueError: if a weight is negative, or if wmax_set's vectors do
-            not have the instance's dimension.
+        ValueError: if a weight is negative, if wmax_set's vectors do not
+            all have the instance's dimension, or if wmax_set has none.
     """
     w = inst.require_weights()
     if any(x < 0 for x in w):
         raise ValueError("weights must be non-negative")
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists, max_vectors)
-    n = len(w)
-    sums: dict[Vec, int] = {}
-    for m in wmax_set.vectors:
-        if len(m) != n:
-            raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
-        u = tuple([a if a < b else b for a, b in zip(w, m)])
-        if u not in sums:
-            sums[u] = sum(u)
-    best = max(sums.values())
-    chosen = sorted(u for u, total in sums.items() if total == best)
     return tuple(
-        (u, find_coloring(inst.with_weights(u), wmax_set)) for u in chosen
+        (u, find_coloring(inst.with_weights(u), wmax_set))
+        for u in wmax_set.packed.best_minima(w)
     )

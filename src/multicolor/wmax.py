@@ -15,7 +15,7 @@ extension.wmax_constrained), are list assignments folded the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import and_, getitem
 from types import MappingProxyType
@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, color_masks, uniform_lists
 from .mis import enumerate_mis
-from .vectors import Vec, in_hyperrectangle
+from .vectors import PackedVectors, Vec, in_hyperrectangle
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
@@ -42,19 +42,32 @@ class WmaxSet:
             is the vector (the first decomposition found; others may exist).
         families: per color, the full family of maximal-independent-set
             indicator vectors of its subgraph.
+        byte_fields: the vectors' coordinates as bytes, joined in order,
+            when the fold that built the set had them as one-byte fields;
+            packing starts from them instead of converting every tuple.  It
+            vouches that the vectors are sorted, distinct and of one length.
     """
 
     vectors: tuple[Vec, ...]
     certificates: Mapping[Vec, Certificate]
     families: Mapping[int, tuple[Vec, ...]] = field(default_factory=dict)
+    byte_fields: bytes | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "certificates", MappingProxyType(dict(self.certificates)))
         object.__setattr__(self, "families", MappingProxyType(dict(self.families)))
 
+    def __len__(self) -> int:
+        return len(self.vectors)
+
     @property
     def colors(self) -> tuple[int, ...]:
         return tuple(sorted(self.families))
+
+    @cached_property
+    def packed(self) -> PackedVectors:
+        """The vectors packed for dominance queries, once, on the first."""
+        return PackedVectors(self.vectors, self.byte_fields)
 
 
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]:
@@ -78,14 +91,16 @@ def vecsum_families(
     families: Mapping[int, tuple[Vec, ...]],
     n: int,
     max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> dict[Vec, dict[int, Vec]]:
+) -> WmaxSet:
     """Distinct sums of one vector per family, each with a first certificate.
 
     Folds the families together one color at a time in ascending color
     order, deduplicating after every step, so the certificate kept for a
     sum is the first one encountered in that deterministic sweep: at each
     step the sums so far are visited in ascending lexicographic order, and
-    for each the family in its own order.
+    for each the family in its own order.  The result is the WmaxSet of
+    the sums, sorted, of their certificates, in the order the sweep first
+    reached each sum, and of the families.
 
     Every vector is packed once into an int of n byte-aligned fields,
     coordinate 0 in the most significant.  A field holds the coordinate
@@ -93,8 +108,10 @@ def vecsum_families(
     negative, and is wide enough for one coordinate per family each up to
     hi - lo, hi the largest coordinate or 0, so sums never carry between
     fields and negative coordinates stay exact.  Every field of a sum is
-    offset alike, so packed sums order as their vectors do.  Each distinct
-    final sum is unpacked once.
+    offset alike, so packed sums order as their vectors do: the final sums
+    are sorted as ints, and each is unpacked once.  When the fields are
+    single bytes and not offset, the sums' bytes joined are handed on as
+    WmaxSet.byte_fields.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
@@ -130,17 +147,21 @@ def vecsum_families(
                         )
         acc = nxt
 
+    keys = sorted(acc)
+    raws = [s.to_bytes(n * size, "big") for s in keys]
     offset = lo * len(families)
-
-    def unpack(s: int) -> Vec:
-        raw = s.to_bytes(n * size, "big")
-        if size == 1 and not offset:
-            return tuple(raw)
-        return tuple(
-            int.from_bytes(raw[i : i + size], "big") + offset for i in range(0, len(raw), size)
+    byte_fields = None
+    if size == 1 and not offset:
+        vectors = tuple(map(tuple, raws))
+        byte_fields = b"".join(raws)
+    else:
+        at = range(0, n * size, size)
+        vectors = tuple(
+            tuple(int.from_bytes(raw[i : i + size], "big") + offset for i in at) for raw in raws
         )
-
-    return {unpack(s): cert for s, cert in acc.items()}
+    unpacked = dict(zip(keys, vectors))
+    certificates = {unpacked[s]: cert for s, cert in acc.items()}
+    return WmaxSet(vectors, certificates, families, byte_fields)
 
 
 def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:
@@ -154,9 +175,7 @@ def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
     """
-    families = color_mis_families(graph, lists)
-    acc = vecsum_families(families, graph.n, max_vectors)
-    return WmaxSet(vectors=tuple(sorted(acc)), certificates=acc, families=families)
+    return vecsum_families(color_mis_families(graph, lists), graph.n, max_vectors)
 
 
 def wmax_uniform(graph: Graph, a: int, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:
@@ -191,7 +210,7 @@ def is_permissible(
         raise ValueError("weight vector has wrong dimension")
     if wmax_set is None:
         wmax_set = wmax(graph, lists, max_vectors)
-    return in_hyperrectangle(w, wmax_set.vectors)
+    return in_hyperrectangle(w, wmax_set.packed)
 
 
 def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:

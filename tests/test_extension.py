@@ -65,7 +65,7 @@ def reference_wmax_constrained(graph, a0, c0):
     for x in range(1, a0 + 1):
         required = indicator((v for v in range(graph.n) if x in c0[v]), graph.n)
         families[x] = tuple(s for s in parent if leq(required, s))
-    return vecsum_families(families, graph.n), families
+    return vecsum_families(families, graph.n).certificates, families
 
 
 class TestWmaxConstrained:

@@ -14,7 +14,17 @@ from multicolor import (
     weight_of,
 )
 from multicolor.vectors import leq, norm
-from util import K2, K2_LISTS, P3, P3_LISTS, random_graph, random_lists
+from util import (
+    K2,
+    K2_LISTS,
+    P3,
+    P3_LISTS,
+    demands_near,
+    dense_sets,
+    random_graph,
+    random_lists,
+    scan_oncall,
+)
 
 
 def test_edge_demand_split():
@@ -72,3 +82,20 @@ def test_rejects_wmax_set_of_wrong_dimension(vectors, other_dim, data):
     with patch("multicolor.oncall.find_coloring", side_effect=AssertionError):
         with pytest.raises(ValueError):
             oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)
+
+
+def test_matches_the_loop_on_dense_sets():
+    rng = random.Random(29)
+    for graph, lists, ws in dense_sets():
+        for w in demands_near(rng, ws.vectors, 12):
+            inst = Instance(graph, lists, w)
+            sols = oncall_solutions(inst, ws)
+            assert tuple(v for v, _ in sols) == scan_oncall(w, ws.vectors), w
+            for vec, witness in sols:
+                assert weight_of(witness) == vec
+
+
+def test_empty_wmax_set_is_named():
+    ws = WmaxSet(vectors=(), certificates={})
+    with pytest.raises(ValueError, match="vector set is empty"):
+        oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)

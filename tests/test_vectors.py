@@ -1,9 +1,29 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multicolor.vectors import in_hyperrectangle, leq, norm, support, vec_min, vec_sub
-from util import indicator, vec_add, zero
+from multicolor import WmaxSet, is_permissible, wmax_uniform
+from multicolor.vectors import (
+    PackedVectors,
+    in_hyperrectangle,
+    leq,
+    norm,
+    support,
+    vec_min,
+    vec_sub,
+)
+from util import (
+    SV,
+    demands_near,
+    dense_sets,
+    indicator,
+    scan_oncall,
+    scan_witness,
+    vec_add,
+    zero,
+)
 
 P3_WMAX = {(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
 
@@ -134,3 +154,126 @@ def test_hyperrectangle_rejects_mismatch_after_witness(w, xs, other_dim):
     members = [*xs, w, (0,) * other_dim]
     with pytest.raises(ValueError):
         in_hyperrectangle(w, members)
+
+
+# -- the packed kernel against the scan and the on-call loop --------------
+
+
+def test_witness_matches_the_scan_on_dense_sets():
+    rng = random.Random(5)
+    for graph, lists, ws in dense_sets():
+        assert len(ws.packed) == len(ws.vectors) >= 300
+        demands = demands_near(rng, ws.vectors, 40)
+        # w above every member, and w with negative entries
+        demands += [tuple(a + 5 for a in ws.vectors[-1]), tuple(-a for a in ws.vectors[0])]
+        for w in demands:
+            expected = scan_witness(w, ws.vectors)
+            assert in_hyperrectangle(w, ws.packed) == expected, w
+            assert is_permissible(graph, lists, w, ws) == expected, w
+            assert in_hyperrectangle(w, ws.vectors) == expected, w
+
+
+def test_best_minima_match_the_loop_on_dense_sets():
+    rng = random.Random(6)
+    for _, _, ws in dense_sets():
+        demands = demands_near(rng, ws.vectors, 40)
+        demands.append(tuple(a + 5 for a in ws.vectors[-1]))
+        for w in demands:
+            assert ws.packed.best_minima(w) == scan_oncall(w, ws.vectors), w
+
+
+# (n, smallest coordinate, largest coordinate, bytes per field): a field
+# holds span = largest - min(smallest, 0) below a guard bit, and n * span;
+# for n >= 2 the total needs the wider field, for n = 1 the guard does
+FIELD_WIDTHS = [
+    (3, 0, 85, 1),
+    (3, 0, 86, 2),
+    (1, 0, 127, 1),
+    (1, 0, 128, 2),
+    (1, 0, 255, 2),
+    (1, 0, 2**15, 3),
+    (1, -(2**63), 0, 9),
+    (3, -5, 5, 1),
+    (4, 0, 2**14 - 1, 2),
+    (4, 0, 2**14, 3),
+    (2, 0, 2**31 - 1, 4),
+    (2, 0, 2**31, 5),
+    (2, 0, 2**63 - 1, 8),
+    (2, 0, 2**63, 9),
+    (3, -(2**70), 2**70, 10),
+]
+
+
+@pytest.mark.parametrize("n, lo, hi, size", FIELD_WIDTHS)
+def test_every_field_width_matches_the_scan(n, lo, hi, size):
+    rng = random.Random(f"{n}:{lo}:{hi}")
+    span = hi - min(lo, 0)
+    for _ in range(30):
+        # coordinates near both ends and the middle, with lo and hi present
+        pool = [lo, lo + 1, hi, hi - 1, (lo + hi) // 2, max(lo, 0), max(lo, 1)]
+        vecs = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(rng.randint(1, 12))]
+        vecs += [(lo,) * n, (hi,) * n]
+        packed = PackedVectors(vecs)
+        assert packed.width == 8 * size and span < 2 ** (8 * size - 1)
+        near = [a + d for a in pool for d in (-1, 0, 1)]
+        demands = [tuple(rng.choice(near) for _ in range(n)) for _ in range(10)]
+        demands += [(hi + 1,) * n, (lo - 1,) * n, (2**80,) * n]
+        for w in demands:
+            assert packed.witness(w) == scan_witness(w, vecs), (w, vecs)
+            if min(w) >= 0:
+                assert packed.best_minima(w) == scan_oncall(w, vecs), (w, vecs)
+
+
+def test_fold_bytes_without_room_for_a_guard_are_repacked():
+    ws = wmax_uniform(SV, 200)
+    assert ws.vectors == ((200,),) and ws.byte_fields == bytes([200])
+    assert ws.packed.width == 16
+    assert in_hyperrectangle((150,), ws.packed) == (200,)
+    assert in_hyperrectangle((201,), ws.packed) is None
+    assert ws.packed.best_minima((250,)) == ((200,),)
+
+
+def test_zero_dimension_and_empty_sets():
+    assert in_hyperrectangle((), []) is None
+    assert in_hyperrectangle((), [()]) == ()
+    assert in_hyperrectangle((), [(), ()]) == ()
+    assert in_hyperrectangle((1, 2), []) is None
+    assert PackedVectors([(), ()]).best_minima(()) == ((),)
+    assert len(PackedVectors([])) == 0
+    with pytest.raises(ValueError, match="vector set is empty"):
+        PackedVectors([]).best_minima((1,))
+
+
+def test_best_minima_reject_negative_or_mismatched_demands():
+    packed = PackedVectors([(1, 2), (2, 0)])
+    with pytest.raises(ValueError):
+        packed.best_minima((1, -1))
+    with pytest.raises(ValueError):
+        packed.best_minima((1, 1, 1))
+    with pytest.raises(ValueError):
+        packed.witness((1,))
+
+
+def test_hand_built_set_out_of_order_keeps_the_smallest_witness():
+    ws = WmaxSet(vectors=((2, 2), (1, 3), (2, 2), (0, 5), (1, 3)), certificates={})
+    assert ws.packed.vectors == ((0, 5), (1, 3), (2, 2))
+    assert in_hyperrectangle((1, 2), ws.packed) == (1, 3)
+    assert in_hyperrectangle((0, 2), ws.packed) == (0, 5)
+    assert in_hyperrectangle((2, 1), ws.packed) == (2, 2)
+    assert in_hyperrectangle((3, 0), ws.packed) is None
+
+
+wide = st.integers(min_value=-300, max_value=300)
+wide_vecs = st.lists(st.tuples(wide, wide, wide), max_size=10)
+
+
+@given(st.tuples(wide, wide, wide), wide_vecs, st.randoms(use_true_random=False))
+def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
+    members = [*xs, *xs[:2]]
+    rnd.shuffle(members)
+    ws = WmaxSet(vectors=tuple(members), certificates={})
+    expected = scan_witness(w, members)
+    assert in_hyperrectangle(w, ws.packed) == expected
+    assert in_hyperrectangle(w, members) == expected
+    if members and min(w) >= 0:
+        assert ws.packed.best_minima(w) == scan_oncall(w, members)

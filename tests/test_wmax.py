@@ -289,22 +289,22 @@ def test_prune_rejects_mismatched_dimensions(vecs, data):
 
 def test_vecsum_families_deduplicates():
     pair = ((1, 0), (0, 1))
-    assert set(vecsum_families({1: pair, 2: pair}, 2)) == {(2, 0), (1, 1), (0, 2)}
+    assert vecsum_families({1: pair, 2: pair}, 2).vectors == ((0, 2), (1, 1), (2, 0))
 
 
 def test_vecsum_families_identity():
     x = ((1, 2, 0), (0, 0, 3))
-    assert set(vecsum_families({1: ((0, 0, 0),), 2: x}, 3)) == set(x)
-    assert vecsum_families({}, 3) == {(0, 0, 0): {}}
-    assert vecsum_families({1: x, 2: ()}, 3) == {}
+    assert set(vecsum_families({1: ((0, 0, 0),), 2: x}, 3).vectors) == set(x)
+    assert vecsum_families({}, 3).certificates == {(0, 0, 0): {}}
+    assert vecsum_families({1: x, 2: ()}, 3).certificates == {}
     # the sweep stops at an empty family, before it reaches the short vector
-    assert vecsum_families({1: (), 2: ((1,),)}, 3) == {}
+    assert vecsum_families({1: (), 2: ((1,),)}, 3).certificates == {}
 
 
 def test_vecsum_families_pairing():
     left = ((1, 0, 0), (0, 1, 0))
     right = ((0, 1, 0), (0, 0, 1))
-    assert set(vecsum_families({1: left, 2: right}, 3)) == P3_WMAX
+    assert set(vecsum_families({1: left, 2: right}, 3).vectors) == P3_WMAX
 
 
 vecs3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
@@ -314,7 +314,7 @@ vecs3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
 def test_vecsum_families_is_commutative_in_color_order(fams):
     forward = vecsum_families(dict(enumerate(fams)), 3)
     backward = vecsum_families(dict(enumerate(reversed(fams))), 3)
-    assert set(forward) == set(backward)
+    assert forward.vectors == backward.vectors
 
 
 def tuple_fold(families, n, max_vectors):
@@ -335,9 +335,9 @@ def tuple_fold(families, n, max_vectors):
     return acc
 
 
-def ordered(fold):
-    """A fold's sums and certificates, both in insertion order."""
-    return [(s, list(cert.items())) for s, cert in fold.items()]
+def ordered(sums):
+    """Sums and certificates, both in insertion order."""
+    return [(s, list(cert.items())) for s, cert in sums.items()]
 
 
 @st.composite
@@ -359,7 +359,12 @@ def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
         with pytest.raises(ResourceLimitExceeded):
             vecsum_families(families, n, max_vectors)
     else:
-        assert ordered(vecsum_families(families, n, max_vectors)) == ordered(expected)
+        got = vecsum_families(families, n, max_vectors)
+        assert got.vectors == tuple(sorted(expected))
+        assert ordered(got.certificates) == ordered(expected)
+        assert dict(got.families) == families
+        if got.byte_fields is not None:
+            assert got.byte_fields == b"".join(map(bytes, got.vectors))
 
 
 @given(family_maps(min_family=1).filter(lambda case: case[0] and case[1]), st.data())

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from operator import le
 from pathlib import Path
 
-from multicolor import Graph, Vec, uniform_lists
+from multicolor import Graph, Vec, uniform_lists, wmax
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,3 +77,70 @@ def indicator(members, n: int) -> Vec:
             raise ValueError(f"vertex index {i} out of range for dimension {n}")
         coords[i] = 1
     return tuple(coords)
+
+
+def scan_witness(w: Vec, vecs) -> Vec | None:
+    """The dominance scan, the definition in_hyperrectangle must meet.
+
+    The lexicographically smallest member x with w <= x, or None; a member
+    whose length is not w's raises, also after a witness was found.
+    """
+    n = len(w)
+    best = None
+    for x in vecs:
+        if len(x) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {len(x)}")
+        if (best is None or x < best) and all(map(le, w, x)):
+            best = x
+    return best
+
+
+def scan_oncall(w: Vec, vecs) -> tuple[Vec, ...]:
+    """The on-call loop, the definition the on-call optima must meet.
+
+    The distinct min(w, m) over the members m of largest total, sorted.
+    """
+    n = len(w)
+    sums: dict[Vec, int] = {}
+    for m in vecs:
+        if len(m) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
+        u = tuple([a if a < b else b for a, b in zip(w, m)])
+        if u not in sums:
+            sums[u] = sum(u)
+    best = max(sums.values())
+    return tuple(sorted(u for u, total in sums.items() if total == best))
+
+
+@lru_cache(maxsize=None)
+def dense_sets():
+    """(graph, lists, wmax set) for G(10, 0.5) and G(11, 0.5), 4-colour lists.
+
+    Drawn from a fixed seed and kept when the set has at least 300
+    vectors, as the benchmark's dense queries have; four of them.
+    """
+    rng = random.Random(2026)
+    out = []
+    while len(out) < 4:
+        n = 10 + len(out) % 2
+        graph = random_graph(rng, n)
+        lists = random_lists(rng, n, colors=4)
+        ws = wmax(graph, lists)
+        if len(ws) >= 300:
+            out.append((graph, lists, ws))
+    return tuple(out)
+
+
+def demands_near(rng: random.Random, vectors, count: int):
+    """Demands around a vector set: members, members lowered at random,
+    members raised by one unit, and w = 0.  Non-negative, for every query."""
+    out = [(0,) * len(vectors[0])]
+    for _ in range(count):
+        m = list(rng.choice(vectors))
+        kind = rng.randrange(3)
+        if kind == 1:
+            m = [max(0, a - (rng.random() < 0.4)) for a in m]
+        elif kind == 2:
+            m[rng.randrange(len(m))] += 1
+        out.append(tuple(m))
+    return out
