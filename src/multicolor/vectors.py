@@ -11,6 +11,7 @@ instructions", CACM 1975), with no loop over the vectors.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain, groupby
 
 Vec = tuple[int, ...]
 
@@ -62,8 +63,6 @@ class PackedVectors:
     whole number of bytes that holds span, the largest coordinate minus lo,
     below a guard bit, and also n * span, the largest total of a block.  So
     every field has its top bit free, and a block's total never carries.
-    When every coordinate lies in 0..min(127, 255 // n), the bytes of the
-    tuples are the fields and the set packs in one join.
 
     Queries repeat the query vector w in every block (w.rep) and subtract
     it from the packed set with every guard bit set:
@@ -71,10 +70,10 @@ class PackedVectors:
     m_i >= w_i, and no field borrows from the next.  Each query is a fixed
     number of big-int operations on |set| x n fields, linear in the set's
     bit length, with no Python loop over the vectors; best_minima then
-    visits only the blocks that reach the best total.  Packing converts
-    every coordinate once, unless the caller hands over the bytes.
-    Vectors given out of order are sorted and deduplicated; one whole-set
-    comparison of every block with the one above detects that.
+    visits only the blocks that reach the best total.  Packing sorts and
+    deduplicates the vectors and converts every coordinate once, unless
+    the caller hands over their bytes as one-byte fields (the fold does,
+    when every coordinate lies in 0..min(127, 255 // n)).
     """
 
     __slots__ = ("vectors", "n", "lo", "width", "x", "guards", "unguarded", "blocks")
@@ -86,61 +85,44 @@ class PackedVectors:
             vecs: the vectors, in any order, duplicates allowed.
             data: optionally, the vectors' coordinates as bytes, joined in
                 order; passing it vouches that vecs are sorted, distinct and
-                of one length, so none of that is checked again.
+                of one length.  It is used as the fields when it has one
+                byte per coordinate and every byte is at most
+                min(127, 255 // n); otherwise vecs are packed as if it
+                were not given.
 
         Raises:
             ValueError: if the vectors do not all have one length.
         """
         vectors = tuple(vecs)
         if data is not None:
-            self.n = len(vectors[0]) if vectors else 0
-            self._pack(vectors, data)
-            return
-        lengths = sorted(set(map(len, vectors)))
-        if len(lengths) > 1:
-            raise ValueError(f"dimension mismatch: {lengths[0]} vs {lengths[-1]}")
-        self.n = lengths[0] if lengths else 0
-        if not self.n:
-            vectors = vectors[:1]  # all equal to ()
-        self._pack(vectors)
-        # every block must exceed the one above it, the previous vector's:
-        # with each block's free top bit set, subtracting the block above
-        # plus 1 keeps that bit exactly where it does
-        nb = self.n * self.width
-        tops = self.blocks << nb >> 1
-        if (self.x | tops) - ((self.x + self.blocks) >> nb) & tops != tops:
-            self._pack(tuple(sorted(set(vectors))))
-
-    def _pack(self, vectors: tuple[Vec, ...], data: bytes | None = None) -> None:
-        n = self.n
-        count = n * len(vectors)
-        if data is None:
-            try:
-                data = b"".join(map(bytes, vectors))
-            except (TypeError, ValueError):  # some coordinate outside 0..255
-                pass
-        lo = size = 0
-        if data is not None:  # one-byte fields if no coordinate exceeds top
+            n = len(vectors[0]) if vectors else 0
+            count = n * len(vectors)
             x = int.from_bytes(data, "big")
             ones = int.from_bytes(b"\1" * count, "big")
             top = min(127, 255 // max(n, 1))
-            if not (x | x + (127 - top) * ones) & ones << 7:
-                size = 1
-        if not size:
-            lo = min(0, min(map(min, vectors)))
-            span = max(map(max, vectors)) - lo
-            size = (max(span.bit_length() + 1, (n * span).bit_length()) + 7) // 8
-            if data is None:
-                data = b"".join(int.to_bytes(a - lo, size, "big") for v in vectors for a in v)
-            else:  # each byte becomes the last byte of its wider field
-                wide = bytearray(count * size)
-                wide[size - 1 :: size] = data
-                data = wide
-            x = int.from_bytes(data, "big")
-            ones = int.from_bytes((bytes(size - 1) + b"\1") * count, "big")
-        self.vectors, self.lo, self.width, self.x = vectors, lo, 8 * size, x
+            if len(data) == count and not (x | x + (127 - top) * ones) & ones << 7:
+                self._set(vectors, n, 0, 1, x, ones)
+                return
+        # sorted with the first of equal members kept, lists accepted
+        vectors = tuple(next(g) for _, g in groupby(sorted(vectors, key=tuple), tuple))
+        lengths = sorted(set(map(len, vectors)))
+        if len(lengths) > 1:
+            raise ValueError(f"dimension mismatch: {lengths[0]} vs {lengths[-1]}")
+        n = lengths[0] if lengths else 0
+        coords = set(chain.from_iterable(vectors))
+        lo = min(0, min(coords, default=0))
+        span = max(coords, default=0) - lo
+        size = (max(span.bit_length() + 1, (n * span).bit_length()) + 7) // 8
+        fields = {a: int.to_bytes(a - lo, size, "big") for a in coords}
+        data = b"".join(map(fields.__getitem__, chain.from_iterable(vectors)))
+        ones = int.from_bytes((bytes(size - 1) + b"\1") * (n * len(vectors)), "big")
+        self._set(vectors, n, lo, size, int.from_bytes(data, "big"), ones)
+
+    def _set(self, vectors: tuple[Vec, ...], n: int, lo: int, size: int, x: int, ones: int):
+        """Keep the packed set x, with ones a 1 in the low bit of every field."""
+        self.vectors, self.n, self.lo, self.width, self.x = vectors, n, lo, 8 * size, x
         self.guards = ones << (self.width - 1)
-        self.unguarded = (1 << count * self.width) - 1 ^ self.guards
+        self.unguarded = (1 << n * len(vectors) * self.width) - 1 ^ self.guards
         block = bytes(n * size - 1) + b"\1" if n else b""
         self.blocks = int.from_bytes(block * len(vectors), "big")
 
@@ -243,11 +225,14 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
 
     Membership of w in the downward closure of `vecs` is equivalent to a
     witness existing.  Ties break to the lexicographically smallest witness
-    so callers get deterministic output.  A PackedVectors is queried as it
-    is; any other iterable is packed first.  Method (see
+    so callers get deterministic output, and the witness is the first such
+    member as given, so a list member comes back as that list.  A
+    PackedVectors is queried as it is; any other iterable is packed
+    first.  Method (see
     PackedVectors.witness): subtract w from every member at once, then find
     the first block with no failing field by one carry.  Cost: packing
-    converts each coordinate once; the query is a fixed number of big-int
+    sorts the members and converts each coordinate once, by one lookup
+    among the distinct coordinates; the query is a fixed number of big-int
     operations on the packed set.  Fields are the smallest whole number of
     bytes that hold the coordinates' span below a guard bit, and n times
     the span.  Coordinates may be any ints, negative or large.

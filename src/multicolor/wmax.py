@@ -44,14 +44,16 @@ class WmaxSet:
             indicator vectors of its subgraph.
         byte_fields: the vectors' coordinates as bytes, joined in order,
             when the fold that built the set had them as one-byte fields;
-            packing starts from them instead of converting every tuple.  It
-            vouches that the vectors are sorted, distinct and of one length.
+            packing starts from them instead of converting every tuple.
+            Only vecsum_families sets it, so it always matches the
+            vectors; a set built by hand or by dataclasses.replace has
+            None and packs from the tuples.
     """
 
     vectors: tuple[Vec, ...]
     certificates: Mapping[Vec, Certificate]
     families: Mapping[int, tuple[Vec, ...]] = field(default_factory=dict)
-    byte_fields: bytes | None = field(default=None, repr=False, compare=False)
+    byte_fields: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "certificates", MappingProxyType(dict(self.certificates)))
@@ -161,7 +163,9 @@ def vecsum_families(
         )
     unpacked = dict(zip(keys, vectors))
     certificates = {unpacked[s]: cert for s, cert in acc.items()}
-    return WmaxSet(vectors, certificates, families, byte_fields)
+    out = WmaxSet(vectors, certificates, families)
+    object.__setattr__(out, "byte_fields", byte_fields)
+    return out
 
 
 def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:

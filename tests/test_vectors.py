@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -261,6 +262,29 @@ def test_hand_built_set_out_of_order_keeps_the_smallest_witness():
     assert in_hyperrectangle((0, 2), ws.packed) == (0, 5)
     assert in_hyperrectangle((2, 1), ws.packed) == (2, 2)
     assert in_hyperrectangle((3, 0), ws.packed) is None
+
+
+def test_list_members_are_returned_as_given():
+    members = [[1, 2], [0, 3], [1, 2]]
+    assert in_hyperrectangle((1, 1), members) == scan_witness((1, 1), members) == [1, 2]
+    assert in_hyperrectangle((1, 1), members) is members[0]
+    assert in_hyperrectangle((0, 3), members) == [0, 3]
+    assert PackedVectors(members).best_minima((1, 3)) == scan_oncall((1, 3), members)
+
+
+def test_byte_fields_come_only_from_the_fold():
+    ws = wmax_uniform(SV, 2)
+    assert ws.byte_fields == bytes([2])
+    with pytest.raises(TypeError):
+        WmaxSet(vectors=((5,),), certificates={}, byte_fields=bytes([2]))
+    grown = replace(ws, vectors=((5,),))
+    assert grown.byte_fields is None
+    assert in_hyperrectangle((4,), grown.packed) == (5,)
+    assert grown.packed.best_minima((7,)) == ((5,),)
+
+
+def test_bytes_of_the_wrong_length_are_not_used():
+    assert PackedVectors([(1, 2), (3, 4)], bytes([1, 2, 3])).witness((3, 3)) == (3, 4)
 
 
 wide = st.integers(min_value=-300, max_value=300)
