@@ -10,11 +10,9 @@ demands without recoloring.  A deliberately naive brute-force oracle
 backs every solver for cross-checking.
 """
 
-from .chromatic import ChromaticResult, independence_number, weighted_chromatic
+from .chromatic import ChromaticResult, weighted_chromatic
 from .coloring import (
     Coloring,
-    ValidationResult,
-    decompose,
     enumerate_colorings,
     find_coloring,
     is_valid_coloring,
@@ -36,7 +34,6 @@ from .instance import (
     load_instance,
     parse_dimacs,
     parse_instance,
-    serialize_instance,
     uniform_lists,
 )
 from .mis import enumerate_mis
@@ -49,7 +46,7 @@ from .oracle import (
     brute_oncall,
 )
 from .vectors import Vec, in_hyperrectangle
-from .wmax import WmaxSet, is_permissible, prune_dominated, wmax, wmax_uniform
+from .wmax import WmaxSet, is_permissible, prune_dominated, wmax
 
 __version__ = "0.1.0"
 
@@ -63,7 +60,6 @@ __all__ = [
     "NotPermissibleError",
     "ResourceLimitExceeded",
     "UnknownColorError",
-    "ValidationResult",
     "Vec",
     "WmaxSet",
     "all_colors",
@@ -72,13 +68,11 @@ __all__ = [
     "brute_colorable",
     "brute_nonrecolor_chi",
     "brute_oncall",
-    "decompose",
     "enumerate_colorings",
     "enumerate_mis",
     "extend_coloring",
     "find_coloring",
     "in_hyperrectangle",
-    "independence_number",
     "is_permissible",
     "is_valid_coloring",
     "iter_colorings",
@@ -87,12 +81,10 @@ __all__ = [
     "parse_dimacs",
     "parse_instance",
     "prune_dominated",
-    "serialize_instance",
     "shrink",
     "uniform_lists",
     "weight_of",
     "weighted_chromatic",
     "wmax",
     "wmax_constrained",
-    "wmax_uniform",
 ]

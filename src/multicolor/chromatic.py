@@ -17,12 +17,15 @@ endpoint).  The exact search branches on the lowest-index vertex with a
 deficit, over only the MIS that contain it, since every cover uses one of
 them.  It tries them in index order and skips an MIS whose overlap with
 the deficit's support lies inside the overlap of one already tried.  A
-state's answer does not depend on w, so one memo serves every palette
-level and every demand on the same graph.  The memo is monotone in the
-budget: each deficit keeps the smallest budget known feasible, with one
-pick that achieves it, and the largest known infeasible.  The search
-runs on an explicit stack, so its depth is not bounded by Python's
-recursion limit.
+deficit is one int of fixed-width fields with vertex 0 in the most
+significant field, the order of vertex masks, so an MIS mask widens into
+its packed indicator vector by instance.spread and the lowest-index
+deficient vertex is the top nonzero field.  A state's answer does not
+depend on w, so one memo serves every palette level and every demand on
+the same graph.  The memo is monotone in the budget: each deficit keeps
+the smallest budget known feasible, with one pick that achieves it, and
+the largest known infeasible.  The search runs on an explicit stack, so
+its depth is not bounded by Python's recursion limit.
 
 The witness is the lexicographically first non-decreasing sequence of MIS
 indices whose sum dominates w, padded with index 0 to the palette size.
@@ -49,7 +52,7 @@ from math import ceil
 
 from .coloring import Coloring, _assemble, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
-from .instance import Graph
+from .instance import Graph, spread
 from .mis import enumerate_mis
 from .vectors import Vec, leq, norm, vec_sub
 
@@ -58,7 +61,7 @@ __all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
 
 def independence_number(graph: Graph) -> int:
     """Size of a largest independent set."""
-    return max(norm(s) for s in enumerate_mis(graph))
+    return max(s.bit_count() for s in enumerate_mis(graph))
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,13 @@ class ChromaticResult:
 class ChromaticSolver:
     """Weighted chromatic numbers on one graph, sharing one MIS family and memo.
 
-    A deficit is one packed int with vertex v in the field at bit
-    v * width.  The width is the fewest bits that keep twice the largest
-    demand below a field's high bit and the total demand below the field
-    mask, so an edge sum never carries into the next field and each
-    prune and the clipped subtraction of an MIS are a few int
+    A deficit is one packed int with vertex v in field n-1-v, at bit
+    (n-1-v) * width: vertex 0 is the most significant field, as in vertex
+    masks and in the fold, so instance.spread turns an MIS mask into its
+    packed indicator vector.  The width is the fewest bits that keep twice
+    the largest demand below a field's high bit and the total demand below
+    the field mask, so an edge sum never carries into the next field and
+    each prune and the clipped subtraction of an MIS are a few int
     operations.  It is fixed by the largest demand the solver will see.
 
     Args:
@@ -93,7 +98,7 @@ class ChromaticSolver:
     ) -> None:
         self.n = graph.n
         self.family = enumerate_mis(graph)
-        self.alpha = max(map(norm, self.family))
+        self.alpha = max(s.bit_count() for s in self.family)
         self.bound = bound
         self.max_branches = max_branches
         self.expanded = 0
@@ -101,21 +106,22 @@ class ChromaticSolver:
         top, total = max(bound, default=0), sum(bound)
         # edge sums stay below the high bit, the total below 2**bits - 1
         self._bits = bits = max((2 * top).bit_length() + 1, (total + 1).bit_length())
-        units = [1 << (bits * v) for v in range(self.n)]
-        self._ones = sum(units)
+        self._ones = spread((1 << self.n) - 1, bits)
         self._high = self._ones << (bits - 1)
         self._cap = (1 << (bits - 1)) - 1
         self._low = self._cap * self._ones
-        self._masks = [sum(u for u, x in zip(units, s) if x) for s in self.family]
-        # per vertex, (mask, index) of the MIS through it
+        self._masks = [spread(s, bits) for s in self.family]
+        # per field f, the vertex n-1-f: (packed mask, index) of the MIS through it
         self._through = [
-            [(m, i) for i, m in enumerate(self._masks) if m & u] for u in units
+            [(m, i) for i, m in enumerate(self._masks) if m >> (bits * f) & 1]
+            for f in range(self.n)
         ]
-        # d + (d >> shift) puts d[u] + d[u + k] in field u; ends marks the
-        # high bit of field u for each edge (u, u + k)
+        # d + (d >> shift) puts d[i] + d[i + k] in field n-1-j, vertex j = i + k's;
+        # ends marks the high bit of that field for each edge (i, j)
         pairs: dict[int, int] = {}
         for i, j in graph.edges:
-            pairs[bits * (j - i)] = pairs.get(bits * (j - i), 0) | 1 << (bits * i + bits - 1)
+            high = 1 << (bits * (self.n - j) - 1)
+            pairs[bits * (j - i)] = pairs.get(bits * (j - i), 0) | high
         self._pairs = sorted(pairs.items())
         # deficit -> (smallest budget known feasible, a first pick that achieves it)
         self._feasible: dict[int, tuple[int, int]] = {}
@@ -133,7 +139,9 @@ class ChromaticSolver:
         total = norm(w)
         if total == 0:
             return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
-        d = sum(x << (self._bits * v) for v, x in enumerate(w))
+        d = 0
+        for x in w:
+            d = d << self._bits | x
         lower = ceil(total / self.alpha)
         a = max(lower, max(w))
         while True:
@@ -195,7 +203,7 @@ class ChromaticSolver:
         self._tick()
         support = self._support(d)
         kept: list[int] = []
-        for m, i in self._through[(support & -support).bit_length() // self._bits]:
+        for m, i in self._through[(support.bit_length() - 1) // self._bits]:
             r = m & support
             if all(r & ~k for k in kept):
                 kept.append(r)

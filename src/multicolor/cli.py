@@ -27,7 +27,7 @@ from .errors import (
     UnknownColorError,
 )
 from .extension import extend_coloring
-from .instance import Graph, Instance, load_instance
+from .instance import Graph, Instance, load_instance, vertices_of
 from .oncall import oncall_solutions
 from .oracle import (
     brute_all_colorings,
@@ -36,7 +36,7 @@ from .oracle import (
     brute_nonrecolor_chi,
     brute_oncall,
 )
-from .vectors import Vec, in_hyperrectangle, support
+from .vectors import Vec, in_hyperrectangle
 from .wmax import DEFAULT_MAX_VECTORS, wmax, prune_dominated
 
 VERIFY_ENUM_BRANCHES = 100_000
@@ -46,8 +46,8 @@ def _vec_line(v: Vec) -> str:
     return json.dumps(list(v))
 
 
-def _names(graph: Graph, vec: Vec) -> list[str]:
-    return [graph.names[i] for i in sorted(support(vec))]
+def _names(graph: Graph, mask: int) -> list[str]:
+    return [graph.names[v] for v in vertices_of(mask, graph.n)]
 
 
 def _coloring_doc(graph: Graph, coloring: Coloring) -> dict[str, list[int]]:
@@ -102,8 +102,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     inst = _load(args)
+    inst.require_weights()
+    ws = wmax(inst.graph, inst.lists, args.max_vectors)
     try:
-        coloring = find_coloring(inst, max_vectors=args.max_vectors)
+        coloring = find_coloring(inst, ws)
     except NotPermissibleError:
         print("not permissible: no coloring meets the demand", file=sys.stderr)
         return 1
@@ -113,8 +115,10 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     inst = _load(args)
+    inst.require_weights()
+    ws = wmax(inst.graph, inst.lists, args.max_vectors)
     count = 0
-    for coloring in iter_colorings(inst, max_vectors=args.max_vectors):
+    for coloring in iter_colorings(inst, ws):
         print(_coloring_line(inst.graph, coloring))
         count += 1
         if args.limit is not None and count >= args.limit:

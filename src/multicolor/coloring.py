@@ -5,7 +5,9 @@ with adjacent vertices receiving disjoint sets.  Demands are met exactly:
 vertex v gets precisely w(v) colors.  A single coloring is assembled from
 the per-color maximal independent sets that certify a maximal demand vector
 above w, then shrunk to w; the full set of colorings is enumerated directly,
-vertex by vertex, in sorted order.
+vertex by vertex, in sorted order.  Certificates hold each color's
+independent set as a vertex mask (vertex v at bit n-1-v), and assembly
+walks the mask's set bits.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .errors import NotPermissibleError, UnknownColorError
-from .instance import Instance, all_colors, color_masks
+from .instance import Instance, all_colors, color_masks, vertices_of
 from .mis import is_maximal_independent
-from .vectors import Vec, in_hyperrectangle, support, vec_sub
-from .wmax import DEFAULT_MAX_VECTORS, Certificate, WmaxSet, wmax
+from .vectors import Vec, in_hyperrectangle, vec_sub
+from .wmax import Certificate, WmaxSet, wmax
 
 Coloring = tuple[frozenset[int], ...]
 
@@ -83,10 +85,9 @@ def is_valid_coloring(inst: Instance, coloring: Coloring) -> ValidationResult:
 def _assemble(n: int, certificate: Certificate) -> Coloring:
     """Certificate to coloring, trusting the entries."""
     sets: list[set[int]] = [set() for _ in range(n)]
-    for x, vec in certificate.items():
-        for v, bit in enumerate(vec):
-            if bit:
-                sets[v].add(x)
+    for x, mask in certificate.items():
+        for v in vertices_of(mask, n):
+            sets[v].add(x)
     return tuple(frozenset(s) for s in sets)
 
 
@@ -105,7 +106,7 @@ def build_max_coloring(inst: Instance, certificate: Certificate) -> Coloring:
     for x in sorted(certificate):
         if x not in masks:
             raise UnknownColorError(f"color {x} appears in no vertex list")
-        if not is_maximal_independent(inst.graph, support(certificate[x]), masks[x]):
+        if not is_maximal_independent(inst.graph, certificate[x], masks[x]):
             raise ValueError(
                 f"certificate entry for color {x} is not maximal independent "
                 "in that color's subgraph"
@@ -138,11 +139,7 @@ def shrink(
     return tuple(out)
 
 
-def find_coloring(
-    inst: Instance,
-    wmax_set: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> Coloring:
+def find_coloring(inst: Instance, wmax_set: WmaxSet | None = None) -> Coloring:
     """One coloring meeting the instance's demands.
 
     Picks the lexicographically smallest maximal vector dominating the
@@ -154,7 +151,7 @@ def find_coloring(
     """
     w = inst.require_weights()
     if wmax_set is None:
-        wmax_set = wmax(inst.graph, inst.lists, max_vectors)
+        wmax_set = wmax(inst.graph, inst.lists)
     witness = in_hyperrectangle(w, wmax_set.packed)
     if witness is None:
         raise NotPermissibleError(w)
@@ -162,11 +159,7 @@ def find_coloring(
     return shrink(full, vec_sub(witness, w))
 
 
-def iter_colorings(
-    inst: Instance,
-    wmax_set: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
-) -> Iterator[Coloring]:
+def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[Coloring]:
     """All colorings of the instance, lazily, each exactly once.
 
     Backtracks over the vertices in index order: vertex v takes each
@@ -180,7 +173,7 @@ def iter_colorings(
     """
     w = inst.require_weights()
     if wmax_set is None:
-        wmax_set = wmax(inst.graph, inst.lists, max_vectors)
+        wmax_set = wmax(inst.graph, inst.lists)
     if in_hyperrectangle(w, wmax_set.packed) is None:
         return
     n = inst.graph.n
@@ -229,14 +222,11 @@ def iter_colorings(
 
 
 def enumerate_colorings(
-    inst: Instance,
-    limit: int | None = None,
-    wmax_set: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
+    inst: Instance, limit: int | None = None, wmax_set: WmaxSet | None = None
 ) -> tuple[Coloring, ...]:
     """The stream of iter_colorings, collected; limit truncates it."""
     out: list[Coloring] = []
-    for coloring in iter_colorings(inst, wmax_set, max_vectors):
+    for coloring in iter_colorings(inst, wmax_set):
         out.append(coloring)
         if limit is not None and len(out) >= limit:
             break

@@ -6,8 +6,11 @@ per-vertex demand: how many distinct colors that vertex must receive.
 
 Vertices are named in the instance file; their file order is canonical and
 fixes coordinate i of every demand vector.  A set of vertices, such as the
-vertices whose list holds one color, is an int mask with vertex i at bit
-n-1-i, so masks order as the indicator vectors of their sets do.
+vertices whose list holds one color or a maximal independent set, is an int
+mask with vertex i at bit n-1-i, so masks order as the indicator vectors of
+their sets do.  This is the one representation of a vertex set in the
+package; vertices_of lists a mask's vertices and spread widens it into
+packed fields.
 """
 
 from __future__ import annotations
@@ -110,6 +113,32 @@ def color_masks(lists: Lists) -> dict[int, int]:
     return dict(sorted(masks.items()))
 
 
+def vertices_of(mask: int, n: int) -> list[int]:
+    """The vertices of a mask on n vertices, ascending."""
+    out = []
+    while mask:
+        top = mask.bit_length()
+        out.append(n - top)
+        mask ^= 1 << (top - 1)
+    return out
+
+
+def spread(mask: int, width: int) -> int:
+    """The mask with bit b moved to bit b * width.
+
+    On fields width bits wide, vertex v's bit n-1-v becomes the low bit of
+    field n-1-v, so vertex 0 has the most significant field: the packed
+    indicator vector of the set, coordinate 0 first, as the fold and the
+    chromatic solver lay out demand vectors.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * width
+        mask ^= low
+    return out
+
+
 def uniform_lists(n: int, a: int) -> Lists:
     """The a-uniform assignment: every vertex may use colors 1..a."""
     palette = frozenset(range(1, a + 1))
@@ -163,16 +192,17 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"malformed edge {pair!r}")
         if u not in index or v not in index:
             raise InstanceFormatError(f"edge {pair!r} references an unknown vertex")
-        if u == v:
-            raise InstanceFormatError(f"self-loop at vertex {u!r}")
-        i, j = index[u], index[v]
-        edges.add((min(i, j), max(i, j)))
+        edges.add((index[u], index[v]))
     graph = Graph.build(names, edges)
+    return Instance(graph, *_lists_and_weights(doc, index))
 
+
+def _lists_and_weights(doc: dict, index: dict[str, int]) -> tuple[Lists, Vec | None]:
+    """A document's "lists" and optional "weights", read as parse_instance does."""
     lists_raw = doc.get("lists", {})
     if not isinstance(lists_raw, dict):
         raise InstanceFormatError('"lists" must be an object')
-    per_vertex: list[frozenset[int]] = [frozenset()] * len(names)
+    per_vertex: list[frozenset[int]] = [frozenset()] * len(index)
     for name, colors in lists_raw.items():
         if name not in index:
             raise InstanceFormatError(f"list for unknown vertex {name!r}")
@@ -188,7 +218,7 @@ def parse_instance(text: str) -> Instance:
         weights_raw = doc["weights"]
         if not isinstance(weights_raw, dict):
             raise InstanceFormatError('"weights" must be an object')
-        demand = [0] * len(names)
+        demand = [0] * len(index)
         for name, value in weights_raw.items():
             if name not in index:
                 raise InstanceFormatError(f"weight for unknown vertex {name!r}")
@@ -196,8 +226,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(f"weight {value!r} of {name!r} is not a non-negative integer")
             demand[index[name]] = value
         weights = tuple(demand)
-
-    return Instance(graph=graph, lists=tuple(per_vertex), weights=weights)
+    return tuple(per_vertex), weights
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -273,11 +302,7 @@ def load_instance(path: str, sidecar: str | None = None) -> Instance:
         return parse_instance(text)
 
     graph = parse_dimacs(text)
-    doc = {
-        "vertices": list(graph.names),
-        "edges": [[graph.names[i], graph.names[j]] for i, j in sorted(graph.edges)],
-        "lists": {},
-    }
+    extra: dict = {}
     if sidecar is not None:
         with open(sidecar, encoding="utf-8") as fh:
             try:
@@ -286,7 +311,4 @@ def load_instance(path: str, sidecar: str | None = None) -> Instance:
                 raise InstanceFormatError(f"sidecar is not valid JSON: {exc}") from exc
         if not isinstance(extra, dict):
             raise InstanceFormatError("sidecar must be a JSON object")
-        doc["lists"] = extra.get("lists", {})
-        if "weights" in extra:
-            doc["weights"] = extra["weights"]
-    return parse_instance(json.dumps(doc))
+    return Instance(graph, *_lists_and_weights(extra, _index_of(graph.names)))

@@ -1,57 +1,51 @@
-"""Enumeration of maximal independent sets as indicator vectors.
+"""Enumeration of maximal independent sets as vertex masks.
 
 "Maximal" throughout this package means inclusion-maximal: an independent
 set not properly contained in another independent set.  (The independence
 number, by contrast, is defined by maximum cardinality; see
 chromatic.independence_number.)  Both functions here work on the subgraph
 on the vertices of a member mask (vertex v at bit n-1-v, the whole graph
-by default), such as the vertices whose list holds one color.  Indicator
-vectors always live on the full instance index space, so a family has
-zeros outside its members and families taken on different member sets can
-be summed coordinatewise.
+by default), such as the vertices whose list holds one color.  A maximal
+independent set is a mask in the same convention, over the whole instance,
+so sets taken on different member sets share one vertex numbering; the
+fold (wmax.vecsum_families) and the chromatic solver widen masks into
+packed indicator vectors with instance.spread.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from .instance import Graph
-from .vectors import Vec
+from .instance import Graph, vertices_of
 
 
-def is_maximal_independent(
-    graph: Graph, subset: Iterable[int], members: int | None = None
-) -> bool:
-    """True iff the subset is independent and no member vertex can be added.
+def is_maximal_independent(graph: Graph, subset: int, members: int | None = None) -> bool:
+    """True iff the subset mask is independent and no member vertex can be added.
 
     Raises:
-        ValueError: if the subset holds a vertex outside the members.
+        ValueError: if the subset holds a vertex outside the graph or
+            outside the members.
     """
     n = graph.n
     everyone = (1 << n) - 1 if members is None else members
-    vertices = set(subset)
-    chosen = reach = 0
-    for v in vertices:
-        if not (0 <= v < n and everyone >> (n - 1 - v) & 1):
-            raise ValueError("subset contains vertices outside the graph")
-        chosen |= 1 << (n - 1 - v)
-    for v in vertices:
-        if graph.adjacency[v] & chosen:
+    if subset & ~everyone:
+        raise ValueError("subset contains vertices outside the graph")
+    reach = 0
+    for v in vertices_of(subset, n):
+        if graph.adjacency[v] & subset:
             return False
         reach |= graph.adjacency[v]
-    return not everyone & ~(chosen | reach)
+    return not everyone & ~(subset | reach)
 
 
-def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[Vec, ...]:
+def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:
     """All inclusion-maximal independent sets of the members, sorted.
 
     Bron-Kerbosch with the pivot rule of Tomita, Tanaka and Takahashi
     (TCS 2006), run on the non-adjacency relation of the members (all
-    vertices when members is None).  Vertex sets are int masks with vertex
-    v at bit n-1-v, so ordering the masks as ints orders their indicator
-    vectors lexicographically; tuples are built once, at the end.  An
-    empty member set has the empty set as its unique maximal independent
-    set, so it yields the zero vector.
+    vertices when members is None).  Each set is returned as an int mask
+    with vertex v at bit n-1-v, and the masks are sorted as ints, which
+    orders them as their indicator vectors are ordered lexicographically.
+    An empty member set has the empty set as its unique maximal
+    independent set, so it yields the mask 0.
     """
     n = graph.n
     top = n - 1
@@ -85,5 +79,4 @@ def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[Vec, ...]:
 
     extend(0, everyone, 0)
     out.sort()
-    # a sentinel bit above the n fields keeps the leading zeros in bin()
-    return tuple(tuple(map(int, bin(s | 1 << n)[3:])) for s in out)
+    return tuple(out)

@@ -12,15 +12,13 @@ from __future__ import annotations
 from .coloring import Coloring, find_coloring
 from .instance import Instance
 from .vectors import Vec
-from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, wmax
+from .wmax import WmaxSet, wmax
 
 __all__ = ["oncall_solutions"]
 
 
 def oncall_solutions(
-    inst: Instance,
-    wmax_set: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
+    inst: Instance, wmax_set: WmaxSet | None = None
 ) -> tuple[tuple[Vec, Coloring], ...]:
     """Satisfiable vectors below the demand of maximum total size.
 
@@ -53,7 +51,7 @@ def oncall_solutions(
     if any(x < 0 for x in w):
         raise ValueError("weights must be non-negative")
     if wmax_set is None:
-        wmax_set = wmax(inst.graph, inst.lists, max_vectors)
+        wmax_set = wmax(inst.graph, inst.lists)
     return tuple(
         (u, find_coloring(inst.with_weights(u), wmax_set))
         for u in wmax_set.packed.best_minima(w)

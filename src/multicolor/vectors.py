@@ -45,13 +45,6 @@ def vec_min(x: Vec, y: Vec) -> Vec:
     return tuple(min(a, b) for a, b in zip(x, y))
 
 
-def support(x: Vec) -> frozenset[int]:
-    """Indices of the nonzero coordinates."""
-    return frozenset(i for i, a in enumerate(x) if a)
-
-
-
-
 class PackedVectors:
     """A set of equal-length int vectors packed into one int.
 

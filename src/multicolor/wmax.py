@@ -8,7 +8,9 @@ certificate per vector (the chosen maximal independent set for each color),
 from which a coloring of that exact demand can be assembled directly.  The
 x-color subgraph is a member mask, the vertices whose list holds x (see
 instance.color_masks), and colors with the same mask share one
-enumeration.  The uniform palette, and a precoloring to extend (see
+enumeration.  Families and certificates hold the sets as vertex masks, as
+enumerate_mis returns them; only the demand vectors are tuples.  The
+uniform palette, and a precoloring to extend (see
 extension.wmax_constrained), are list assignments folded the same way.
 """
 
@@ -16,19 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain
 from operator import and_, getitem
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitExceeded
-from .instance import Graph, Lists, color_masks, uniform_lists
+from .instance import Graph, Lists, color_masks, spread, uniform_lists
 from .mis import enumerate_mis
 from .vectors import PackedVectors, Vec, in_hyperrectangle
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
-Certificate = Mapping[int, Vec]
+Certificate = Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,12 @@ class WmaxSet:
 
     Attributes:
         vectors: the set itself, sorted lexicographically.
-        certificates: for each vector, one mapping color -> indicator vector
-            of a maximal independent set of that color's subgraph whose sum
-            is the vector (the first decomposition found; others may exist).
-        families: per color, the full family of maximal-independent-set
-            indicator vectors of its subgraph.
+        certificates: for each vector, one mapping color -> mask of a
+            maximal independent set of that color's subgraph (vertex v at
+            bit n-1-v) whose indicator vectors sum to the vector (the first
+            decomposition found; others may exist).
+        families: per color, the full family of maximal independent sets
+            of its subgraph, as sorted masks.
         byte_fields: the vectors' coordinates as bytes, joined in order,
             when the fold that built the set had them as one-byte fields;
             packing starts from them instead of converting every tuple.
@@ -52,7 +54,7 @@ class WmaxSet:
 
     vectors: tuple[Vec, ...]
     certificates: Mapping[Vec, Certificate]
-    families: Mapping[int, tuple[Vec, ...]] = field(default_factory=dict)
+    families: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
     byte_fields: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,7 +74,7 @@ class WmaxSet:
         return PackedVectors(self.vectors, self.byte_fields)
 
 
-def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]:
+def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[int, ...]]:
     """Maximal independent sets of every color subgraph, by ascending color.
 
     Each family is enumerated on its color's member mask, the vertices
@@ -80,8 +82,8 @@ def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]
     the whole graph; colors with equal masks share one enumeration.  An
     assignment that lists no color has no families.
     """
-    families: dict[int, tuple[Vec, ...]] = {}
-    by_mask: dict[int, tuple[Vec, ...]] = {}
+    families: dict[int, tuple[int, ...]] = {}
+    by_mask: dict[int, tuple[int, ...]] = {}
     for c, m in color_masks(lists).items():
         if m not in by_mask:
             by_mask[m] = enumerate_mis(graph, m)
@@ -90,53 +92,45 @@ def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[Vec, ...]]
 
 
 def vecsum_families(
-    families: Mapping[int, tuple[Vec, ...]],
+    families: Mapping[int, tuple[int, ...]],
     n: int,
     max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> WmaxSet:
-    """Distinct sums of one vector per family, each with a first certificate.
+    """Distinct indicator sums of one set per family, each with a first certificate.
 
-    Folds the families together one color at a time in ascending color
-    order, deduplicating after every step, so the certificate kept for a
-    sum is the first one encountered in that deterministic sweep: at each
-    step the sums so far are visited in ascending lexicographic order, and
-    for each the family in its own order.  The result is the WmaxSet of
+    Each family is a tuple of vertex masks on n vertices (vertex v at bit
+    n-1-v).  Folds the families together one color at a time in ascending
+    color order, deduplicating after every step, so the certificate kept
+    for a sum is the first one encountered in that deterministic sweep: at
+    each step the sums so far are visited in ascending lexicographic order,
+    and for each the family in its own order.  The result is the WmaxSet of
     the sums, sorted, of their certificates, in the order the sweep first
     reached each sum, and of the families.
 
-    Every vector is packed once into an int of n byte-aligned fields,
-    coordinate 0 in the most significant.  A field holds the coordinate
-    minus lo, the smallest coordinate of any family or 0 if none is
-    negative, and is wide enough for one coordinate per family each up to
-    hi - lo, hi the largest coordinate or 0, so sums never carry between
-    fields and negative coordinates stay exact.  Every field of a sum is
-    offset alike, so packed sums order as their vectors do: the final sums
-    are sorted as ints, and each is unpacked once.  When the fields are
-    single bytes and not offset, the sums' bytes joined are handed on as
+    Every sum is one int of n byte-aligned fields, coordinate 0 in the most
+    significant: a mask is spread into those fields (instance.spread), and
+    a field is wide enough for one unit per family, so sums never carry
+    between fields and packed sums order as their vectors do.  The final
+    sums are sorted as ints and each is unpacked once; when the fields are
+    single bytes, the sums' bytes joined are handed on as
     WmaxSet.byte_fields.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
-        ValueError: if a vector the fold reaches does not have length n.
+        ValueError: if a mask the fold reaches has a bit at or above n.
     """
-    coords = {0, *chain.from_iterable(chain.from_iterable(families.values()))}
-    lo = min(coords)
-    span = (max(coords) - lo) * len(families)
-    size = max(1, (span.bit_length() + 7) // 8)  # bytes per field
+    size = max(1, (len(families).bit_length() + 7) // 8)  # bytes per field
     width = 8 * size
-    acc: dict[int, dict[int, Vec]] = {0: {}}
+    acc: dict[int, dict[int, int]] = {0: {}}
     for c in sorted(families):
         if not acc:
             break
         packed = []
         for r in families[c]:
-            if len(r) != n:
-                raise ValueError(f"dimension mismatch: {n} vs {len(r)}")
-            p = 0
-            for a in r:
-                p = (p << width) | (a - lo)
-            packed.append((p, r))
-        nxt: dict[int, dict[int, Vec]] = {}
+            if r >> n:
+                raise ValueError(f"vertex set {r:#b} does not fit {n} vertices")
+            packed.append((spread(r, width), r))
+        nxt: dict[int, dict[int, int]] = {}
         for s in sorted(acc):
             cert = acc[s]
             for p, r in packed:
@@ -151,16 +145,13 @@ def vecsum_families(
 
     keys = sorted(acc)
     raws = [s.to_bytes(n * size, "big") for s in keys]
-    offset = lo * len(families)
     byte_fields = None
-    if size == 1 and not offset:
+    if size == 1:
         vectors = tuple(map(tuple, raws))
         byte_fields = b"".join(raws)
     else:
         at = range(0, n * size, size)
-        vectors = tuple(
-            tuple(int.from_bytes(raw[i : i + size], "big") + offset for i in at) for raw in raws
-        )
+        vectors = tuple(tuple(int.from_bytes(raw[i : i + size], "big") for i in at) for raw in raws)
     unpacked = dict(zip(keys, vectors))
     certificates = {unpacked[s]: cert for s, cert in acc.items()}
     out = WmaxSet(vectors, certificates, families)
@@ -202,18 +193,18 @@ def is_permissible(
     lists: Lists,
     w: Vec,
     wmax_set: WmaxSet | None = None,
-    max_vectors: int = DEFAULT_MAX_VECTORS,
 ) -> Vec | None:
     """Dominating witness from the maximal set if the demand is satisfiable.
 
     Returns the lexicographically smallest maximal vector above w, or None
     when w is not satisfiable.  A precomputed WmaxSet for the same instance
-    may be passed to avoid recomputation.
+    may be passed to avoid recomputation; without one, the set is built
+    under the default cap (pass wmax(graph, lists, max_vectors) to set it).
     """
     if len(w) != graph.n:
         raise ValueError("weight vector has wrong dimension")
     if wmax_set is None:
-        wmax_set = wmax(graph, lists, max_vectors)
+        wmax_set = wmax(graph, lists)
     return in_hyperrectangle(w, wmax_set.packed)
 
 

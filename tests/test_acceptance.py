@@ -33,7 +33,6 @@ from multicolor import (
     brute_colorable,
     brute_nonrecolor_chi,
     brute_oncall,
-    decompose,
     enumerate_colorings,
     extend_coloring,
     find_coloring,
@@ -44,8 +43,9 @@ from multicolor import (
     weight_of,
     weighted_chromatic,
     wmax,
-    wmax_uniform,
 )
+from multicolor.coloring import decompose
+from multicolor.wmax import wmax_uniform
 from graphgen import all_graphs
 from util import (
     C5,

@@ -12,16 +12,24 @@ from multicolor import (
     brute_chromatic,
     enumerate_mis,
     extend_coloring,
-    independence_number,
     is_valid_coloring,
     uniform_lists,
     weight_of,
     weighted_chromatic,
 )
-from multicolor.chromatic import ChromaticSolver
+from multicolor.chromatic import ChromaticSolver, independence_number
 from multicolor.coloring import _assemble, shrink
 from multicolor.vectors import norm, vec_sub
-from util import C5, K2, K3, P3, complete_graph, graph_from_edges, random_graph
+from util import (
+    C5,
+    K2,
+    K3,
+    P3,
+    complete_graph,
+    graph_from_edges,
+    mask_to_vec,
+    random_graph,
+)
 
 
 def _reference_compose(family, w, budget, start, acc, gain):
@@ -48,7 +56,8 @@ def reference_chromatic(graph, w):
     """(chi, lower_bound, coloring) by ascending one level at a time."""
     if norm(w) == 0:
         return 0, 0, tuple(frozenset() for _ in range(graph.n))
-    family = enumerate_mis(graph)
+    masks = enumerate_mis(graph)
+    family = tuple(mask_to_vec(s, graph.n) for s in masks)
     alpha = max(map(norm, family))
     lower = ceil(norm(w) / alpha)
     a = max(lower, max(w))
@@ -56,7 +65,7 @@ def reference_chromatic(graph, w):
         picks = _reference_compose(family, w, a, 0, (0,) * graph.n, alpha)
         if picks is not None:
             picks += [0] * (a - len(picks))
-            full = _assemble(graph.n, dict(enumerate((family[i] for i in picks), start=1)))
+            full = _assemble(graph.n, dict(enumerate((masks[i] for i in picks), start=1)))
             return a, lower, shrink(full, vec_sub(weight_of(full), w))
         a += 1
 
@@ -276,3 +285,25 @@ def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
     assert calls["chromatic"] == [None]
     monkeypatch.undo()
     assert result.bound == 2 + min(weighted_chromatic(ring, r).chi for r in set(solved))
+
+
+def test_solver_state_count_is_pinned():
+    """The search expands exactly as many states as it did on tuple families.
+
+    Seeds 40 and 41, 150 graphs each: n in 6..11, edge probability 0.3,
+    0.5 or 0.7, demand 0..5 per vertex.  The sum is the count before MIS
+    families became vertex masks; a change to it is a change to the
+    search order, and must be declared.
+    """
+    total = 0
+    for seed in (40, 41):
+        rng = random.Random(seed)
+        for _ in range(150):
+            n = rng.randint(6, 11)
+            p = rng.choice((0.3, 0.5, 0.7))
+            graph = random_graph(rng, n, p)
+            w = tuple(rng.randint(0, 5) for _ in range(n))
+            solver = ChromaticSolver(graph, w)
+            solver.solve(w)
+            total += solver.expanded
+    assert total == 70_339

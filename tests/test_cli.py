@@ -102,6 +102,12 @@ class TestColor:
         assert proc.stdout == ""
         assert "not permissible" in proc.stderr
 
+    def test_vector_cap_exit_code(self, run_cli):
+        proc = run_cli("color", "fix_c5.json", "--max-vectors", "2")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "intermediate demand vectors" in proc.stderr
+
 
 class TestEnumerate:
     def test_streams_all_colorings(self, run_cli):
@@ -119,6 +125,12 @@ class TestEnumerate:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--limit: must be at least 1" in proc.stderr
+
+    def test_vector_cap_exit_code(self, run_cli):
+        proc = run_cli("enumerate", "fix_c5.json", "--max-vectors", "2")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "intermediate demand vectors" in proc.stderr
 
     def test_infeasible_is_empty_and_exit_one(self, run_cli):
         proc = run_cli("enumerate", "fix_p3_heavy.json")

@@ -7,7 +7,6 @@ from multicolor import (
     NotPermissibleError,
     UnknownColorError,
     brute_all_colorings,
-    decompose,
     enumerate_colorings,
     find_coloring,
     is_valid_coloring,
@@ -16,7 +15,7 @@ from multicolor import (
     uniform_lists,
     weight_of,
 )
-from multicolor.coloring import build_max_coloring
+from multicolor.coloring import build_max_coloring, decompose
 from util import (
     K2,
     K2_LISTS,
@@ -29,6 +28,7 @@ from util import (
     coloring,
     graph_from_edges,
     indicator,
+    vec_to_mask,
     random_graph,
     random_lists,
     vec_add,
@@ -102,28 +102,33 @@ def test_decompose_round_trip_and_weights():
     assert total == weight_of(c)
 
 
+def mask(members):
+    """The P3 vertex mask of a set of vertex indices."""
+    return vec_to_mask(indicator(members, 3))
+
+
 def test_build_from_certificate():
     inst = p3_inst((1, 0, 1))
-    cert = {1: indicator({0}, 3), 2: indicator({2}, 3)}
+    cert = {1: mask({0}), 2: mask({2})}
     assert build_max_coloring(inst, cert) == coloring({1}, set(), {2})
 
 
 def test_build_overlapping_certificate():
     inst = p3_inst((0, 2, 0))
-    cert = {1: indicator({1}, 3), 2: indicator({1}, 3)}
+    cert = {1: mask({1}), 2: mask({1})}
     assert build_max_coloring(inst, cert) == coloring(set(), {1, 2}, set())
 
 
 def test_build_rejects_non_maximal_entry():
     inst = p3_inst((1, 1, 0))
     with pytest.raises(ValueError):
-        build_max_coloring(inst, {1: indicator({0, 1}, 3)})
+        build_max_coloring(inst, {1: mask({0, 1})})
 
 
 def test_build_rejects_unknown_color():
     inst = p3_inst((1, 0, 1))
     with pytest.raises(UnknownColorError, match="color 3 appears in no vertex list"):
-        build_max_coloring(inst, {1: indicator({0}, 3), 3: indicator({2}, 3)})
+        build_max_coloring(inst, {1: mask({0}), 3: mask({2})})
 
 
 def test_shrink_removes_largest_colors_first():

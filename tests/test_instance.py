@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicolor import (
     Graph,
@@ -9,10 +11,10 @@ from multicolor import (
     load_instance,
     parse_dimacs,
     parse_instance,
-    serialize_instance,
     uniform_lists,
 )
-from util import FIXTURES, P3, P3_LISTS, SV_LISTS
+from multicolor.instance import serialize_instance, spread, vertices_of
+from util import FIXTURES, P3, P3_LISTS, SV_LISTS, mask_to_vec
 
 
 def doc(**overrides):
@@ -139,3 +141,27 @@ def test_load_dimacs_with_sidecar():
 def test_load_json_fixture():
     inst = load_instance(str(FIXTURES / "fix_p3.json"))
     assert inst.weights == (1, 0, 1)
+
+
+@st.composite
+def masks(draw):
+    """n in 0..20 and a vertex mask on n vertices."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    return n, draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+
+
+@given(masks(), st.integers(min_value=1, max_value=17))
+def test_spread_matches_the_per_vertex_definition(case, width):
+    n, mask = case
+    vec = mask_to_vec(mask, n)
+    expected = sum(1 << width * (n - 1 - v) for v in range(n) if vec[v])
+    assert spread(mask, width) == expected
+    assert vertices_of(mask, n) == [v for v in range(n) if vec[v]]
+
+
+@given(st.integers(min_value=0, max_value=20).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(min_value=0, max_value=(1 << n) - 1)))
+))
+def test_sorted_masks_order_as_their_indicator_tuples(case):
+    n, family = case
+    assert [mask_to_vec(m, n) for m in sorted(family)] == sorted(mask_to_vec(m, n) for m in family)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from multicolor import all_colors, enumerate_mis
 from multicolor.mis import is_maximal_independent
-from multicolor.vectors import support
 from multicolor.wmax import color_mis_families
-from util import C5, K2, K3, P3, graph_from_edges, random_graph
+from util import C5, K2, K3, P3, graph_from_edges, mask_to_vec, random_graph
 
 import graphgen
 
@@ -35,63 +34,74 @@ def brute_mis(graph, members=None):
     return found
 
 
+def vecs(graph, family):
+    """A family of masks as the indicator tuples of its sets, in order."""
+    return tuple(mask_to_vec(s, graph.n) for s in family)
+
+
 def test_edge_yields_two_singletons():
-    assert enumerate_mis(K2) == ((0, 1), (1, 0))
+    assert enumerate_mis(K2) == (0b01, 0b10)
+    assert vecs(K2, enumerate_mis(K2)) == ((0, 1), (1, 0))
 
 
 def test_path_family():
-    assert set(enumerate_mis(P3)) == {(1, 0, 1), (0, 1, 0)}
+    assert set(vecs(P3, enumerate_mis(P3))) == {(1, 0, 1), (0, 1, 0)}
 
 
 def test_triangle_family():
-    assert set(enumerate_mis(K3)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(vecs(K3, enumerate_mis(K3))) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_output_is_sorted():
     family = enumerate_mis(C5)
     assert list(family) == sorted(family)
+    assert list(vecs(C5, family)) == sorted(vecs(C5, family))
 
 
 def test_every_member_is_maximal_independent():
     for s in enumerate_mis(C5):
-        assert is_maximal_independent(C5, support(s))
+        assert is_maximal_independent(C5, s)
 
 
 def test_empty_member_set_graph():
-    assert enumerate_mis(P3, 0) == ((0, 0, 0),)
+    assert enumerate_mis(P3, 0) == (0,)
 
 
+# masks on P3 and K2: vertex v at bit n-1-v, so v1 is the highest bit
 def test_maximality_check_rejects_non_independent():
-    assert not is_maximal_independent(K2, {0, 1})
+    assert not is_maximal_independent(K2, 0b11)
 
 
 def test_maximality_check_rejects_non_dominating():
-    assert not is_maximal_independent(P3, {0})
+    assert not is_maximal_independent(P3, 0b100)
 
 
 def test_maximality_check_accepts():
-    assert is_maximal_independent(P3, {0, 2})
+    assert is_maximal_independent(P3, 0b101)
 
 
 def test_maximality_check_rejects_foreign_vertex():
-    # members v1 and v2 of P3, at bits 2 and 1
+    # members v1 and v2 of P3, at bits 2 and 1; the subset is v3
     with pytest.raises(ValueError):
-        is_maximal_independent(P3, {2}, 0b110)
+        is_maximal_independent(P3, 0b001, 0b110)
+    # a bit at or above n is no vertex of the graph
     with pytest.raises(ValueError):
-        is_maximal_independent(P3, {3})
+        is_maximal_independent(P3, 0b1000)
+    with pytest.raises(ValueError):
+        is_maximal_independent(P3, -1)
 
 
 def test_matches_brute_force_on_all_small_graphs():
     for n, edges in graphgen.all_graphs(5):
         graph = graph_from_edges(n, edges)
-        assert set(enumerate_mis(graph)) == brute_mis(graph), edges
+        assert set(vecs(graph, enumerate_mis(graph))) == brute_mis(graph), edges
 
 
 def test_matches_brute_force_on_random_graphs():
     rng = random.Random(7)
     for _ in range(40):
         graph = random_graph(rng, rng.randint(1, 8), rng.random())
-        assert set(enumerate_mis(graph)) == brute_mis(graph)
+        assert set(vecs(graph, enumerate_mis(graph))) == brute_mis(graph)
 
 
 @st.composite
@@ -112,4 +122,4 @@ def test_color_families_match_brute_force(case):
     assert list(families) == list(all_colors(lists))
     for x, family in families.items():
         members = [v for v in range(graph.n) if x in lists[v]]
-        assert family == tuple(sorted(brute_mis(graph, members)))
+        assert vecs(graph, family) == tuple(sorted(brute_mis(graph, members)))

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multicolor import WmaxSet, is_permissible, wmax_uniform
+from multicolor import WmaxSet, is_permissible
 from multicolor.vectors import (
     PackedVectors,
     in_hyperrectangle,
     leq,
     norm,
-    support,
     vec_min,
     vec_sub,
 )
+from multicolor.wmax import wmax_uniform
 from util import (
     SV,
     demands_near,
@@ -103,11 +103,6 @@ def test_indicator_examples():
 def test_indicator_rejects_out_of_range():
     with pytest.raises(ValueError):
         indicator({3}, 3)
-
-
-def test_support_inverts_indicator():
-    assert support((1, 0, 1)) == frozenset({0, 2})
-    assert support(zero(4)) == frozenset()
 
 
 def test_hyperrectangle_membership():

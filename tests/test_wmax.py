@@ -13,13 +13,12 @@ from multicolor import (
     prune_dominated,
     uniform_lists,
     wmax,
-    wmax_uniform,
 )
 from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis, is_maximal_independent
 from multicolor.oracle import brute_is_permissible
-from multicolor.vectors import leq, support
-from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families
+from multicolor.vectors import leq
+from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families, wmax_uniform
 from util import (
     K2,
     K2_LISTS,
@@ -28,6 +27,7 @@ from util import (
     P3_LISTS,
     SV,
     SV_LISTS,
+    mask_to_vec,
     random_graph,
     random_lists,
     vec_add,
@@ -77,8 +77,8 @@ def test_certificates_sum_to_their_vector():
         cert = ws.certificates[v]
         total = zero(P3.n)
         for x, part in cert.items():
-            total = vec_add(total, part)
-            assert is_maximal_independent(P3, support(part), color_masks(P3_LISTS)[x])
+            total = vec_add(total, mask_to_vec(part, P3.n))
+            assert is_maximal_independent(P3, part, color_masks(P3_LISTS)[x])
         assert total == v
 
 
@@ -112,13 +112,18 @@ def test_uniform_rejects_negative_palette():
         wmax_uniform(K3, -1)
 
 
+def as_vectors(family, n):
+    return tuple(mask_to_vec(s, n) for s in family)
+
+
 def test_uniform_families_repeat_the_graph_family():
     ws = wmax_uniform(P3, 3)
-    assert dict(ws.families) == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3)}
+    families = {c: as_vectors(f, P3.n) for c, f in ws.families.items()}
+    assert families == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3)}
     for v in ws.vectors:
         cert = ws.certificates[v]
         assert sorted(cert) == [1, 2, 3]
-        assert tuple(map(sum, zip(*cert.values()))) == v
+        assert tuple(map(sum, zip(*as_vectors(cert.values(), P3.n)))) == v
 
 
 def test_uniform_vector_cap_trips_only_past_the_final_size():
@@ -154,7 +159,8 @@ def test_uniform_lists_enumerate_once(monkeypatch):
     monkeypatch.setattr(sys.modules["multicolor.wmax"], "enumerate_mis", counting_mis)
     ws = wmax(P3, uniform_lists(3, 4))
     assert calls == [0b111]
-    assert dict(ws.families) == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3, 4)}
+    families = {c: as_vectors(f, P3.n) for c, f in ws.families.items()}
+    assert families == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3, 4)}
 
 
 def test_permissible_membership_witness():
@@ -288,29 +294,29 @@ def test_prune_rejects_mismatched_dimensions(vecs, data):
 
 
 def test_vecsum_families_deduplicates():
-    pair = ((1, 0), (0, 1))
+    pair = (0b10, 0b01)  # {v1}, {v2}
     assert vecsum_families({1: pair, 2: pair}, 2).vectors == ((0, 2), (1, 1), (2, 0))
 
 
 def test_vecsum_families_identity():
-    x = ((1, 2, 0), (0, 0, 3))
-    assert set(vecsum_families({1: ((0, 0, 0),), 2: x}, 3).vectors) == set(x)
+    x = (0b110, 0b001)
+    assert set(vecsum_families({1: (0b000,), 2: x}, 3).vectors) == {(1, 1, 0), (0, 0, 1)}
     assert vecsum_families({}, 3).certificates == {(0, 0, 0): {}}
     assert vecsum_families({1: x, 2: ()}, 3).certificates == {}
-    # the sweep stops at an empty family, before it reaches the short vector
-    assert vecsum_families({1: (), 2: ((1,),)}, 3).certificates == {}
+    # the sweep stops at an empty family, before it reaches the mask outside n
+    assert vecsum_families({1: (), 2: (0b1000,)}, 3).certificates == {}
 
 
 def test_vecsum_families_pairing():
-    left = ((1, 0, 0), (0, 1, 0))
-    right = ((0, 1, 0), (0, 0, 1))
+    left = (0b100, 0b010)
+    right = (0b010, 0b001)
     assert set(vecsum_families({1: left, 2: right}, 3).vectors) == P3_WMAX
 
 
-vecs3 = st.tuples(*[st.integers(min_value=0, max_value=5)] * 3)
+masks3 = st.integers(min_value=0, max_value=0b111)
 
 
-@given(st.lists(st.lists(vecs3, min_size=1, max_size=3), min_size=2, max_size=3))
+@given(st.lists(st.lists(masks3, min_size=1, max_size=3), min_size=2, max_size=3))
 def test_vecsum_families_is_commutative_in_color_order(fams):
     forward = vecsum_families(dict(enumerate(fams)), 3)
     backward = vecsum_families(dict(enumerate(reversed(fams))), 3)
@@ -342,9 +348,9 @@ def ordered(sums):
 
 @st.composite
 def family_maps(draw, min_family=0):
-    """n and up to four families, vectors from a pool so sums repeat."""
+    """n and up to four families of masks, from a pool so sums repeat."""
     n = draw(st.integers(min_value=0, max_value=6))
-    pool = draw(st.lists(st.tuples(*[coords] * n), min_size=1, max_size=6))
+    pool = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=1, max_size=6))
     colors = draw(st.lists(st.integers(min_value=0, max_value=9), max_size=4, unique=True))
     family = st.lists(st.sampled_from(pool), min_size=min_family, max_size=4).map(tuple)
     return n, {c: draw(family) for c in colors}
@@ -353,28 +359,33 @@ def family_maps(draw, min_family=0):
 @given(family_maps(), st.integers(min_value=0, max_value=40))
 def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
     n, families = case
+    as_tuples = {c: as_vectors(f, n) for c, f in families.items()}
     try:
-        expected = tuple_fold(families, n, max_vectors)
+        expected = tuple_fold(as_tuples, n, max_vectors)
     except ResourceLimitExceeded:
         with pytest.raises(ResourceLimitExceeded):
             vecsum_families(families, n, max_vectors)
     else:
         got = vecsum_families(families, n, max_vectors)
         assert got.vectors == tuple(sorted(expected))
-        assert ordered(got.certificates) == ordered(expected)
+        certificates = {
+            v: {c: mask_to_vec(r, n) for c, r in cert.items()}
+            for v, cert in got.certificates.items()
+        }
+        assert ordered(certificates) == ordered(expected)
         assert dict(got.families) == families
         if got.byte_fields is not None:
             assert got.byte_fields == b"".join(map(bytes, got.vectors))
 
 
-@given(family_maps(min_family=1).filter(lambda case: case[0] and case[1]), st.data())
-def test_vecsum_families_rejects_a_short_vector(case, data):
+@given(family_maps(min_family=1).filter(lambda case: case[1]), st.data())
+def test_vecsum_families_rejects_a_mask_outside_n(case, data):
     n, families = case
     c = data.draw(st.sampled_from(sorted(families)))
     at = data.draw(st.integers(min_value=0, max_value=len(families[c])))
-    short = data.draw(st.tuples(*[coords] * (n - 1)))
-    families[c] = (*families[c][:at], short, *families[c][at:])
-    with pytest.raises(ValueError):
-        tuple_fold(families, n, DEFAULT_MAX_VECTORS)
+    outside = data.draw(
+        st.one_of(st.integers(min_value=1 << n, max_value=1 << (n + 3)), st.integers(max_value=-1))
+    )
+    families[c] = (*families[c][:at], outside, *families[c][at:])
     with pytest.raises(ValueError):
         vecsum_families(families, n)

@@ -79,6 +79,20 @@ def indicator(members, n: int) -> Vec:
     return tuple(coords)
 
 
+def mask_to_vec(mask: int, n: int) -> Vec:
+    """The 0/1 indicator tuple of a vertex mask on n vertices (vertex v at
+    bit n-1-v, as instance.color_masks and enumerate_mis have it)."""
+    return tuple(mask >> (n - 1 - v) & 1 for v in range(n))
+
+
+def vec_to_mask(vec) -> int:
+    """The vertex mask of a 0/1 indicator tuple; inverts mask_to_vec."""
+    mask = 0
+    for bit in vec:
+        mask = mask << 1 | bit
+    return mask
+
+
 def scan_witness(w: Vec, vecs) -> Vec | None:
     """The dominance scan, the definition in_hyperrectangle must meet.
 
