@@ -144,7 +144,7 @@ def extend_coloring(
     by_residual: dict[Vec, ChromaticResult] = {}
     best: tuple[ChromaticResult, Vec] | None = None
     for w1 in constrained.vectors:
-        residual = vec_sub(w, vec_min(w, w1))
+        residual = tuple(x - y if x > y else 0 for x, y in zip(w, w1))
         if residual not in by_residual:
             by_residual[residual] = solver.solve(residual)
         result = by_residual[residual]

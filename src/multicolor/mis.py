@@ -44,15 +44,24 @@ def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:
     vertices when members is None).  Each set is returned as an int mask
     with vertex v at bit n-1-v, and the masks are sorted as ints, which
     orders them as their indicator vectors are ordered lexicographically.
-    An empty member set has the empty set as its unique maximal
-    independent set, so it yields the mask 0.
+    The non-adjacency table is built for the member vertices only, so the
+    setup cost follows the members, not n.  An empty member set has the
+    empty set as its unique maximal independent set, so it yields the
+    mask 0.
     """
     n = graph.n
     top = n - 1
     everyone = (1 << n) - 1 if members is None else members
     adjacency = graph.adjacency
-    # compat[b]: the members other than the vertex at bit b and its neighbours
-    compat = [everyone & ~(1 << b | adjacency[top - b]) for b in range(n)]
+    # compat[b]: the members other than the member at bit b and its
+    # neighbours; extend reads it only at member bits, so the rest stay 0
+    compat = [0] * n
+    rest = everyone
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        compat[b] = everyone & ~(low | adjacency[top - b])
 
     out: list[int] = []
 

@@ -6,7 +6,11 @@ assignment, of indicator vectors of maximal independent sets of the x-color
 subgraphs.  This module computes that generating set together with one
 certificate per vector (the chosen maximal independent set for each color),
 from which a coloring of that exact demand can be assembled directly.  The
-x-color subgraph is a member mask, the vertices whose list holds x (see
+fold keeps, per color step, the index of the set each new sum added, which
+leads back to the sum it came from, and a certificate is walked back out of
+those steps when it is first read; a color with a single maximal
+independent set shifts every sum by one offset instead.  The x-color
+subgraph is a member mask, the vertices whose list holds x (see
 instance.color_masks), and colors with the same mask share one
 enumeration.  Families and certificates hold the sets as vertex masks, as
 enumerate_mis returns them; only the demand vectors are tuples.  The
@@ -16,11 +20,12 @@ extension.wmax_constrained), are list assignments folded the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, getitem
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, color_masks, spread, uniform_lists
@@ -30,6 +35,80 @@ from .vectors import PackedVectors, Vec, in_hyperrectangle
 DEFAULT_MAX_VECTORS = 1_000_000
 
 Certificate = Mapping[int, int]
+
+# one color step of the fold: each new sum -> the index j of the family's mask
+# it added; the sum it came from is the new sum less that mask's shift.  Small
+# ints, unlike (sum, mask) tuples, cost no allocation and keep the tables out
+# of the cyclic garbage collector's scans.
+_Table = dict[int, int]
+
+
+class _Certificates(Mapping[Vec, Certificate]):
+    """The fold's certificates, each walked out of the fold's steps when read.
+
+    ``keys[i]`` is vectors[i]'s sum as the fold left it, less the offsets
+    of the one-set colors after the last table.  ``template`` maps every
+    color folded, ascending, to its mask when it has a single set; each
+    color with a table in ``tables``, beside its family and each member's
+    shift, holds a placeholder there.  Reading a vector copies the
+    template and walks the tables backwards once, from the vector's sum
+    to the sum it came from at each, filling in their masks; the
+    certificate is cached read-only.
+    ``len`` and ``in`` build none.  The keys iterate in the order the
+    sweep first reached them: ``order``, the last step's table, or
+    ascending when that step had a single set (order None).
+    """
+
+    __slots__ = ("_vectors", "_keys", "_template", "_tables", "_order", "_cache")
+
+    def __init__(
+        self,
+        vectors: tuple[Vec, ...],
+        keys: list[int],
+        template: dict[int, int],
+        tables: list[tuple[int, _Table, tuple[int, ...], list[int]]],
+        order: _Table | None,
+    ) -> None:
+        self._vectors = vectors
+        self._keys = keys
+        self._template = template
+        self._tables = tables[::-1]
+        self._order = order
+        self._cache: dict[Vec, Certificate] = {}
+
+    def _index(self, v) -> int:
+        try:
+            i = bisect_left(self._vectors, v)
+        except TypeError:  # not comparable with a vector, so not a key
+            return -1
+        return i if i < len(self._vectors) and self._vectors[i] == v else -1
+
+    def __getitem__(self, v: Vec) -> Certificate:
+        cert = self._cache.get(v)
+        if cert is None:
+            i = self._index(v)
+            if i < 0:
+                raise KeyError(v)
+            key = self._keys[i]
+            chosen = self._template.copy()
+            for c, table, family, shifts in self._tables:
+                j = table[key]
+                chosen[c] = family[j]
+                key -= shifts[j]
+            cert = self._cache[v] = MappingProxyType(chosen)
+        return cert
+
+    def __contains__(self, v) -> bool:
+        return self._index(v) >= 0
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __iter__(self) -> Iterator[Vec]:
+        if self._order is None:
+            return iter(self._vectors)
+        at = dict(zip(self._keys, self._vectors))
+        return map(at.__getitem__, self._order)
 
 
 @dataclass(frozen=True)
@@ -41,7 +120,9 @@ class WmaxSet:
         certificates: for each vector, one mapping color -> mask of a
             maximal independent set of that color's subgraph (vertex v at
             bit n-1-v) whose indicator vectors sum to the vector (the first
-            decomposition found; others may exist).
+            decomposition found; others may exist).  A read-only mapping
+            with read-only values; in a set from vecsum_families each
+            certificate is built on its first read.
         families: per color, the full family of maximal independent sets
             of its subgraph, as sorted masks.
         byte_fields: the vectors' coordinates as bytes, joined in order,
@@ -58,7 +139,9 @@ class WmaxSet:
     byte_fields: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "certificates", MappingProxyType(dict(self.certificates)))
+        if not isinstance(self.certificates, _Certificates):
+            frozen = {v: MappingProxyType(dict(c)) for v, c in self.certificates.items()}
+            object.__setattr__(self, "certificates", MappingProxyType(frozen))
         object.__setattr__(self, "families", MappingProxyType(dict(self.families)))
 
     def __len__(self) -> int:
@@ -107,6 +190,17 @@ def vecsum_families(
     the sums, sorted, of their certificates, in the order the sweep first
     reached each sum, and of the families.
 
+    A step records, for each new sum, only the index of the mask it added;
+    the sum it came from is the new sum less that mask's spread, so a
+    certificate is walked out of the steps when it is first read
+    (WmaxSet.certificates), not copied at every step.  A color whose
+    family has a single set maps every sum s to s + p, which is injective
+    and keeps the order, so it changes neither which sums repeat nor the
+    certificate each keeps: p joins one running offset, and the mask is
+    recorded once for all sums.  When such a color is the last, the sweep
+    order is ascending, as a general last step over the sorted sums would
+    leave it; such a step checks its mask and the cap as a general one.
+
     Every sum is one int of n byte-aligned fields, coordinate 0 in the most
     significant: a mask is spread into those fields (instance.spread), and
     a field is wide enough for one unit per family, so sums never carry
@@ -121,30 +215,45 @@ def vecsum_families(
     """
     size = max(1, (len(families).bit_length() + 7) // 8)  # bytes per field
     width = 8 * size
-    acc: dict[int, dict[int, int]] = {0: {}}
+    # acc: the sums so far, each less the offset of the one-set colors since
+    # the last table, in sweep order: the last table, or the zero sum
+    acc: _Table = {0: 0}
+    offset = 0
+    template: dict[int, int] = {}
+    tables: list[tuple[int, _Table, tuple[int, ...], list[int]]] = []
+    order = None
+    too_many = f"more than {max_vectors} intermediate demand vectors"
     for c in sorted(families):
         if not acc:
             break
-        packed = []
-        for r in families[c]:
+        family = families[c]
+        for r in family:
             if r >> n:
                 raise ValueError(f"vertex set {r:#b} does not fit {n} vertices")
-            packed.append((spread(r, width), r))
-        nxt: dict[int, dict[int, int]] = {}
+        if len(family) == 1:
+            if len(acc) > max_vectors:
+                raise ResourceLimitExceeded(too_many)
+            (r,) = family
+            template[c] = r
+            offset += spread(r, width)
+            order = None
+            continue
+        shifts = [spread(r, width) + offset for r in family]
+        nxt: _Table = {}
         for s in sorted(acc):
-            cert = acc[s]
-            for p, r in packed:
+            for j, p in enumerate(shifts):
                 total = s + p
                 if total not in nxt:
-                    nxt[total] = {**cert, c: r}
+                    nxt[total] = j
                     if len(nxt) > max_vectors:
-                        raise ResourceLimitExceeded(
-                            f"more than {max_vectors} intermediate demand vectors"
-                        )
-        acc = nxt
+                        raise ResourceLimitExceeded(too_many)
+        template[c] = 0  # a placeholder, filled from the table when read
+        tables.append((c, nxt, family, shifts))
+        acc = order = nxt
+        offset = 0
 
     keys = sorted(acc)
-    raws = [s.to_bytes(n * size, "big") for s in keys]
+    raws = [(s + offset).to_bytes(n * size, "big") for s in keys]
     byte_fields = None
     if size == 1:
         vectors = tuple(map(tuple, raws))
@@ -152,9 +261,7 @@ def vecsum_families(
     else:
         at = range(0, n * size, size)
         vectors = tuple(tuple(int.from_bytes(raw[i : i + size], "big") for i in at) for raw in raws)
-    unpacked = dict(zip(keys, vectors))
-    certificates = {unpacked[s]: cert for s, cert in acc.items()}
-    out = WmaxSet(vectors, certificates, families)
+    out = WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
     object.__setattr__(out, "byte_fields", byte_fields)
     return out
 

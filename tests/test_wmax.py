@@ -1,15 +1,18 @@
+import dataclasses
 import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multicolor import (
     Graph,
     Instance,
     ResourceLimitExceeded,
+    find_coloring,
     is_permissible,
+    is_valid_coloring,
     prune_dominated,
     uniform_lists,
     wmax,
@@ -18,7 +21,7 @@ from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis, is_maximal_independent
 from multicolor.oracle import brute_is_permissible
 from multicolor.vectors import leq
-from multicolor.wmax import DEFAULT_MAX_VECTORS, vecsum_families, wmax_uniform
+from multicolor.wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families, wmax_uniform
 from util import (
     K2,
     K2_LISTS,
@@ -303,7 +306,8 @@ def test_vecsum_families_identity():
     assert set(vecsum_families({1: (0b000,), 2: x}, 3).vectors) == {(1, 1, 0), (0, 0, 1)}
     assert vecsum_families({}, 3).certificates == {(0, 0, 0): {}}
     assert vecsum_families({1: x, 2: ()}, 3).certificates == {}
-    # the sweep stops at an empty family, before it reaches the mask outside n
+    # the sweep stops at an empty family, before it reaches the one-set
+    # family whose mask lies outside n
     assert vecsum_families({1: (), 2: (0b1000,)}, 3).certificates == {}
 
 
@@ -357,6 +361,20 @@ def family_maps(draw, min_family=0):
 
 
 @given(family_maps(), st.integers(min_value=0, max_value=40))
+# a one-set color first, in the middle and last; the last one leaves the
+# sweep order ascending, after a first step that left it descending
+@example((3, {1: (0b100,), 2: (0b010, 0b001), 3: (0b011, 0b100)}), 40)
+@example((3, {1: (0b100, 0b010), 2: (0b001,), 3: (0b011, 0b100)}), 40)
+@example((3, {1: (0b100, 0b010, 0b001), 2: (0b101,)}), 40)
+@example((3, {1: (0b100, 0b010, 0b001), 2: (0b011, 0b100), 3: (0b010,), 4: (0b101,)}), 40)
+# the cap with a one-set color first: 0 trips at once, 1 at the next step
+@example((2, {1: (0b10,), 2: (0b10, 0b01)}), 0)
+@example((2, {1: (0b10,), 2: (0b10, 0b01)}), 1)
+@example((2, {1: (0b10,), 2: (0b01,)}), 1)
+# a one-set color after an empty family, which ends the sweep
+@example((3, {1: (), 2: (0b001,)}), 40)
+# equal masks make a two-set family, which takes the general step
+@example((2, {1: (0b10, 0b10), 2: (0b01,), 3: (0b01, 0b01)}), 40)
 def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
     n, families = case
     as_tuples = {c: as_vectors(f, n) for c, f in families.items()}
@@ -389,3 +407,62 @@ def test_vecsum_families_rejects_a_mask_outside_n(case, data):
     families[c] = (*families[c][:at], outside, *families[c][at:])
     with pytest.raises(ValueError):
         vecsum_families(families, n)
+
+
+@pytest.mark.parametrize(
+    "families",
+    [{1: (0b1000,)}, {1: (0b100, 0b010), 2: (0b1000,)}, {1: (0b100,), 2: (0b1000,), 3: ()}],
+)
+def test_vecsum_families_rejects_a_one_set_family_outside_n(families):
+    with pytest.raises(ValueError):
+        vecsum_families(families, 3)
+
+
+def test_a_one_set_step_checks_its_mask_before_the_cap():
+    with pytest.raises(ValueError):
+        vecsum_families({1: (0b1000,)}, 3, max_vectors=0)
+    with pytest.raises(ResourceLimitExceeded):
+        vecsum_families({1: (0b100,), 2: (0b1000,)}, 3, max_vectors=0)
+
+
+def test_certificates_are_built_only_when_read():
+    ws = vecsum_families({1: (0b100, 0b010, 0b001), 2: (0b011, 0b100), 3: (0b010,)}, 3)
+    built = ws.certificates._cache  # the cache holds every certificate built
+    assert len(ws.certificates) == len(ws.vectors)
+    assert list(ws.certificates) == sorted(ws.certificates)
+    assert (0, 1, 0) not in ws.certificates and "x" not in ws.certificates
+    assert all(v in ws.certificates for v in ws.vectors)
+    assert built == {}
+    v = ws.vectors[-1]
+    cert = ws.certificates[v]
+    assert list(built) == [v]
+    assert ws.certificates[v] is cert
+    assert list(cert) == [1, 2, 3]
+    with pytest.raises(KeyError):
+        ws.certificates[(9, 9, 9)]
+
+
+PATH_ABC = Graph.build(("a", "b", "c"), {(0, 1), (1, 2)})
+
+
+def test_certificates_are_read_only():
+    lists = uniform_lists(3, 2)
+    ws = wmax(PATH_ABC, lists)
+    v = ws.vectors[-1]
+    assert v == (2, 0, 2)
+    with pytest.raises(TypeError):
+        ws.certificates[v][1] = 0b111
+    with pytest.raises(TypeError):
+        ws.certificates[v] = {}
+    inst = Instance(PATH_ABC, lists, v)
+    assert is_valid_coloring(inst, find_coloring(inst, ws)).ok
+
+
+def test_hand_built_certificates_are_read_only():
+    ws = WmaxSet(vectors=((1, 0),), certificates={(1, 0): {1: 0b10}})
+    for built in (ws, dataclasses.replace(ws, vectors=((1, 0), (0, 1)))):
+        with pytest.raises(TypeError):
+            built.certificates[(1, 0)][1] = 0b11
+        with pytest.raises(TypeError):
+            built.certificates[(0, 1)] = {}
+        assert built.certificates == {(1, 0): {1: 0b10}}
