@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_, getitem
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import and_, eq, lshift, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -41,6 +42,14 @@ Certificate = Mapping[int, int]
 # ints, unlike (sum, mask) tuples, cost no allocation and keep the tables out
 # of the cyclic garbage collector's scans.
 _Table = dict[int, int]
+
+# prune_dominated's translate tables: _AT_LEAST[a] maps each byte value to
+# ASCII "1" when it is >= a, else "0"
+_AT_LEAST = tuple(b"0" * a + b"1" * (256 - a) for a in range(256))
+# rows of vectors per block of prune_dominated's column-major ANDs: at most
+# two N-bit accumulators per row are alive at once, so the block bounds them
+# at 2 * _PRUNE_ROWS * N bits instead of 2 * N * N
+_PRUNE_ROWS = 1024
 
 
 class _Certificates(Mapping[Vec, Certificate]):
@@ -320,20 +329,31 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
 
     The bitmap test of Tan, Eng and Ooi ("Efficient progressive skyline
     computation", VLDB 2001) checks every candidate against all members
-    at once.  The N distinct vectors are sorted lexicographically and
-    vector j is bit j.  For each coordinate i and each value a occurring
-    there, one int bitset ``above[i][a]`` has bit j set when vector j has
-    coordinate i >= a; a column is built in one pass, then OR-accumulated
-    over its distinct values in descending order.  The AND of
-    ``above[i][x[i]]`` over all i holds exactly the members >= x, x itself
-    included, so x is a maximum iff that AND is its own bit alone.
+    at once.  The N distinct vectors are sorted lexicographically (a tuple
+    of plain tuples already strictly ascending, as WmaxSet.vectors is, is
+    taken as it is), and vector j is bit N-1-j.  For each coordinate i and
+    each value a occurring there, one int bitset ``above[i][a]`` has the
+    bits of the vectors whose coordinate i is >= a.  The vectors are laid
+    end to end once, and column i is the strided slice ``flat[i::dim]``.
+    When every coordinate lies in 0..255 that slice is bytes, and each
+    bitset is the column translated to ASCII "0"/"1" by a 256-byte table
+    and parsed as a base-2 int, all in C (base 2 is exempt from the
+    int-string conversion limit).  Otherwise each column is walked once
+    into a dict of bits, then OR-accumulated over its distinct values in
+    descending order.  The AND of ``above[i][x[i]]`` over all i holds
+    exactly the members >= x, x itself included, so x is a maximum iff
+    that AND is its own bit alone.  The ANDs run column-major, one
+    ``map`` per column over a block of rows: each makes only its int
+    result, which the cyclic garbage collector does not track, and no
+    iterator or container is made per vector.
 
-    Cost: dim x N ANDs of N-bit ints, plus one N-bit OR per member and per
-    distinct value of each column to build the bitsets.  Memory: N bits per
-    distinct value per coordinate.  In a wmax set, coordinate v counts the
-    colors whose chosen set contains v, so a column holds at most
-    |L(v)| + 1 distinct values.  Coordinates may be any ints, negative or
-    arbitrarily large.
+    Cost: dim x N ANDs of N-bit ints, plus one N-byte translate and parse
+    per distinct value of each column.  Memory: N bits per distinct value
+    per coordinate, the flat sequence, and at most two N-bit accumulators
+    per row of a block of _PRUNE_ROWS rows.  In a wmax set, coordinate v
+    counts the colors whose chosen set contains v, so a column holds at
+    most |L(v)| + 1 distinct values.  Coordinates may be any ints,
+    negative or arbitrarily large.
 
     Returns:
         The maxima, sorted lexicographically.
@@ -341,25 +361,48 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     Raises:
         ValueError: if the vectors do not all have the same length.
     """
-    items = sorted(set(vecs))
+    items = vecs
+    if not (
+        isinstance(items, tuple)
+        and set(map(type, items)) == {tuple}
+        and all(map(lt, items, items[1:]))
+    ):
+        items = tuple(sorted(set(vecs)))
     if not items:
         return ()
     dim = len(items[0])
-    for x in items:
-        if len(x) != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {len(x)}")
+    if len(set(map(len, items))) > 1:
+        other = next(filter(dim.__ne__, map(len, items)))
+        raise ValueError(f"dimension mismatch: {dim} vs {other}")
     if not dim:
-        return ((),)
-    above: list[dict[int, int]] = []
-    for column in zip(*items):
-        at: dict[int, int] = {}
-        bit = 1
-        for a in column:
-            at[a] = at.get(a, 0) | bit
-            bit <<= 1
-        acc = 0
-        for a in sorted(at, reverse=True):
-            acc |= at[a]
-            at[a] = acc
-        above.append(at)
-    return tuple(x for j, x in enumerate(items) if reduce(and_, map(getitem, above, x)) == 1 << j)
+        return items
+    n = len(items)
+    flat = tuple(chain.from_iterable(items))
+    try:
+        raw = bytes(flat)
+    except (ValueError, TypeError):
+        columns = [flat[i::dim] for i in range(dim)]
+        above = []
+        for column in columns:
+            at: dict[int, int] = {}
+            bit = 1 << n
+            for a in column:
+                bit >>= 1
+                at[a] = at.get(a, 0) | bit
+            acc = 0
+            for a in sorted(at, reverse=True):
+                acc |= at[a]
+                at[a] = acc
+            above.append(at)
+    else:
+        columns = [raw[i::dim] for i in range(dim)]
+        above = [{a: int(c.translate(_AT_LEAST[a]), 2) for a in set(c)} for c in columns]
+    kept: list[Vec] = []
+    for lo in range(0, n, _PRUNE_ROWS):
+        hi = lo + _PRUNE_ROWS
+        accs: Iterable[int] = repeat(-1)
+        for column, at in zip(columns, above):
+            accs = list(map(and_, accs, map(at.__getitem__, column[lo:hi])))
+        own = map(lshift, repeat(1), range(n - 1 - lo, n - 1 - hi, -1))
+        kept += compress(items[lo:hi], map(eq, accs, own))
+    return tuple(kept)

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
+import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -242,9 +245,14 @@ def all_pairs_maxima(vecs):
 
 
 # Small coordinates make dominance and duplicates common; the wide range
-# reaches 2**40 and negative values, which set the packed field width.
+# reaches 2**40 and negative values, which set the packed field width.  The
+# two narrow ranges straddle the byte boundaries at 127/128 and 255/256: a
+# set inside 0..255 takes the prune's bytes path, any coordinate outside it
+# the general path.
 coords = st.one_of(
     st.integers(min_value=0, max_value=3),
+    st.integers(min_value=125, max_value=130),
+    st.integers(min_value=250, max_value=260),
     st.integers(min_value=-(2**40), max_value=2**40),
 )
 
@@ -294,6 +302,99 @@ def test_prune_rejects_mismatched_dimensions(vecs, data):
     mixed = [*vecs[:at], odd, *vecs[at:]]
     with pytest.raises(ValueError):
         prune_dominated(mixed)
+
+
+def test_prune_at_the_byte_boundaries():
+    # 0 and 255 alone fit in a byte; 256 sends the whole set down the general path
+    inside = [(0, 255, 0), (255, 0, 0), (127, 128, 1), (128, 127, 1), (127, 127, 1), (0, 0, 0)]
+    assert prune_dominated(inside) == ((0, 255, 0), (127, 128, 1), (128, 127, 1), (255, 0, 0))
+    mixed = [*inside, (256, 0, 0)]
+    assert prune_dominated(mixed) == ((0, 255, 0), (127, 128, 1), (128, 127, 1), (256, 0, 0))
+    below = [(-1, 0), (0, -1), (-1, -1), (0, 0), (-1, 3)]
+    assert prune_dominated(below) == ((-1, 3), (0, 0))
+    assert prune_dominated([(-1, 0), (-1, -1)]) == ((-1, 0),)
+
+
+def test_prune_of_a_closed_form_set_beyond_the_int_string_limit():
+    """{0..5}^6 with sum <= 10: the maxima are exactly the vectors of sum 10.
+
+    A vector of smaller sum has a coordinate below 5 to raise, and vectors
+    of equal sum are incomparable.  6 748 vectors make every bitset longer
+    than the 4 300 digits CPython's int-string limit allows decimal
+    parsing, and the ANDs run over several blocks of rows.
+    """
+    vecs = tuple(v for v in itertools.product(range(6), repeat=6) if sum(v) <= 10)
+    expected = tuple(v for v in vecs if sum(v) == 10)
+    assert (len(vecs), len(expected)) == (6_748, 2_247)
+    tracemalloc.start()
+    try:
+        assert prune_dominated(vecs) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of rows: one N-bit accumulator per vector would take N * N bits
+    assert peak < len(vecs) ** 2 // 8
+    assert prune_dominated(vecs[::-1]) == expected
+    # the same set shifted out of byte range, on the general path
+    shifted = tuple(tuple(a + 256 for a in v) for v in vecs)
+    assert prune_dominated(shifted) == tuple(tuple(a + 256 for a in v) for v in expected)
+
+
+class _Vec(tuple):
+    pass
+
+
+def test_prune_takes_a_sorted_tuple_as_it_is():
+    """Every input form gives the same maxima as the sorted tuple itself."""
+    rng = random.Random(1)
+    for n in (6, 10):
+        vecs = wmax(random_graph(rng, n, 0.5), random_lists(rng, n, colors=4)).vectors
+        expected = prune_dominated(vecs)
+        assert expected == all_pairs_maxima(vecs)
+        assert prune_dominated(list(vecs)) == expected
+        assert prune_dominated(iter(vecs)) == expected
+        assert prune_dominated(vecs[::-1]) == expected
+        assert prune_dominated(vecs + vecs[:5]) == expected
+        assert prune_dominated(tuple(map(_Vec, vecs))) == expected
+        with pytest.raises(TypeError):
+            prune_dominated(tuple(map(list, vecs)))
+
+
+def test_prune_reports_the_same_mismatch_sorted_or_not():
+    vecs = ((0, 1), (1, 0, 0), (1, 1), (2,))
+    for form in (vecs, vecs[::-1], list(vecs)):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            prune_dominated(form)
+
+
+def test_prune_sets_off_no_garbage_collection():
+    """The prune makes no object per vector, so no collection starts in it.
+
+    With the first generation's threshold at 100, far below the ~500
+    objects a prune that made one per vector would leave alive, and above
+    the few per column this one makes, a collection would show it.
+    """
+    rng = random.Random(1)  # the first set of the workload-scale test above
+    vecs = wmax(random_graph(rng, 10, 0.5), random_lists(rng, 10, colors=4)).vectors
+    assert len(vecs) >= 500
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(100, *thresholds[1:])
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        pruned = prune_dominated(vecs)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert starts == []
+    assert pruned == all_pairs_maxima(vecs)
 
 
 def test_vecsum_families_deduplicates():
