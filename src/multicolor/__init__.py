@@ -24,7 +24,6 @@ from .errors import (
     InstanceFormatError,
     NotPermissibleError,
     ResourceLimitExceeded,
-    UnknownColorError,
 )
 from .extension import ExtensionResult, extend_coloring, wmax_constrained
 from .instance import (
@@ -59,7 +58,6 @@ __all__ = [
     "InstanceFormatError",
     "NotPermissibleError",
     "ResourceLimitExceeded",
-    "UnknownColorError",
     "Vec",
     "WmaxSet",
     "all_colors",

@@ -50,11 +50,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import ceil
 
-from .coloring import Coloring, _assemble, shrink, weight_of
+from .coloring import Coloring, _assemble, shrink
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, spread
 from .mis import enumerate_mis
-from .vectors import Vec, leq, norm, vec_sub
+from .vectors import Vec, leq
 
 __all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
 
@@ -136,7 +136,7 @@ class ChromaticSolver:
         """
         if not leq(w, self.bound):
             raise ValueError("demand exceeds the solver's bound")
-        total = norm(w)
+        total = sum(w)
         if total == 0:
             return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
         d = 0
@@ -154,8 +154,7 @@ class ChromaticSolver:
             a += 1
         picks += [0] * (a - len(picks))
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
-        full = _assemble(self.n, cert)
-        return ChromaticResult(a, lower, shrink(full, vec_sub(weight_of(full), w)))
+        return ChromaticResult(a, lower, shrink(_assemble(self.n, cert), w))
 
     def _support(self, d: int) -> int:
         """The lowest bit of every nonzero field of d."""

@@ -24,7 +24,6 @@ from .errors import (
     InstanceFormatError,
     NotPermissibleError,
     ResourceLimitExceeded,
-    UnknownColorError,
 )
 from .extension import extend_coloring
 from .instance import Graph, Instance, load_instance, vertices_of
@@ -369,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InstanceFormatError, UnknownColorError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

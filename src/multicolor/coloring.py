@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
-from .errors import NotPermissibleError, UnknownColorError
-from .instance import Instance, all_colors, color_masks, vertices_of
-from .mis import is_maximal_independent
-from .vectors import Vec, in_hyperrectangle, vec_sub
+from .errors import NotPermissibleError
+from .instance import Instance, all_colors, vertices_of
+from .vectors import Vec, in_hyperrectangle
 from .wmax import Certificate, WmaxSet, wmax
 
 Coloring = tuple[frozenset[int], ...]
@@ -91,51 +90,31 @@ def _assemble(n: int, certificate: Certificate) -> Coloring:
     return tuple(frozenset(s) for s in sets)
 
 
-def build_max_coloring(inst: Instance, certificate: Certificate) -> Coloring:
-    """Assemble the coloring whose color classes a certificate lists.
-
-    Vertex v receives color x exactly when the certificate's independent
-    set for x contains v; the result's weight is the certificate's sum.
-
-    Raises:
-        UnknownColorError: if a certificate color appears in no list.
-        ValueError: if some entry is not maximal independent in its
-            color's subgraph.
-    """
-    masks = color_masks(inst.lists)
-    for x in sorted(certificate):
-        if x not in masks:
-            raise UnknownColorError(f"color {x} appears in no vertex list")
-        if not is_maximal_independent(inst.graph, certificate[x], masks[x]):
-            raise ValueError(
-                f"certificate entry for color {x} is not maximal independent "
-                "in that color's subgraph"
-            )
-    return _assemble(inst.graph.n, certificate)
-
-
 def shrink(
     coloring: Coloring,
-    amount: Vec,
+    target: Vec,
     protected: Mapping[int, frozenset[int]] | None = None,
 ) -> Coloring:
-    """Delete amount[v] colors from each vertex's set, largest colors first.
+    """Keep target[v] colors at each vertex: its protected ones, then the smallest.
 
-    Colors listed in protected (a per-vertex mapping) are never removed.
-    Deleting colors preserves validity; only the weight drops.
+    protected maps a vertex to colors that must stay.  Deleting colors
+    preserves validity; the weight drops to exactly target.
 
     Raises:
-        ValueError: if some vertex lacks enough removable colors.
+        ValueError: if target has the wrong dimension, or if some target[v]
+            is above the colors vertex v holds or below the protected ones.
     """
-    if len(amount) != len(coloring):
-        raise ValueError("shrink amount has wrong dimension")
+    if len(target) != len(coloring):
+        raise ValueError("shrink target has wrong dimension")
     out: list[frozenset[int]] = []
-    for v, have in enumerate(coloring):
-        keep_always = protected.get(v, frozenset()) if protected else frozenset()
-        removable = sorted(have - keep_always, reverse=True)
-        if amount[v] > len(removable):
-            raise ValueError(f"vertex {v}: cannot remove {amount[v]} colors")
-        out.append(have - set(removable[: amount[v]]))
+    for v, (have, count) in enumerate(zip(coloring, target)):
+        keep = have & protected.get(v, frozenset()) if protected else frozenset()
+        if not len(keep) <= count <= len(have):
+            raise ValueError(
+                f"vertex {v}: cannot keep {count} of {len(have)} colors, "
+                f"{len(keep)} of them protected"
+            )
+        out.append(keep.union(sorted(have - keep)[: count - len(keep)]))
     return tuple(out)
 
 
@@ -155,8 +134,7 @@ def find_coloring(inst: Instance, wmax_set: WmaxSet | None = None) -> Coloring:
     witness = in_hyperrectangle(w, wmax_set.packed)
     if witness is None:
         raise NotPermissibleError(w)
-    full = _assemble(inst.graph.n, wmax_set.certificates[witness])
-    return shrink(full, vec_sub(witness, w))
+    return shrink(_assemble(inst.graph.n, wmax_set.certificates[witness]), w)
 
 
 def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[Coloring]:

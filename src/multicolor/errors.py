@@ -13,10 +13,6 @@ class InstanceFormatError(ValueError):
     """Raised when an instance document is malformed or inconsistent."""
 
 
-class UnknownColorError(ValueError):
-    """Raised when a color is not present in any vertex list."""
-
-
 class NotPermissibleError(Exception):
     """Raised when a coloring is requested for a weight that admits none."""
 

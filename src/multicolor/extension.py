@@ -39,7 +39,7 @@ from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, _assemble, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES
 from .instance import Graph
-from .vectors import Vec, leq, vec_min, vec_sub
+from .vectors import Vec, leq
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, wmax
 
 __all__ = ["ExtensionResult", "extend_coloring", "wmax_constrained"]
@@ -151,10 +151,9 @@ def extend_coloring(
         if best is None or result.chi < best[0].chi:
             best = (result, w1)
     fresh, base = best
-    served = vec_min(w, base)
     full = _assemble(graph.n, constrained.certificates[base])
     protected = {v: c0[v] for v in range(graph.n)}
-    kept = shrink(full, vec_sub(base, served), protected)
+    kept = shrink(full, tuple(map(min, w, base)), protected)
     combined = tuple(
         kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
     )

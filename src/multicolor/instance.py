@@ -295,10 +295,15 @@ def load_instance(path: str, sidecar: str | None = None) -> Instance:
     A .col file carries only the graph; lists and weights may be supplied in
     a JSON sidecar of the shape {"lists": {...}, "weights": {...}} whose keys
     use the DIMACS vertex numbers as names ("1".."n").
+
+    Raises:
+        InstanceFormatError: if a sidecar is given with a JSON instance.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if not path.endswith(".col"):
+        if sidecar is not None:
+            raise InstanceFormatError(f"a sidecar applies only to a .col instance, not {path}")
         return parse_instance(text)
 
     graph = parse_dimacs(text)

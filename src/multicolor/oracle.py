@@ -2,7 +2,7 @@
 
 Everything here answers questions by exhaustive search straight from the
 definition of a valid coloring, sharing no code with the solver path beyond
-the instance model and vector arithmetic.  Any disagreement between this
+the instance model and the Vec type.  Any disagreement between this
 module and the solvers is a bug in exactly one of them.
 
 Searches are guarded by an upfront estimate of the branch count
@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists
-from .vectors import Vec, norm
+from .vectors import Vec
 
 BruteColoring = tuple[frozenset[int], ...]
 
@@ -90,18 +90,9 @@ def brute_all_colorings(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES
     return set(_search(inst, collect_all=True))
 
 
-def brute_chromatic(inst_or_weights, weights: Vec | None = None, max_branches: int = DEFAULT_MAX_BRANCHES) -> int:
-    """Smallest palette size a such that colors {1..a} satisfy the demand.
-
-    Accepts (graph, weights) or an Instance whose lists are ignored.
-    """
-    if weights is None:
-        graph = inst_or_weights.graph
-        w = inst_or_weights.require_weights()
-    else:
-        graph = inst_or_weights
-        w = weights
-    if norm(w) == 0:
+def brute_chromatic(graph: Graph, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> int:
+    """Smallest palette size a such that colors {1..a} satisfy the demand w."""
+    if sum(w) == 0:
         return 0
     a = 1
     while True:
@@ -121,7 +112,7 @@ def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> se
     w = inst.require_weights()
     by_norm: dict[int, list[Vec]] = {}
     for cand in product(*(range(x + 1) for x in w)):
-        by_norm.setdefault(norm(cand), []).append(cand)
+        by_norm.setdefault(sum(cand), []).append(cand)
     for total in sorted(by_norm, reverse=True):
         hits = {
             cand

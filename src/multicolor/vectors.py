@@ -16,33 +16,11 @@ from itertools import chain, groupby
 Vec = tuple[int, ...]
 
 
-def _check_dims(x: Vec, y: Vec) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-
-
 def leq(x: Vec, y: Vec) -> bool:
     """Componentwise partial order: every coordinate of x is <= that of y."""
-    _check_dims(x, y)
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return all(a <= b for a, b in zip(x, y))
-
-
-def norm(x: Vec) -> int:
-    """Sum of coordinates."""
-    return sum(x)
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    """Componentwise difference x - y; requires y <= x."""
-    if not leq(y, x):
-        raise ValueError(f"{y} is not <= {x}")
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_min(x: Vec, y: Vec) -> Vec:
-    """Componentwise minimum."""
-    _check_dims(x, y)
-    return tuple(min(a, b) for a, b in zip(x, y))
 
 
 class PackedVectors:

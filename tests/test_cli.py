@@ -51,6 +51,12 @@ class TestWmax:
         assert proc.returncode == 0
         assert proc.stdout == "[0, 1, 1]\n[0, 2, 0]\n[1, 0, 1]\n[1, 1, 0]\n"
 
+    def test_sidecar_with_json_is_an_input_error(self, run_cli):
+        proc = run_cli("wmax", "fix_p3.json", "--sidecar", "path3_sidecar.json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "a sidecar applies only to a .col instance" in proc.stderr
+
     def test_vector_cap_exit_code(self, run_cli):
         proc = run_cli("wmax", "fix_c5.json", "--max-vectors", "2")
         assert proc.returncode == 3

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from multicolor import (
     Instance,
     NotPermissibleError,
-    UnknownColorError,
     brute_all_colorings,
     enumerate_colorings,
     find_coloring,
@@ -15,7 +16,7 @@ from multicolor import (
     uniform_lists,
     weight_of,
 )
-from multicolor.coloring import build_max_coloring, decompose
+from multicolor.coloring import _assemble, decompose
 from util import (
     K2,
     K2_LISTS,
@@ -108,48 +109,83 @@ def mask(members):
 
 
 def test_build_from_certificate():
-    inst = p3_inst((1, 0, 1))
     cert = {1: mask({0}), 2: mask({2})}
-    assert build_max_coloring(inst, cert) == coloring({1}, set(), {2})
+    assert _assemble(3, cert) == coloring({1}, set(), {2})
 
 
 def test_build_overlapping_certificate():
-    inst = p3_inst((0, 2, 0))
     cert = {1: mask({1}), 2: mask({1})}
-    assert build_max_coloring(inst, cert) == coloring(set(), {1, 2}, set())
-
-
-def test_build_rejects_non_maximal_entry():
-    inst = p3_inst((1, 1, 0))
-    with pytest.raises(ValueError):
-        build_max_coloring(inst, {1: mask({0, 1})})
-
-
-def test_build_rejects_unknown_color():
-    inst = p3_inst((1, 0, 1))
-    with pytest.raises(UnknownColorError, match="color 3 appears in no vertex list"):
-        build_max_coloring(inst, {1: mask({0}), 3: mask({2})})
+    assert _assemble(3, cert) == coloring(set(), {1, 2}, set())
 
 
 def test_shrink_removes_largest_colors_first():
     c = coloring({1}, set(), {2})
-    assert shrink(c, (1, 0, 0)) == coloring(set(), set(), {2})
+    assert shrink(c, (0, 0, 1)) == coloring(set(), set(), {2})
     assert shrink(coloring({1, 2}), (1,)) == coloring({1})
 
 
 def test_shrink_zero_is_identity():
+    # zero colors deleted: the target is the coloring's own weight
     c = coloring({1}, {2}, set())
-    assert shrink(c, (0, 0, 0)) == c
+    assert shrink(c, weight_of(c)) == c
 
 
 def test_shrink_rejects_excessive_amount():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 0: cannot keep 3 of 2 colors"):
         shrink(coloring({1, 2}), (3,))
+    with pytest.raises(ValueError, match="vertex 0: cannot keep -1 of 2 colors"):
+        shrink(coloring({1, 2}), (-1,))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        shrink(coloring({1, 2}), (1, 1))
 
 
 def test_shrink_respects_protected_colors():
     c = coloring({1, 2, 3})
-    assert shrink(c, (1,), protected={0: frozenset({3})}) == coloring({1, 3})
+    assert shrink(c, (2,), protected={0: frozenset({3})}) == coloring({1, 3})
+    assert shrink(c, (1,), protected={0: frozenset({3, 4})}) == coloring({3})
+    with pytest.raises(ValueError, match="cannot keep 0 of 3 colors, 1 of them protected"):
+        shrink(c, (0,), protected={0: frozenset({3})})
+
+
+def reference_shrink(c, target, protected):
+    """Delete the largest unprotected color until each vertex holds its target.
+
+    None when some vertex cannot reach its target that way.
+    """
+    out = []
+    for v, have in enumerate(c):
+        held = set(have)
+        must = held & set((protected or {}).get(v, ()))
+        while len(held) > target[v] and held - must:
+            held.remove(max(held - must))
+        if len(held) != target[v]:
+            return None
+        out.append(frozenset(held))
+    return tuple(out)
+
+
+@st.composite
+def shrink_cases(draw):
+    """A coloring, a target near each vertex's color count, maybe protected colors."""
+    c = tuple(draw(st.lists(st.frozensets(st.integers(1, 6)), max_size=5)))
+    target = tuple(draw(st.integers(-1, len(have) + 1)) for have in c)
+    protected = draw(st.none() | st.fixed_dictionaries(
+        {}, optional={v: st.frozensets(st.integers(1, 7)) for v in range(len(c))}
+    ))
+    return c, target, protected
+
+
+@given(shrink_cases())
+# a target one above the vertex's three colors
+@example(((frozenset({1, 2, 3}),), (4,), None))
+def test_shrink_matches_deleting_largest_unprotected(case):
+    c, target, protected = case
+    expected = reference_shrink(c, target, protected)
+    if expected is None:
+        with pytest.raises(ValueError):
+            shrink(c, target, protected)
+    else:
+        assert shrink(c, target, protected) == expected
 
 
 def test_find_coloring_exact_demand():

@@ -138,6 +138,12 @@ def test_load_dimacs_with_sidecar():
     assert inst.weights == (1, 0, 1)
 
 
+def test_load_json_rejects_a_sidecar():
+    path = str(FIXTURES / "fix_p3.json")
+    with pytest.raises(InstanceFormatError, match=r"a sidecar applies only to a \.col instance"):
+        load_instance(path, str(FIXTURES / "path3_sidecar.json"))
+
+
 def test_load_json_fixture():
     inst = load_instance(str(FIXTURES / "fix_p3.json"))
     assert inst.weights == (1, 0, 1)

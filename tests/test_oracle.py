@@ -55,8 +55,9 @@ def test_chromatic_zero_weight():
 
 
 def test_chromatic_accepts_instance():
+    # the instance's lists play no part: the palette is {1..a}
     inst = Instance(C5, uniform_lists(5, 9), (1,) * 5)
-    assert brute_chromatic(inst) == 3
+    assert brute_chromatic(inst.graph, inst.weights) == 3
 
 
 def test_oncall_edge():

@@ -10,9 +10,6 @@ from multicolor.vectors import (
     PackedVectors,
     in_hyperrectangle,
     leq,
-    norm,
-    vec_min,
-    vec_sub,
 )
 from multicolor.wmax import wmax_uniform
 from util import (
@@ -22,8 +19,6 @@ from util import (
     indicator,
     scan_oncall,
     scan_witness,
-    vec_add,
-    zero,
 )
 
 P3_WMAX = {(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
@@ -55,43 +50,6 @@ def test_leq_is_a_partial_order(x, y, z):
         assert x == y
     if leq(x, y) and leq(y, z):
         assert leq(x, z)
-
-
-def test_norm_examples():
-    assert norm((0, 0, 0)) == 0
-    assert norm((1, 2, 1)) == 4
-    assert norm((2, 0, 2)) == 4
-
-
-@given(vecs3, vecs3)
-def test_norm_additive(x, y):
-    assert norm(vec_add(x, y)) == norm(x) + norm(y)
-
-
-@given(vecs3, vecs3)
-def test_norm_monotone(x, y):
-    if leq(x, y):
-        assert norm(x) <= norm(y)
-
-
-def test_vec_min_examples():
-    assert vec_min((1, 2, 1), (1, 1, 0)) == (1, 1, 0)
-    assert vec_min((1, 2, 1), (1, 2, 1)) == (1, 2, 1)
-    assert vec_min((1, 2, 1), (0, 2, 0)) == (0, 2, 0)
-
-
-@given(vecs3, vecs3)
-def test_vec_min_is_greatest_lower_bound(x, y):
-    m = vec_min(x, y)
-    assert leq(m, x) and leq(m, y)
-    bigger = tuple(c + 1 for c in m)
-    assert not (leq(bigger, x) and leq(bigger, y))
-
-
-def test_vec_sub_requires_dominance():
-    assert vec_sub((2, 1), (1, 1)) == (1, 0)
-    with pytest.raises(ValueError):
-        vec_sub((1, 0), (0, 1))
 
 
 def test_indicator_examples():
