@@ -76,6 +76,10 @@ class ChromaticResult:
 class ChromaticSolver:
     """Weighted chromatic numbers on one graph, sharing one MIS family and memo.
 
+    chi decides the smallest palette size of a demand; solve also builds
+    its witness.  The witness does not depend on the memo's state, so
+    deciding other demands first never changes it.
+
     A deficit is one packed int with vertex v in field n-1-v, at bit
     (n-1-v) * width: vertex 0 is the most significant field, as in vertex
     masks and in the fold, so instance.spread turns an MIS mask into its
@@ -128,33 +132,59 @@ class ChromaticSolver:
         # deficit -> largest budget known infeasible
         self._infeasible: dict[int, int] = {}
 
+    def bounds(self, w: Vec) -> tuple[int, int]:
+        """ceil(|w| / alpha) and the level the climb starts at, max of it and max(w).
+
+        Both are necessary, so chi(w) is at least the second.
+        """
+        total = sum(w)
+        lower = ceil(total / self.alpha) if total else 0
+        return lower, max(lower, max(w, default=0))
+
+    def chi(self, w: Vec) -> int:
+        """Smallest palette size for demand w, decided without building a witness.
+
+        Raises:
+            ValueError: if w exceeds the solver's bound at some vertex.
+        """
+        return self._climb(self._pack(w), self.bounds(w)[1])[0]
+
     def solve(self, w: Vec) -> ChromaticResult:
         """Smallest palette size for demand w, its lower bound and the witness.
 
         Raises:
             ValueError: if w exceeds the solver's bound at some vertex.
         """
-        if not leq(w, self.bound):
-            raise ValueError("demand exceeds the solver's bound")
-        total = sum(w)
-        if total == 0:
-            return ChromaticResult(0, 0, tuple(frozenset() for _ in range(self.n)))
-        d = 0
-        for x in w:
-            d = d << self._bits | x
-        lower = ceil(total / self.alpha)
-        a = max(lower, max(w))
-        while True:
-            self.level = a
-            picks = self._walk(d, a, None)
-            if picks is None and self._search(d, a):
-                picks = self._walk(d, a, self._cover(d))
-            if picks is not None:
-                break
-            a += 1
+        d = self._pack(w)
+        lower, start = self.bounds(w)
+        a, picks = self._climb(d, start)
+        if picks is None:
+            picks = self._walk(d, a, self._cover(d))
         picks += [0] * (a - len(picks))
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
         return ChromaticResult(a, lower, shrink(_assemble(self.n, cert), w))
+
+    def _pack(self, w: Vec) -> int:
+        """The deficit of w: one field per vertex, vertex 0 the most significant."""
+        if not leq(w, self.bound):
+            raise ValueError("demand exceeds the solver's bound")
+        d = 0
+        for x in w:
+            d = d << self._bits | x
+        return d
+
+    def _climb(self, d: int, a: int) -> tuple[int, list[int] | None]:
+        """The first level from a up that covers d, and the optimistic walk's picks there.
+
+        The picks are None when the walk got stuck and the exact search
+        decided the level; the witness is then walked from the search's cover.
+        """
+        while True:
+            self.level = a
+            picks = self._walk(d, a, None)
+            if picks is not None or self._search(d, a):
+                return a, picks
+            a += 1
 
     def _support(self, d: int) -> int:
         """The lowest bit of every nonzero field of d."""

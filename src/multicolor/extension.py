@@ -25,22 +25,24 @@ no extension does better, so the bound is the optimum:
    w - u >= w - min(w, w1).  chi is monotone, so
    a - a0 >= chi(w - min(w, w1)).  Hence a >= bound.
 
-wmax_constrained needs no search of its own: the maximal independent
-sets that contain the vertices precolored x are those of the graph
-without their neighbors, so a precoloring is the list assignment
-{1..a0} minus the neighbors' precolors, folded by wmax.
+wmax_constrained needs no search of its own: the family for color x is
+the graph's maximal independent sets that contain the vertices
+precolored x, a filter of the graph's one family, and the families are
+folded as wmax folds them.  extend_coloring filters the family its
+chromatic solver enumerates, so the graph's sets are enumerated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chromatic import ChromaticResult, ChromaticSolver
+from .chromatic import ChromaticSolver
 from .coloring import Coloring, _assemble, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES
-from .instance import Graph
+from .instance import Graph, color_masks
+from .mis import enumerate_mis
 from .vectors import Vec, leq
-from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, wmax
+from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families
 
 __all__ = ["ExtensionResult", "extend_coloring", "wmax_constrained"]
 
@@ -81,20 +83,32 @@ def wmax_constrained(
 ) -> WmaxSet:
     """Maximal demand vectors over {1..a0} among colorings containing c0.
 
-    The family for color x is the maximal independent sets that contain
-    R_x, the vertices precolored x.  R_x is independent, so these are
-    exactly the maximal independent sets of G - N(R_x), in which every
-    vertex of R_x is isolated.  Each vertex's list is therefore {1..a0}
-    minus the colors c0 gives its neighbors, and the result is wmax of
-    that assignment.  With an all-empty precoloring this is the
-    unconstrained maximal set of the uniform assignment.
+    The family for color x is the maximal independent sets of the graph
+    that contain R_x, the vertices precolored x, in the sorted order
+    enumerate_mis gives them; these are exactly the maximal independent
+    sets of G - N(R_x), the vertices whose list {1..a0} minus their
+    neighbors' precolors holds x.  With an all-empty precoloring this is
+    the unconstrained maximal set of the uniform assignment.
     """
     _validate_precoloring(graph, a0, c0)
-    lists = [frozenset(range(1, a0 + 1))] * graph.n
-    for i, j in graph.edges:
-        lists[i] -= c0[j]
-        lists[j] -= c0[i]
-    return wmax(graph, tuple(lists), max_vectors)
+    return _constrained(graph, a0, c0, enumerate_mis(graph), max_vectors)
+
+
+def _constrained(
+    graph: Graph, a0: int, c0: Coloring, family: tuple[int, ...], max_vectors: int
+) -> WmaxSet:
+    """wmax_constrained of a valid precoloring, filtered from family, the
+    graph's maximal independent sets.  Colors with equal R_x share one
+    filter.  A graph with no vertex lists no color, so it folds no family."""
+    required = color_masks(c0)
+    by_mask: dict[int, tuple[int, ...]] = {}
+    families: dict[int, tuple[int, ...]] = {}
+    for x in range(1, a0 + 1) if graph.n else ():
+        r = required.get(x, 0)
+        if r not in by_mask:
+            by_mask[r] = tuple(m for m in family if m & r == r)
+        families[x] = by_mask[r]
+    return vecsum_families(families, graph.n, max_vectors)
 
 
 def extend_coloring(
@@ -107,13 +121,19 @@ def extend_coloring(
 ) -> ExtensionResult:
     """Extend c0 to weight w on the smallest palette that admits it.
 
-    Scans the constrained maximal vectors in ascending order, keeps the
-    first whose residual demand has the smallest chromatic number, and
-    assembles the witness: the constrained certificate's coloring shrunk
-    to min(w, w1) without touching c0's colors, plus the residual's
-    chromatic witness shifted into the fresh block {a0+1..bound}.  One
-    ChromaticSolver, with one MIS family and one memo, answers every
-    distinct residual; every residual is at most w, so w sizes it.
+    Scans the constrained maximal vectors in ascending order and keeps
+    the first whose residual demand has the smallest chromatic number.
+    Only residuals that can still win are decided: one already decided,
+    or one whose start level max(ceil(|r|/alpha), max r) is at least the
+    best chromatic number so far, cannot have a strictly smaller one, and
+    a tie never replaces the best.  Each decision finds the level alone;
+    the witness is then built once: the constrained certificate's coloring
+    shrunk to min(w, w1) without touching c0's colors, plus the winning
+    residual's chromatic witness shifted into the fresh block
+    {a0+1..bound}.  One ChromaticSolver, with one memo, answers every
+    residual; every residual is at most w, so w sizes it.  Its MIS family
+    is the one the constrained families are filtered from, so the graph's
+    maximal independent sets are enumerated once.
 
     Args:
         graph: the conflict graph.
@@ -123,7 +143,7 @@ def extend_coloring(
         w: target demand, at least c0's weight at every vertex.
         max_vectors: cap on the constrained maximal vector set.
         max_branches: cap on the states the chromatic solver expands over
-            all residuals together.
+            the residuals decided and the winner's witness together.
 
     Returns:
         ExtensionResult; its coloring has weight w, contains c0 at every
@@ -139,18 +159,22 @@ def extend_coloring(
         raise ValueError("weight vector has wrong dimension")
     if not leq(w0, w):
         raise ValueError("target demand falls below the precoloring's weight")
-    constrained = wmax_constrained(graph, a0, c0, max_vectors)
     solver = ChromaticSolver(graph, w, max_branches)
-    by_residual: dict[Vec, ChromaticResult] = {}
-    best: tuple[ChromaticResult, Vec] | None = None
+    constrained = _constrained(graph, a0, c0, solver.family, max_vectors)
+    decided: set[Vec] = set()
+    best: tuple[int, Vec, Vec] | None = None  # chi, w1, residual
     for w1 in constrained.vectors:
         residual = tuple(x - y if x > y else 0 for x, y in zip(w, w1))
-        if residual not in by_residual:
-            by_residual[residual] = solver.solve(residual)
-        result = by_residual[residual]
-        if best is None or result.chi < best[0].chi:
-            best = (result, w1)
-    fresh, base = best
+        if residual in decided or (
+            best is not None and solver.bounds(residual)[1] >= best[0]
+        ):
+            continue
+        decided.add(residual)
+        chi = solver.chi(residual)
+        if best is None or chi < best[0]:
+            best = (chi, w1, residual)
+    _, base, residual = best
+    fresh = solver.solve(residual)
     full = _assemble(graph.n, constrained.certificates[base])
     protected = {v: c0[v] for v in range(graph.n)}
     kept = shrink(full, tuple(map(min, w, base)), protected)

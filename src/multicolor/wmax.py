@@ -14,8 +14,9 @@ subgraph is a member mask, the vertices whose list holds x (see
 instance.color_masks), and colors with the same mask share one
 enumeration.  Families and certificates hold the sets as vertex masks, as
 enumerate_mis returns them; only the demand vectors are tuples.  The
-uniform palette, and a precoloring to extend (see
-extension.wmax_constrained), are list assignments folded the same way.
+uniform palette is a list assignment folded the same way; a precoloring
+to extend (see extension.wmax_constrained) folds filters of the graph's
+one family.
 """
 
 from __future__ import annotations

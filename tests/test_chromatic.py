@@ -16,6 +16,7 @@ from multicolor import (
     uniform_lists,
     weight_of,
     weighted_chromatic,
+    wmax_constrained,
 )
 from multicolor.chromatic import ChromaticSolver, independence_number
 from util import (
@@ -259,9 +260,10 @@ def test_solver_rejects_a_demand_above_its_bound():
 
 
 def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
-    calls, solved = {"wmax": [], "chromatic": []}, []
+    calls = {"wmax": [], "chromatic": [], "extension": []}
+    solved, decided = [], []
     real_mis = multicolor.mis.enumerate_mis
-    real_solve = ChromaticSolver.solve
+    real_solve, real_chi = ChromaticSolver.solve, ChromaticSolver.chi
 
     def counting(site):
         def counting_mis(graph, members=None):
@@ -274,21 +276,31 @@ def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
         solved.append(w)
         return real_solve(self, w)
 
-    monkeypatch.setattr(multicolor.chromatic, "enumerate_mis", counting("chromatic"))
-    monkeypatch.setattr(sys.modules["multicolor.wmax"], "enumerate_mis", counting("wmax"))
+    def counting_chi(self, w):
+        decided.append(w)
+        return real_chi(self, w)
+
+    for site in calls:
+        monkeypatch.setattr(sys.modules[f"multicolor.{site}"], "enumerate_mis", counting(site))
     monkeypatch.setattr(ChromaticSolver, "solve", counting_solve)
+    monkeypatch.setattr(ChromaticSolver, "chi", counting_chi)
     ring = cycle(9)
     c0 = tuple(frozenset({1}) if v in (0, 4) else frozenset() for v in range(9))
     result = extend_coloring(ring, 2, c0, (3,) * 9)
-    assert len(set(solved)) == 23
-    # wmax enumerates once per distinct color vertex set: color 1 leaves out
-    # v1, v3, v5 and v8, the neighbours of the vertices precolored 1
-    everyone = (1 << 9) - 1
-    color_1 = everyone & ~sum(1 << (8 - v) for v in (1, 3, 5, 8))
-    assert calls["wmax"] == [color_1, everyone]
-    assert calls["chromatic"] == [None]
+    # the solver's whole-graph family is the only enumeration: the
+    # constrained families are filters of it
+    assert calls == {"wmax": [], "chromatic": [None], "extension": []}
+    # of the 23 distinct residuals only the first is decided: no later one
+    # starts its climb below that first chi, so none can win.  The
+    # witness is solved once, on the winner
+    assert len(decided) == len(set(decided)) == 1
+    assert len(solved) == 1 and solved[0] in decided
     monkeypatch.undo()
-    assert result.bound == 2 + min(weighted_chromatic(ring, r).chi for r in set(solved))
+    residuals = {
+        tuple(max(3 - y, 0) for y in w1) for w1 in wmax_constrained(ring, 2, c0).vectors
+    }
+    assert len(residuals) == 23 and set(decided) <= residuals
+    assert result.bound == 2 + min(weighted_chromatic(ring, r).chi for r in residuals)
 
 
 def test_solver_state_count_is_pinned():

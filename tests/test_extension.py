@@ -23,8 +23,10 @@ from multicolor import (
     weighted_chromatic,
     wmax_constrained,
 )
+from multicolor.chromatic import ChromaticSolver
+from multicolor.coloring import _assemble, shrink
 from multicolor.mis import enumerate_mis
-from multicolor.wmax import vecsum_families, wmax_uniform
+from multicolor.wmax import vecsum_families, wmax, wmax_uniform
 from util import (
     K2,
     K3,
@@ -125,7 +127,11 @@ class TestWmaxConstrained:
         empty = Graph.build((), set())
         for a0 in range(3):
             sums, _ = reference_wmax_constrained(empty, a0, ())
-            assert wmax_constrained(empty, a0, ()).vectors == tuple(sums) == ((),)
+            got = wmax_constrained(empty, a0, ())
+            assert got.vectors == tuple(sums) == ((),)
+            # no vertex lists a color, so no family is folded
+            assert dict(got.families) == {}
+            assert dict(got.certificates) == {(): {}}
 
     def test_rejects_negative_palette(self):
         with pytest.raises(ValueError):
@@ -182,6 +188,25 @@ class TestExtendColoring:
         with pytest.raises(ValueError):
             extend_coloring(K2, 1, C0_K2, (1,))
 
+    def test_branch_cap_counts_the_decided_residuals_and_the_witness(self, monkeypatch):
+        # a cap of exactly the states expanded passes, one fewer trips
+        graph, a0, c0, w = alternating_ring(11, 3, 3, 3)
+        used = []
+        real_solve = ChromaticSolver.solve
+
+        def recording_solve(self, w):
+            result = real_solve(self, w)
+            used.append(self.expanded)
+            return result
+
+        monkeypatch.setattr(ChromaticSolver, "solve", recording_solve)
+        result = extend_coloring(graph, a0, c0, w)
+        monkeypatch.undo()
+        (expanded,) = used
+        assert extend_coloring(graph, a0, c0, w, max_branches=expanded) == result
+        with pytest.raises(ResourceLimitExceeded, match=f"limit {expanded - 1}"):
+            extend_coloring(graph, a0, c0, w, max_branches=expanded - 1)
+
 
 def test_random_extensions_are_sound():
     rng = random.Random(71)
@@ -197,6 +222,63 @@ def test_random_extensions_are_sound():
         assert all(c0[v] <= result.coloring[v] for v in range(graph.n))
         assert result.bound >= weighted_chromatic(graph, w).chi
         assert result.bound == brute_nonrecolor_chi(graph, a0, c0, w)
+
+
+def alternating_ring(n, a0, b, turn):
+    """C_n with colors 1 and 2 alternating on all but one vertex, rotated
+    by turn, and uniform demand b: the fixed rings of the palette benchmark."""
+    alternating = [frozenset({1 + v % 2}) if v < n - 1 else frozenset() for v in range(n)]
+    c0 = tuple(alternating[(v - turn) % n] for v in range(n))
+    ring = graph_from_edges(n, {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n)})
+    return ring, a0, c0, (b,) * n
+
+
+def reference_extend(graph, a0, c0, w):
+    """The extension by its first loop: every distinct residual solved, the
+    first w1 whose residual has the strictly smallest chi, and the witness
+    assembled from its certificate.  The constrained set is wmax of the
+    lists {1..a0} minus the neighbors' precolors.  Also returns whether
+    two distinct residuals tie at that chi."""
+    lists = [frozenset(range(1, a0 + 1))] * graph.n
+    for i, j in graph.edges:
+        lists[i] -= c0[j]
+        lists[j] -= c0[i]
+    constrained = wmax(graph, tuple(lists))
+    solved, best = {}, None
+    for w1 in constrained.vectors:
+        residual = tuple(max(x - y, 0) for x, y in zip(w, w1))
+        if residual not in solved:
+            solved[residual] = weighted_chromatic(graph, residual)
+        if best is None or solved[residual].chi < best[0].chi:
+            best = (solved[residual], w1)
+    fresh, base = best
+    full = _assemble(graph.n, constrained.certificates[base])
+    kept = shrink(full, tuple(map(min, w, base)), dict(enumerate(c0)))
+    combined = tuple(
+        kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
+    )
+    tied = sum(r.chi == fresh.chi for r in solved.values()) > 1
+    return ExtensionResult(a0 + fresh.chi, combined), tied
+
+
+def test_extension_equals_the_loop_over_every_residual():
+    cases = [
+        alternating_ring(*ring)
+        for ring in ((11, 3, 3, 0), (11, 3, 3, 3), (11, 3, 3, 6), (11, 3, 3, 9), (13, 3, 2, 0))
+    ]
+    rng = random.Random(83)
+    for _ in range(1000):
+        graph = random_graph(rng, rng.randint(0, 8), rng.random())
+        a0 = rng.randint(0, 3)
+        c0 = random_precoloring(rng, graph, a0)
+        w = tuple(len(c0[v]) + rng.randint(0, 3) for v in range(graph.n))
+        cases.append((graph, a0, c0, w))
+    ties = 0
+    for case in cases:
+        expected, tied = reference_extend(*case)
+        assert extend_coloring(*case) == expected, case
+        ties += tied
+    assert ties >= 50, ties
 
 
 @st.composite
