@@ -16,17 +16,13 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from .chromatic import weighted_chromatic
 from .coloring import Coloring, find_coloring, is_valid_coloring, iter_colorings
-from .errors import (
-    DEFAULT_MAX_BRANCHES,
-    InstanceFormatError,
-    NotPermissibleError,
-    ResourceLimitExceeded,
-)
+from .errors import DEFAULT_MAX_BRANCHES, NotPermissibleError, ResourceLimitExceeded
 from .extension import extend_coloring
-from .instance import Graph, Instance, load_instance, vertices_of
+from .instance import Graph, Instance, load_instance, load_precoloring, vertices_of
 from .oncall import oncall_solutions
 from .oracle import (
     brute_all_colorings,
@@ -117,11 +113,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     inst.require_weights()
     ws = wmax(inst.graph, inst.lists, args.max_vectors)
     count = 0
-    for coloring in iter_colorings(inst, ws):
+    for count, coloring in enumerate(islice(iter_colorings(inst, ws), args.limit), 1):
         print(_coloring_line(inst.graph, coloring))
-        count += 1
-        if args.limit is not None and count >= args.limit:
-            break
     return 0 if count else 1
 
 
@@ -151,34 +144,11 @@ def _cmd_oncall(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_precoloring(path: str, graph: Graph) -> Coloring:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"precoloring is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("precoloring must be a JSON object")
-    index = {name: i for i, name in enumerate(graph.names)}
-    sets: list[frozenset[int]] = [frozenset()] * graph.n
-    for name, colors in doc.items():
-        if name not in index:
-            raise InstanceFormatError(f"precoloring names unknown vertex {name!r}")
-        if not isinstance(colors, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in colors
-        ):
-            raise InstanceFormatError(
-                f"precoloring of {name!r} must be a list of positive integers"
-            )
-        sets[index[name]] = frozenset(colors)
-    return tuple(sets)
-
-
 def _cmd_extend(args: argparse.Namespace) -> int:
     inst = _load(args)
     w = inst.require_weights()
     _warn_lists_ignored(inst)
-    c0 = _parse_precoloring(args.precoloring, inst.graph)
+    c0 = load_precoloring(args.precoloring, inst.graph)
     # the oracle and the solver both run before any output, so a tripped
     # guard leaves stdout empty
     exact = (
@@ -202,57 +172,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load(args)
     w = inst.require_weights()
     ws = wmax(inst.graph, inst.lists, args.max_vectors)
-    failures = ran = 0
-
-    def report(name: str, ok: bool) -> None:
-        nonlocal failures, ran
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        ran += 1
-        if not ok:
-            failures += 1
-
-    witness = in_hyperrectangle(w, ws.packed)
-    try:
-        brute_witness = brute_colorable(inst, args.max_branches)
-    except ResourceLimitExceeded:
-        print("SKIP permissibility")
-    else:
-        report("permissibility", (witness is None) == (brute_witness is None))
-
-    try:
-        expected = brute_all_colorings(inst, min(args.max_branches, VERIFY_ENUM_BRANCHES))
-    except ResourceLimitExceeded:
-        print("SKIP enumeration")
-    else:
-        got = set(iter_colorings(inst, ws))
-        ok = got == expected and all(
-            is_valid_coloring(inst, c).ok for c in got
-        )
-        report("enumeration", ok)
-
-    try:
-        brute_chi = brute_chromatic(inst.graph, w, args.max_branches)
-    except ResourceLimitExceeded:
-        print("SKIP chromatic")
-    else:
-        report("chromatic", weighted_chromatic(inst.graph, w).chi == brute_chi)
-
-    try:
-        expected_oncall = brute_oncall(inst, args.max_branches)
-    except ResourceLimitExceeded:
-        print("SKIP oncall")
-    else:
-        got_oncall = {sol for sol, _ in oncall_solutions(inst, ws)}
-        report("oncall", got_oncall == expected_oncall)
-
-    if not ran:
+    cap = args.max_branches
+    # (name, oracle, agreement): a check whose oracle outgrows the cap is
+    # skipped, and its solver does not run
+    checks = (
+        ("permissibility", lambda: brute_colorable(inst, cap),
+         lambda witness: (witness is None) == (in_hyperrectangle(w, ws.packed) is None)),
+        ("enumeration", lambda: brute_all_colorings(inst, min(cap, VERIFY_ENUM_BRANCHES)),
+         lambda expected: set(iter_colorings(inst, ws)) == expected
+         and all(is_valid_coloring(inst, c).ok for c in expected)),
+        ("chromatic", lambda: brute_chromatic(inst.graph, w, cap),
+         lambda chi: weighted_chromatic(inst.graph, w).chi == chi),
+        ("oncall", lambda: brute_oncall(inst, cap),
+         lambda expected: {sol for sol, _ in oncall_solutions(inst, ws)} == expected),
+    )
+    verdicts = []
+    for name, oracle, agrees in checks:
+        try:
+            expected = oracle()
+        except ResourceLimitExceeded:
+            print(f"SKIP {name}")
+            continue
+        verdicts.append(agrees(expected))
+        print(f"{'PASS' if verdicts[-1] else 'FAIL'} {name}")
+    if not verdicts:
         print(
             "error: no check ran: the brute-force oracle exceeded its branch cap "
-            f"(--max-branches {args.max_branches}) on every check",
+            f"(--max-branches {cap}) on every check",
             file=sys.stderr,
         )
         return 3
-    return 1 if failures else 0
+    return 0 if all(verdicts) else 1
 
 
 def _int_at_least(low: int):
@@ -282,26 +232,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, handler, help_text: str, vectors: bool = True, branches: bool = False
+    ) -> argparse.ArgumentParser:
+        """A subcommand on an instance, taking each cap its handler reads."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="instance JSON document, or a DIMACS .col file")
         p.add_argument(
             "--sidecar",
             help="JSON sidecar supplying lists/weights for a .col instance",
         )
-        p.add_argument(
-            "--max-vectors",
-            type=_int_at_least(0),
-            default=DEFAULT_MAX_VECTORS,
-            help="cap on intermediate demand-vector sets (default %(default)s)",
-        )
-        p.add_argument(
-            "--max-branches",
-            type=_int_at_least(0),
-            default=DEFAULT_MAX_BRANCHES,
-            help="cap on search work: brute-force branches, or the states the "
-            "chromatic search expands (default %(default)s)",
-        )
+        if vectors:
+            p.add_argument(
+                "--max-vectors",
+                type=_int_at_least(0),
+                default=DEFAULT_MAX_VECTORS,
+                help="cap on intermediate demand-vector sets (default %(default)s)",
+            )
+        if branches:
+            p.add_argument(
+                "--max-branches",
+                type=_int_at_least(0),
+                default=DEFAULT_MAX_BRANCHES,
+                help="cap on search work: brute-force branches, or the states the "
+                "chromatic search expands (default %(default)s)",
+            )
         p.set_defaults(func=handler)
         return p
 
@@ -330,7 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=_int_at_least(1), help="stop after this many colorings"
     )
 
-    add("chromatic", _cmd_chromatic, "smallest uniform palette meeting the demand")
+    add(
+        "chromatic",
+        _cmd_chromatic,
+        "smallest uniform palette meeting the demand",
+        vectors=False,
+        branches=True,
+    )
 
     p = add("oncall", _cmd_oncall, "best satisfiable demands below the requested one")
     p.add_argument(
@@ -339,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a witness coloring for each solution vector",
     )
 
-    p = add("extend", _cmd_extend, "extend a precoloring to a larger demand")
+    p = add("extend", _cmd_extend, "extend a precoloring to a larger demand", branches=True)
     p.add_argument(
         "--precoloring",
         required=True,
@@ -357,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also compute the exact optimum by brute force",
     )
 
-    add("verify", _cmd_verify, "cross-check the solvers against brute force")
+    add("verify", _cmd_verify, "cross-check the solvers against brute force", branches=True)
     return parser
 
 

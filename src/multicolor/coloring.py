@@ -13,7 +13,7 @@ walks the mask's set bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Mapping
 
 from .errors import NotPermissibleError
@@ -202,10 +202,9 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
 def enumerate_colorings(
     inst: Instance, limit: int | None = None, wmax_set: WmaxSet | None = None
 ) -> tuple[Coloring, ...]:
-    """The stream of iter_colorings, collected; limit truncates it."""
-    out: list[Coloring] = []
-    for coloring in iter_colorings(inst, wmax_set):
-        out.append(coloring)
-        if limit is not None and len(out) >= limit:
-            break
-    return tuple(out)
+    """The stream of iter_colorings, collected; limit truncates it.
+
+    Raises:
+        ValueError: if limit is negative.
+    """
+    return tuple(islice(iter_colorings(inst, wmax_set), limit))

@@ -152,6 +152,37 @@ def _index_of(names: tuple[str, ...]) -> dict[str, int]:
     return {name: i for i, name in enumerate(names)}
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object in text; what names the document in error messages."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{what} must be a JSON object")
+    return doc
+
+
+def _color_lists(raw: dict, index: dict[str, int], where: str = "") -> Lists:
+    """Per vertex, the colors that a name -> color-list object gives it.
+
+    Vertices the object omits get no colors; where prefixes error messages.
+    """
+    per_vertex: list[frozenset[int]] = [frozenset()] * len(index)
+    for name, colors in raw.items():
+        if name not in index:
+            raise InstanceFormatError(f"{where}list for unknown vertex {name!r}")
+        if not isinstance(colors, list):
+            raise InstanceFormatError(f"{where}list of {name!r} must be an array")
+        for c in colors:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                raise InstanceFormatError(
+                    f"{where}color {c!r} of {name!r} is not a positive integer"
+                )
+        per_vertex[index[name]] = frozenset(colors)
+    return tuple(per_vertex)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the canonical JSON instance document.
 
@@ -165,13 +196,7 @@ def parse_instance(text: str) -> Instance:
     Vertices missing from "lists" get an empty list.  Vertices missing from a
     present "weights" object get demand 0.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
-
+    doc = _json_object(text, "instance document")
     names_raw = doc.get("vertices")
     if not isinstance(names_raw, list) or not all(isinstance(v, str) for v in names_raw):
         raise InstanceFormatError('"vertices" must be a list of strings')
@@ -202,16 +227,7 @@ def _lists_and_weights(doc: dict, index: dict[str, int]) -> tuple[Lists, Vec | N
     lists_raw = doc.get("lists", {})
     if not isinstance(lists_raw, dict):
         raise InstanceFormatError('"lists" must be an object')
-    per_vertex: list[frozenset[int]] = [frozenset()] * len(index)
-    for name, colors in lists_raw.items():
-        if name not in index:
-            raise InstanceFormatError(f"list for unknown vertex {name!r}")
-        if not isinstance(colors, list):
-            raise InstanceFormatError(f"list of {name!r} must be an array")
-        for c in colors:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise InstanceFormatError(f"color {c!r} of {name!r} is not a positive integer")
-        per_vertex[index[name]] = frozenset(colors)
+    lists = _color_lists(lists_raw, index)
 
     weights: Vec | None = None
     if "weights" in doc and doc["weights"] is not None:
@@ -226,7 +242,7 @@ def _lists_and_weights(doc: dict, index: dict[str, int]) -> tuple[Lists, Vec | N
                 raise InstanceFormatError(f"weight {value!r} of {name!r} is not a non-negative integer")
             demand[index[name]] = value
         weights = tuple(demand)
-    return tuple(per_vertex), weights
+    return lists, weights
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -310,10 +326,20 @@ def load_instance(path: str, sidecar: str | None = None) -> Instance:
     extra: dict = {}
     if sidecar is not None:
         with open(sidecar, encoding="utf-8") as fh:
-            try:
-                extra = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceFormatError(f"sidecar is not valid JSON: {exc}") from exc
-        if not isinstance(extra, dict):
-            raise InstanceFormatError("sidecar must be a JSON object")
+            extra = _json_object(fh.read(), "sidecar")
     return Instance(graph, *_lists_and_weights(extra, _index_of(graph.names)))
+
+
+def load_precoloring(path: str, graph: Graph) -> Lists:
+    """Read a precoloring: a JSON object mapping vertex names to color lists.
+
+    It has the shape of an instance's "lists" object and is read the same
+    way; vertices it omits get no colors.
+
+    Raises:
+        InstanceFormatError: naming the precoloring and the offending
+            vertex or color.
+    """
+    with open(path, encoding="utf-8") as fh:
+        doc = _json_object(fh.read(), "precoloring")
+    return _color_lists(doc, _index_of(graph.names), "precoloring: ")

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from multicolor import cli
-from util import FIXTURES
+from multicolor.chromatic import ChromaticResult
+from util import BAD_PRECOLORINGS, FIXTURES
 
 
 class TestWmax:
@@ -282,6 +283,16 @@ class TestExtend:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text, message", BAD_PRECOLORINGS.values(), ids=BAD_PRECOLORINGS)
+    def test_malformed_precoloring_is_an_input_error(self, run_cli, tmp_path, text, message):
+        pre = tmp_path / "pre.json"
+        pre.write_text(text)
+        proc = run_cli("extend", "fix_k3.json", "--precoloring", str(pre), "--base-colors", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def test_all_checks_pass(self, run_cli):
@@ -312,6 +323,48 @@ class TestVerify:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--max-branches: must be at least 0" in proc.stderr
+
+    def test_a_wrong_solver_answer_fails_its_check(self, monkeypatch, capsys):
+        def wrong_chi(graph, w, max_branches=None):
+            return ChromaticResult(chi=99, lower_bound=0, coloring=())
+
+        monkeypatch.setattr(cli, "weighted_chromatic", wrong_chi)
+        assert cli.main(["verify", str(FIXTURES / "fix_k2.json")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS permissibility",
+            "PASS enumeration",
+            "FAIL chromatic",
+            "PASS oncall",
+        ]
+
+
+class TestCaps:
+    """Each cap is an option only of the subcommands whose work it bounds."""
+
+    @pytest.mark.parametrize(
+        "command, cap",
+        [
+            *((c, "--max-branches") for c in ("check", "color", "enumerate", "oncall", "wmax")),
+            ("chromatic", "--max-vectors"),
+        ],
+    )
+    def test_a_cap_that_would_not_act_is_a_usage_error(self, run_cli, command, cap):
+        proc = run_cli(command, "fix_k2.json", cap, "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("extend", "fix_k3.json", "--precoloring", "pre_k3.json", "--base-colors", "2"),
+            ("verify", "fix_k2.json"),
+        ],
+    )
+    def test_extend_and_verify_take_both_caps(self, run_cli, args):
+        proc = run_cli(*args, "--max-vectors", "1000", "--max-branches", "100000")
+        assert proc.returncode == 0
+        assert proc.stdout != ""
 
 
 class TestFailureModes:

@@ -251,8 +251,13 @@ def test_cycle_stream_counts_proper_colorings(n, k):
     stream = enumerate_colorings(inst)
     assert len(stream) == (k - 1) ** n + (-1) ** n * (k - 1)
     assert_sorted_without_repeats(stream)
-    for m in (1, 2, 7):
+    for m in (0, 1, 2, 7):
         assert enumerate_colorings(inst, limit=m) == stream[:m]
+
+
+def test_enumerate_rejects_a_negative_limit():
+    with pytest.raises(ValueError):
+        enumerate_colorings(Instance(K2, uniform_lists(2, 2), (1, 1)), limit=-3)
 
 
 def test_enumerate_outputs_have_exact_weight():

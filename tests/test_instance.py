@@ -13,8 +13,8 @@ from multicolor import (
     parse_instance,
     uniform_lists,
 )
-from multicolor.instance import serialize_instance, spread, vertices_of
-from util import FIXTURES, P3, P3_LISTS, SV_LISTS, mask_to_vec
+from multicolor.instance import load_precoloring, serialize_instance, spread, vertices_of
+from util import BAD_PRECOLORINGS, FIXTURES, K3, P3, P3_LISTS, SV_LISTS, mask_to_vec
 
 
 def doc(**overrides):
@@ -147,6 +147,20 @@ def test_load_json_rejects_a_sidecar():
 def test_load_json_fixture():
     inst = load_instance(str(FIXTURES / "fix_p3.json"))
     assert inst.weights == (1, 0, 1)
+
+
+def test_load_precoloring_reads_a_lists_object():
+    got = load_precoloring(str(FIXTURES / "pre_k3.json"), K3)
+    assert got == (frozenset({1}), frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("text, message", BAD_PRECOLORINGS.values(), ids=BAD_PRECOLORINGS)
+def test_load_precoloring_rejects_malformed_documents(tmp_path, text, message):
+    path = tmp_path / "pre.json"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError) as exc:
+        load_precoloring(str(path), K3)
+    assert message in str(exc.value)
 
 
 @st.composite

@@ -20,6 +20,18 @@ C5 = Graph.build(
     {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)},
 )
 
+# Malformed precolourings for fix_k3.json (vertices v1..v3): the document
+# text, and the part of the error message that names the fault.
+BAD_PRECOLORINGS = {
+    "invalid-json": ('{"v1": [1]', "precoloring is not valid JSON"),
+    "non-object": ("[[1]]", "precoloring must be a JSON object"),
+    "unknown-vertex": ('{"zz": [1]}', "precoloring: list for unknown vertex 'zz'"),
+    "non-array": ('{"v1": 1}', "precoloring: list of 'v1' must be an array"),
+    "color-0": ('{"v1": [0]}', "precoloring: color 0 of 'v1' is not a positive integer"),
+    "color-true": ('{"v1": [true]}', "precoloring: color True of 'v1' is not a positive integer"),
+    "color-string": ('{"v1": ["1"]}', "precoloring: color '1' of 'v1' is not a positive integer"),
+}
+
 SV_LISTS = (frozenset({1, 2}),)
 K2_LISTS = uniform_lists(2, 1)
 P3_LISTS = (frozenset({1}), frozenset({1, 2}), frozenset({2}))
