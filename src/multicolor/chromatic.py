@@ -56,12 +56,7 @@ from .instance import Graph, spread
 from .mis import enumerate_mis
 from .vectors import Vec, leq
 
-__all__ = ["ChromaticResult", "independence_number", "weighted_chromatic"]
-
-
-def independence_number(graph: Graph) -> int:
-    """Size of a largest independent set."""
-    return max(s.bit_count() for s in enumerate_mis(graph))
+__all__ = ["ChromaticResult", "weighted_chromatic"]
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,6 @@ def weight_of(coloring: Coloring) -> Vec:
     return tuple(len(c) for c in coloring)
 
 
-def decompose(coloring: Coloring) -> dict[int, Coloring]:
-    """Split a coloring into its single-color sublists.
-
-    The sublist for color x holds {x} exactly at the vertices colored x.
-    Per-vertex union of the sublists restores the coloring, and their
-    weight vectors sum to its weight vector.
-    """
-    n = len(coloring)
-    out: dict[int, Coloring] = {}
-    for x in sorted(set().union(*coloring) if coloring else ()):
-        out[x] = tuple(
-            frozenset((x,)) if x in coloring[v] else frozenset() for v in range(n)
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     ok: bool

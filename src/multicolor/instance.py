@@ -245,19 +245,6 @@ def _lists_and_weights(doc: dict, index: dict[str, int]) -> tuple[Lists, Vec | N
     return lists, weights
 
 
-def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON for an instance; parse(serialize(x)) == x."""
-    names = inst.graph.names
-    doc: dict = {
-        "vertices": list(names),
-        "edges": [[names[i], names[j]] for i, j in sorted(inst.graph.edges)],
-        "lists": {names[i]: sorted(inst.lists[i]) for i in range(inst.n)},
-    }
-    if inst.weights is not None:
-        doc["weights"] = {names[i]: inst.weights[i] for i in range(inst.n)}
-    return json.dumps(doc, indent=2)
-
-
 def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col graph (`p edge n m` header, `e u v` lines).
 

@@ -2,38 +2,18 @@
 
 "Maximal" throughout this package means inclusion-maximal: an independent
 set not properly contained in another independent set.  (The independence
-number, by contrast, is defined by maximum cardinality; see
-chromatic.independence_number.)  Both functions here work on the subgraph
-on the vertices of a member mask (vertex v at bit n-1-v, the whole graph
-by default), such as the vertices whose list holds one color.  A maximal
-independent set is a mask in the same convention, over the whole instance,
-so sets taken on different member sets share one vertex numbering; the
-fold (wmax.vecsum_families) and the chromatic solver widen masks into
-packed indicator vectors with instance.spread.
+number, by contrast, is defined by maximum cardinality.)  The enumeration
+works on the subgraph on the vertices of a member mask (vertex v at bit
+n-1-v, the whole graph by default), such as the vertices whose list holds
+one color.  A maximal independent set is a mask in the same convention,
+over the whole instance, so sets taken on different member sets share one
+vertex numbering; the fold (wmax.vecsum_families) and the chromatic solver
+widen masks into packed indicator vectors with instance.spread.
 """
 
 from __future__ import annotations
 
-from .instance import Graph, vertices_of
-
-
-def is_maximal_independent(graph: Graph, subset: int, members: int | None = None) -> bool:
-    """True iff the subset mask is independent and no member vertex can be added.
-
-    Raises:
-        ValueError: if the subset holds a vertex outside the graph or
-            outside the members.
-    """
-    n = graph.n
-    everyone = (1 << n) - 1 if members is None else members
-    if subset & ~everyone:
-        raise ValueError("subset contains vertices outside the graph")
-    reach = 0
-    for v in vertices_of(subset, n):
-        if graph.adjacency[v] & subset:
-            return False
-        reach |= graph.adjacency[v]
-    return not everyone & ~(subset | reach)
+from .instance import Graph
 
 
 def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:

@@ -6,14 +6,15 @@ the instance model and the Vec type.  Any disagreement between this
 module and the solvers is a bug in exactly one of them.
 
 Searches are guarded by an upfront estimate of the branch count
-(product over vertices of C(|L(v)|, w(v)), default limit 1e7) so a stray
-large instance fails fast instead of hanging.
+(product over vertices of C(|L(v)|, w(v)), default limit 1e7), and the
+on-call scan by its candidate count (product over vertices of w(v) + 1),
+so a stray large instance fails fast instead of hanging.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists
@@ -102,34 +103,46 @@ def brute_chromatic(graph: Graph, w: Vec, max_branches: int = DEFAULT_MAX_BRANCH
         a += 1
 
 
+def _layer(w: Vec, total: int):
+    """The vectors u <= w (coordinatewise, u >= 0) with sum(u) == total."""
+    if not w:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(w[1:])
+    for x in range(max(0, total - rest), min(w[0], total) + 1):
+        for tail in _layer(w[1:], total - x):
+            yield (x, *tail)
+
+
 def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[Vec]:
     """All satisfiable demands below the requested one with maximal total.
 
-    Scans candidates w* <= w in descending-norm layers and stops at the
-    first layer containing a satisfiable vector; every solution shares that
-    norm, so lower layers cannot contribute.
+    Scans candidates w* <= w in descending-norm layers, each generated
+    only when it is reached, and stops at the first layer containing a
+    satisfiable vector; every solution shares that norm, so lower layers
+    cannot contribute.
+
+    Raises:
+        ResourceLimitExceeded: before any candidate is made, if the
+            prod(w_v + 1) candidates exceed max_branches; and if some
+            candidate's search space exceeds max_branches.
     """
     w = inst.require_weights()
-    by_norm: dict[int, list[Vec]] = {}
-    for cand in product(*(range(x + 1) for x in w)):
-        by_norm.setdefault(sum(cand), []).append(cand)
-    for total in sorted(by_norm, reverse=True):
+    candidates = prod(x + 1 for x in w)
+    if candidates > max_branches:
+        raise ResourceLimitExceeded(
+            f"on-call oracle: {candidates} candidate demands exceed limit {max_branches}"
+        )
+    for total in range(sum(w), -1, -1):
         hits = {
             cand
-            for cand in by_norm[total]
+            for cand in _layer(w, total)
             if brute_colorable(inst.with_weights(cand), max_branches) is not None
         }
         if hits:
             return hits
     return {tuple(0 for _ in w)}
-
-
-def brute_is_permissible(inst: Instance, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> bool:
-    if len(w) != inst.n:
-        raise ValueError("weight vector has wrong dimension")
-    if not all(x >= 0 for x in w):
-        raise ValueError("weights must be non-negative")
-    return brute_colorable(inst.with_weights(w), max_branches) is not None
 
 
 def brute_nonrecolor_chi(

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import and_, eq, lshift, lt
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import add, and_, eq, iconcat, lt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -45,8 +45,11 @@ Certificate = Mapping[int, int]
 _Table = dict[int, int]
 
 # prune_dominated's translate tables: _AT_LEAST[a] maps each byte value to
-# ASCII "1" when it is >= a, else "0"
+# ASCII "1" when it is >= a, else "0"; _HIGH maps it to its high nibble.
+# _BYTE[a] is the one-byte string a, for ``in`` probes.
 _AT_LEAST = tuple(b"0" * a + b"1" * (256 - a) for a in range(256))
+_HIGH = bytes(a >> 4 for a in range(256))
+_BYTE = tuple(bytes((a,)) for a in range(256))
 # rows of vectors per block of prune_dominated's column-major ANDs: at most
 # two N-bit accumulators per row are alive at once, so the block bounds them
 # at 2 * _PRUNE_ROWS * N bits instead of 2 * N * N
@@ -215,9 +218,11 @@ def vecsum_families(
     significant: a mask is spread into those fields (instance.spread), and
     a field is wide enough for one unit per family, so sums never carry
     between fields and packed sums order as their vectors do.  The final
-    sums are sorted as ints and each is unpacked once; when the fields are
-    single bytes, the sums' bytes joined are handed on as
-    WmaxSet.byte_fields.
+    sums are sorted as ints and each is converted to its bytes once.  When
+    the fields are single bytes, those bytes are joined, handed on as
+    WmaxSet.byte_fields, and cut into the vectors in C: zip over n
+    references to one iterator of the joined bytes makes each vector a
+    tuple of n ints.  Wider fields are read back one coordinate at a time.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
@@ -263,11 +268,11 @@ def vecsum_families(
         offset = 0
 
     keys = sorted(acc)
-    raws = [(s + offset).to_bytes(n * size, "big") for s in keys]
+    raws = list(map(int.to_bytes, map(add, keys, repeat(offset)), repeat(n * size), repeat("big")))
     byte_fields = None
     if size == 1:
-        vectors = tuple(map(tuple, raws))
         byte_fields = b"".join(raws)
+        vectors = tuple(zip(*[iter(byte_fields)] * n)) if n else ((),) * len(keys)
     else:
         at = range(0, n * size, size)
         vectors = tuple(tuple(int.from_bytes(raw[i : i + size], "big") for i in at) for raw in raws)
@@ -334,27 +339,53 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     of plain tuples already strictly ascending, as WmaxSet.vectors is, is
     taken as it is), and vector j is bit N-1-j.  For each coordinate i and
     each value a occurring there, one int bitset ``above[i][a]`` has the
-    bits of the vectors whose coordinate i is >= a.  The vectors are laid
-    end to end once, and column i is the strided slice ``flat[i::dim]``.
-    When every coordinate lies in 0..255 that slice is bytes, and each
-    bitset is the column translated to ASCII "0"/"1" by a 256-byte table
-    and parsed as a base-2 int, all in C (base 2 is exempt from the
-    int-string conversion limit).  Otherwise each column is walked once
-    into a dict of bits, then OR-accumulated over its distinct values in
-    descending order.  The AND of ``above[i][x[i]]`` over all i holds
-    exactly the members >= x, x itself included, so x is a maximum iff
-    that AND is its own bit alone.  The ANDs run column-major, one
-    ``map`` per column over a block of rows: each makes only its int
-    result, which the cyclic garbage collector does not track, and no
-    iterator or container is made per vector.
+    bits of the vectors whose coordinate i is >= a.  The AND of
+    ``above[i][x[i]]`` over all i holds exactly the members >= x, x itself
+    included, so x is a maximum iff that AND has one bit.
 
-    Cost: dim x N ANDs of N-bit ints, plus one N-byte translate and parse
-    per distinct value of each column.  Memory: N bits per distinct value
-    per coordinate, the flat sequence, and at most two N-bit accumulators
-    per row of a block of _PRUNE_ROWS rows.  In a wmax set, coordinate v
-    counts the colors whose chosen set contains v, so a column holds at
-    most |L(v)| + 1 distinct values.  Coordinates may be any ints,
-    negative or arbitrarily large.
+    When every coordinate lies in 0..255, the vectors are laid end to end
+    once as bytes, column i is the strided slice ``raw[i::dim]``, and all
+    the per-vector work runs in C.  Let B be 1 + the largest coordinate,
+    found by ``in`` probes of the bytes and of their high nibbles.  The
+    columns are taken g at a time, g the largest group size with
+    B**g <= 256 and B**g <= N.  A bitset is the column translated to
+    ASCII "0"/"1" by a 256-byte table and parsed as a base-2 int (base 2
+    is exempt from the int-string conversion limit), once per value that
+    occurs in the column.  When g > 1, so that B * B <= N, each value
+    a > 0 is found by an ``in`` probe of the column, value 0 holds every
+    vector, and a value below B that does not occur gets 0, which no
+    vector looks up.  When g = 1, B probes could cost more than reading
+    the column's N bytes into a set, so the values are read off the
+    column, and a vector's own coordinate indexes its column's bitsets.
+    A group's table has B**g entries: entry
+    d_1 * B**(g-1) + ... + d_g is the AND of its columns' bitsets for the
+    values d_1, ..., d_g, built by nested comprehensions.  A vector's
+    index into it is one byte, made for all vectors at once: each column
+    is read as one int (``int.from_bytes``), the group's columns are
+    combined as (c_1 * B + c_2) * B + ..., and the sum is written back as
+    N bytes; no byte carries into the next, since each index is at most
+    B**g - 1 <= 255.  A vector then costs ceil(dim/g) table lookups and
+    one AND fewer, instead of dim of each.
+
+    Coordinates outside 0..255, negative or arbitrarily large, take a
+    general path with one group per column: the vectors are laid end to
+    end as ints, each column is walked once into a dict of bits, then
+    OR-accumulated over its distinct values in descending order.  Either
+    way the ANDs run column-major, one ``map`` per group over a block of
+    rows: each makes only its int result, which the cyclic garbage
+    collector does not track, and no iterator or container is made per
+    vector.
+
+    Cost: one N-byte translate and parse per occurring value of each
+    column; when g > 1, B**g table entries per group, each one AND of
+    N-bit ints;
+    and per vector ceil(dim/g) lookups, ceil(dim/g) - 1 ANDs of N-bit
+    ints and one bit count.  Memory: N bits per value of 0..B-1 per
+    coordinate, at most B**g <= min(256, N) N-bit table entries per group,
+    the flat sequence, and at most two N-bit accumulators per row of a
+    block of _PRUNE_ROWS rows.  In a wmax set, coordinate v counts the
+    colors whose chosen set contains v, so a column holds at most
+    |L(v)| + 1 distinct values.
 
     Returns:
         The maxima, sorted lexicographically.
@@ -378,13 +409,13 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     if not dim:
         return items
     n = len(items)
-    flat = tuple(chain.from_iterable(items))
+    flat = reduce(iconcat, items, [])
     try:
-        raw = bytes(flat)
+        raw = bytearray(flat)
     except (ValueError, TypeError):
-        columns = [flat[i::dim] for i in range(dim)]
-        above = []
-        for column in columns:
+        codes = [flat[i::dim] for i in range(dim)]
+        lookups = []
+        for column in codes:
             at: dict[int, int] = {}
             bit = 1 << n
             for a in column:
@@ -394,16 +425,39 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
             for a in sorted(at, reverse=True):
                 acc |= at[a]
                 at[a] = acc
-            above.append(at)
+            lookups.append(at.__getitem__)
     else:
         columns = [raw[i::dim] for i in range(dim)]
-        above = [{a: int(c.translate(_AT_LEAST[a]), 2) for a in set(c)} for c in columns]
+        high = raw.translate(_HIGH)
+        h = next(h for h in range(15, -1, -1) if _BYTE[h] in high)
+        base = 1 + next(a for a in range(16 * h + 15, 16 * h - 1, -1) if _BYTE[a] in raw)
+        g = 1
+        while g < dim and base ** (g + 1) <= min(256, n):
+            g += 1
+        if g == 1:
+            lookups = [{a: int(c.translate(_AT_LEAST[a]), 2) for a in set(c)}.__getitem__ for c in columns]
+            codes = columns
+        else:
+            everyone = (1 << n) - 1
+            above = [
+                [everyone]
+                + [int(c.translate(_AT_LEAST[a]), 2) if _BYTE[a] in c else 0 for a in range(1, base)]
+                for c in columns
+            ]
+            lookups, codes = [], []
+            for k in range(0, dim, g):
+                table, code = above[k], int.from_bytes(columns[k], "big")
+                for i in range(k + 1, min(k + g, dim)):
+                    table = [x & y for x in table for y in above[i]]
+                    code = code * base + int.from_bytes(columns[i], "big")
+                lookups.append(table.__getitem__)
+                codes.append(code.to_bytes(n, "big"))
     kept: list[Vec] = []
+    (first, head), *rest = zip(lookups, codes)
     for lo in range(0, n, _PRUNE_ROWS):
         hi = lo + _PRUNE_ROWS
-        accs: Iterable[int] = repeat(-1)
-        for column, at in zip(columns, above):
-            accs = list(map(and_, accs, map(at.__getitem__, column[lo:hi])))
-        own = map(lshift, repeat(1), range(n - 1 - lo, n - 1 - hi, -1))
-        kept += compress(items[lo:hi], map(eq, accs, own))
+        accs: Iterable[int] = map(first, head[lo:hi])
+        for look, group in rest:
+            accs = list(map(and_, accs, map(look, group[lo:hi])))
+        kept += compress(items[lo:hi], map(eq, map(int.bit_count, accs), repeat(1)))
     return tuple(kept)

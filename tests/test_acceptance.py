@@ -44,7 +44,6 @@ from multicolor import (
     weighted_chromatic,
     wmax,
 )
-from multicolor.coloring import decompose
 from multicolor.wmax import wmax_uniform
 from graphgen import all_graphs
 from util import (
@@ -52,6 +51,7 @@ from util import (
     FIXTURES,
     K2,
     complete_graph,
+    decompose,
     graph_from_edges,
     random_graph,
     random_lists,

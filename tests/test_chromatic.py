@@ -18,7 +18,7 @@ from multicolor import (
     weighted_chromatic,
     wmax_constrained,
 )
-from multicolor.chromatic import ChromaticSolver, independence_number
+from multicolor.chromatic import ChromaticSolver
 from util import (
     C5,
     K2,
@@ -26,6 +26,7 @@ from util import (
     P3,
     complete_graph,
     graph_from_edges,
+    independence_number,
     mask_to_vec,
     random_graph,
 )

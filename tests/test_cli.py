@@ -318,6 +318,27 @@ class TestVerify:
         assert proc.stderr.count("\n") == 1
         assert "no check ran" in proc.stderr
 
+    def test_all_checks_skipped_on_a_path_of_a_million_oncall_candidates(self, run_cli, tmp_path):
+        """A 10-vertex path, lists {1, 2, 3}, demand 3: the on-call oracle
+        counts its 4**10 candidates against the cap before it makes any."""
+        names = [f"v{i}" for i in range(10)]
+        doc = tmp_path / "path10.json"
+        doc.write_text(json.dumps({
+            "vertices": names,
+            "edges": [[a, b] for a, b in zip(names, names[1:])],
+            "lists": {v: [1, 2, 3] for v in names},
+            "weights": {v: 3 for v in names},
+        }))
+        proc = run_cli("verify", str(doc), "--max-branches", "0")
+        assert proc.returncode == 3
+        assert proc.stdout.splitlines() == [
+            "SKIP permissibility",
+            "SKIP enumeration",
+            "SKIP chromatic",
+            "SKIP oncall",
+        ]
+        assert "no check ran" in proc.stderr
+
     def test_negative_branch_cap_is_a_usage_error(self, run_cli):
         proc = run_cli("verify", "fix_p3.json", "--max-branches", "-5")
         assert proc.returncode == 2

@@ -16,7 +16,7 @@ from multicolor import (
     uniform_lists,
     weight_of,
 )
-from multicolor.coloring import _assemble, decompose
+from multicolor.coloring import _assemble
 from util import (
     K2,
     K2_LISTS,
@@ -27,6 +27,7 @@ from util import (
     SV,
     SV_LISTS,
     coloring,
+    decompose,
     graph_from_edges,
     indicator,
     vec_to_mask,

@@ -13,8 +13,17 @@ from multicolor import (
     parse_instance,
     uniform_lists,
 )
-from multicolor.instance import load_precoloring, serialize_instance, spread, vertices_of
-from util import BAD_PRECOLORINGS, FIXTURES, K3, P3, P3_LISTS, SV_LISTS, mask_to_vec
+from multicolor.instance import load_precoloring, spread, vertices_of
+from util import (
+    BAD_PRECOLORINGS,
+    FIXTURES,
+    K3,
+    P3,
+    P3_LISTS,
+    SV_LISTS,
+    mask_to_vec,
+    serialize_instance,
+)
 
 
 def doc(**overrides):

@@ -6,9 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multicolor import all_colors, enumerate_mis
-from multicolor.mis import is_maximal_independent
 from multicolor.wmax import color_mis_families
-from util import C5, K2, K3, P3, graph_from_edges, mask_to_vec, random_graph
+from util import (
+    C5,
+    K2,
+    K3,
+    P3,
+    graph_from_edges,
+    is_maximal_independent,
+    mask_to_vec,
+    random_graph,
+)
 
 import graphgen
 

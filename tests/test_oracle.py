@@ -1,3 +1,6 @@
+import tracemalloc
+from time import perf_counter
+
 import pytest
 
 from multicolor import (
@@ -10,8 +13,20 @@ from multicolor import (
     brute_oncall,
     uniform_lists,
 )
-from multicolor.oracle import brute_is_permissible
-from util import C5, K2, K2_LISTS, K3, P3, P3_LISTS, SV, SV_LISTS, coloring, complete_graph
+from util import (
+    C5,
+    K2,
+    K2_LISTS,
+    K3,
+    P3,
+    P3_LISTS,
+    SV,
+    SV_LISTS,
+    brute_is_permissible,
+    coloring,
+    complete_graph,
+    graph_from_edges,
+)
 
 
 def test_first_witness_on_path():
@@ -80,6 +95,33 @@ def test_guard_trips_on_large_search():
     inst = Instance(big, uniform_lists(8, 8), (4,) * 8)
     with pytest.raises(ResourceLimitExceeded):
         brute_colorable(inst, max_branches=1000)
+
+
+@pytest.mark.parametrize("cap", [0, 4**10 - 1])
+def test_oncall_guard_trips_before_it_makes_a_candidate(cap):
+    """A 10-vertex path with lists {1, 2, 3} and demand 3 has 4**10 candidate
+    demands below w; a cap below that count trips before any is made."""
+    path = graph_from_edges(10, {(i, i + 1) for i in range(9)})
+    inst = Instance(path, uniform_lists(10, 3), (3,) * 10)
+    tracemalloc.start()
+    start = perf_counter()
+    try:
+        with pytest.raises(ResourceLimitExceeded, match=r"\b1048576 candidate demands"):
+            brute_oncall(inst, cap)
+        elapsed = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+def test_oncall_scans_layers_below_a_cap_at_the_candidate_count():
+    # (1, 2, 1) has 2 * 3 * 2 candidates; the answer is the norm-2 layer
+    inst = Instance(P3, P3_LISTS, (1, 2, 1))
+    assert brute_oncall(inst, 12) == {(1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)}
+    with pytest.raises(ResourceLimitExceeded, match=r"\b12 candidate demands exceed limit 11$"):
+        brute_oncall(inst, 11)
 
 
 def test_is_permissible_on_path():

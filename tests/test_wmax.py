@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multicolor import (
@@ -21,8 +21,7 @@ from multicolor import (
     wmax,
 )
 from multicolor.instance import color_masks
-from multicolor.mis import enumerate_mis, is_maximal_independent
-from multicolor.oracle import brute_is_permissible
+from multicolor.mis import enumerate_mis
 from multicolor.vectors import leq
 from multicolor.wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families, wmax_uniform
 from util import (
@@ -33,6 +32,9 @@ from util import (
     P3_LISTS,
     SV,
     SV_LISTS,
+    brute_is_permissible,
+    dense_sets,
+    is_maximal_independent,
     mask_to_vec,
     random_graph,
     random_lists,
@@ -397,6 +399,62 @@ def test_prune_sets_off_no_garbage_collection():
     assert pruned == all_pairs_maxima(vecs)
 
 
+# One coordinate range per group size of the prune's bytes path.  With B
+# one more than the largest coordinate, the columns are taken g at a time,
+# g the largest size with B**g <= 256 and B**g <= N: 0..1, 0..2, 0..5,
+# 0..15 and 16..255 reach g = 8, 5, 3, 2 and 1 once the set has B**g
+# distinct vectors.
+GROUP_RANGES = {8: (0, 1), 5: (0, 2), 3: (0, 5), 2: (0, 15), 1: (16, 255)}
+
+
+def grouped_set(rng, lo, hi, dim, size):
+    """size vectors in lo..hi, one of them at hi, with lowered copies.
+
+    A lowered copy is dominated, or a repeat where nothing was lowered.
+    """
+    pool = [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(size)]
+    if pool and dim:
+        pool[0] = (hi,) * dim
+    below = [tuple(max(lo, a - rng.randint(0, 2)) for a in rng.choice(pool)) for _ in range(size // 3)]
+    return pool + below
+
+
+@st.composite
+def grouped_vector_lists(draw):
+    lo, hi = draw(st.sampled_from(sorted(GROUP_RANGES.values())))
+    dim = draw(st.integers(min_value=0, max_value=17))
+    size = draw(st.integers(min_value=0, max_value=300))
+    return grouped_set(random.Random(draw(st.integers(0, 2**32))), lo, hi, dim, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_vector_lists())
+def test_prune_by_group_tables_equals_all_pairs_definition(vecs):
+    expected = all_pairs_maxima(vecs)
+    assert prune_dominated(vecs) == expected
+    assert prune_dominated(tuple(sorted(set(vecs)))) == expected
+
+
+@pytest.mark.parametrize("g", sorted(GROUP_RANGES, reverse=True))
+@pytest.mark.parametrize("dim, size", [(11, 300), (17, 600)])
+def test_prune_runs_every_group_size(g, dim, size):
+    """Sets large enough for each group size, in dims that g does not divide.
+
+    At 600 vectors, 2**9 and 3**6 are at most N, so only the 256 bound
+    keeps a code in one byte.
+    """
+    lo, hi = GROUP_RANGES[g]
+    vecs = grouped_set(random.Random(g * dim), lo, hi, dim, size)
+    distinct = len(set(vecs))
+    base = hi + 1
+    # the set reaches g, and not g + 1
+    assert base**g <= min(256, distinct) and not base ** (g + 1) <= min(256, distinct)
+    expected = all_pairs_maxima(vecs)
+    assert 1 <= len(expected) < distinct
+    for form in (vecs, tuple(sorted(set(vecs))), tuple(sorted(set(vecs), reverse=True))):
+        assert prune_dominated(form) == expected
+
+
 def test_vecsum_families_deduplicates():
     pair = (0b10, 0b01)  # {v1}, {v2}
     assert vecsum_families({1: pair, 2: pair}, 2).vectors == ((0, 2), (1, 1), (2, 0))
@@ -416,6 +474,38 @@ def test_vecsum_families_pairing():
     left = (0b100, 0b010)
     right = (0b010, 0b001)
     assert set(vecsum_families({1: left, 2: right}, 3).vectors) == P3_WMAX
+
+
+@pytest.mark.parametrize(
+    "families, n, expected",
+    [
+        ({}, 0, ((),)),
+        ({1: (0,), 2: (0,)}, 0, ((),)),
+        ({1: (0b1, 0b0), 2: (0b1,), 3: (0b0, 0b1)}, 1, ((1,), (2,), (3,))),
+        # 300 colors need two-byte fields
+        ({c: (0b10, 0b01) for c in range(1, 301)}, 2, tuple((a, 300 - a) for a in range(301))),
+    ],
+    ids=["n0-no-colors", "n0", "n1", "two-byte-fields"],
+)
+def test_vecsum_families_cuts_vectors_as_plain_tuples_of_ints(families, n, expected):
+    """The vectors are plain tuples of ints, as prune_dominated takes as they are."""
+    ws = vecsum_families(families, n)
+    assert ws.vectors == expected
+    assert set(map(type, ws.vectors)) == {tuple}
+    assert all(type(a) is int for v in ws.vectors for a in v)
+    if len(families) < 256:
+        assert ws.byte_fields == b"".join(map(bytes, expected))
+    else:
+        assert ws.byte_fields is None
+
+
+def test_vecsum_families_cuts_each_vector_from_its_byte_fields():
+    for _, _, ws in dense_sets():
+        n = len(ws.vectors[0])
+        fields = ws.byte_fields
+        rows = tuple(tuple(fields[i : i + n]) for i in range(0, len(fields), n))
+        assert ws.vectors == rows
+        assert set(map(type, ws.vectors)) == {tuple}
 
 
 masks3 = st.integers(min_value=0, max_value=0b111)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
 from operator import le
 from pathlib import Path
 
-from multicolor import Graph, Vec, uniform_lists, wmax
+from multicolor import Graph, Instance, Vec, brute_colorable, uniform_lists, wmax
+from multicolor.errors import DEFAULT_MAX_BRANCHES
+from multicolor.instance import vertices_of
+from multicolor.mis import enumerate_mis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,3 +174,65 @@ def demands_near(rng: random.Random, vectors, count: int):
             m[rng.randrange(len(m))] += 1
         out.append(tuple(m))
     return out
+
+
+def independence_number(graph: Graph) -> int:
+    """Size of a largest independent set."""
+    return max(s.bit_count() for s in enumerate_mis(graph))
+
+
+def decompose(coloring) -> dict[int, tuple[frozenset[int], ...]]:
+    """Split a coloring into its single-color sublists.
+
+    The sublist for color x holds {x} exactly at the vertices colored x.
+    Per-vertex union of the sublists restores the coloring, and their
+    weight vectors sum to its weight vector.
+    """
+    n = len(coloring)
+    out = {}
+    for x in sorted(set().union(*coloring) if coloring else ()):
+        out[x] = tuple(
+            frozenset((x,)) if x in coloring[v] else frozenset() for v in range(n)
+        )
+    return out
+
+
+def serialize_instance(inst: Instance) -> str:
+    """Canonical JSON for an instance; parse(serialize(x)) == x."""
+    names = inst.graph.names
+    doc: dict = {
+        "vertices": list(names),
+        "edges": [[names[i], names[j]] for i, j in sorted(inst.graph.edges)],
+        "lists": {names[i]: sorted(inst.lists[i]) for i in range(inst.n)},
+    }
+    if inst.weights is not None:
+        doc["weights"] = {names[i]: inst.weights[i] for i in range(inst.n)}
+    return json.dumps(doc, indent=2)
+
+
+def is_maximal_independent(graph: Graph, subset: int, members: int | None = None) -> bool:
+    """True iff the subset mask is independent and no member vertex can be added.
+
+    Raises:
+        ValueError: if the subset holds a vertex outside the graph or
+            outside the members.
+    """
+    n = graph.n
+    everyone = (1 << n) - 1 if members is None else members
+    if subset & ~everyone:
+        raise ValueError("subset contains vertices outside the graph")
+    reach = 0
+    for v in vertices_of(subset, n):
+        if graph.adjacency[v] & subset:
+            return False
+        reach |= graph.adjacency[v]
+    return not everyone & ~(subset | reach)
+
+
+def brute_is_permissible(inst: Instance, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> bool:
+    """The oracle's permissibility test: does some coloring meet w exactly?"""
+    if len(w) != inst.n:
+        raise ValueError("weight vector has wrong dimension")
+    if not all(x >= 0 for x in w):
+        raise ValueError("weights must be non-negative")
+    return brute_colorable(inst.with_weights(w), max_branches) is not None
