@@ -13,7 +13,7 @@ so a stray large instance fails fast instead of hanging.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, prod
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
@@ -47,27 +47,29 @@ def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
     """Backtrack vertex by vertex over w(v)-subsets of L(v).
 
     Subsets are tried in lexicographic order over ascending colors, so the
-    first witness found is deterministic.
+    first witness found is deterministic.  A vertex with w(v) = 0 keeps the
+    empty set, which meets nothing, so only the others are placed and the
+    recursion is as deep as they are many.
     """
     w = inst.require_weights()
-    n = inst.n
-    earlier = [[j for j in range(i) if (j, i) in inst.graph.edges] for i in range(n)]
-    choices: list[list[frozenset[int]]] = [
-        [frozenset(c) for c in combinations(sorted(inst.lists[i]), w[i])]
-        for i in range(n)
-    ]
+    placed = [i for i in range(inst.n) if w[i]]
+    earlier = {i: [j for j in placed if j < i and (j, i) in inst.graph.edges] for i in placed}
+    choices: dict[int, list[frozenset[int]]] = {
+        i: [frozenset(c) for c in combinations(sorted(inst.lists[i]), w[i])] for i in placed
+    }
     found: list[BruteColoring] = []
-    assigned: list[frozenset[int]] = [frozenset()] * n
+    assigned: list[frozenset[int]] = [frozenset()] * inst.n
 
-    def place(i: int) -> bool:
-        if i == n:
+    def place(k: int) -> bool:
+        if k == len(placed):
             found.append(tuple(assigned))
             return not collect_all
+        i = placed[k]
         for pick in choices[i]:
             if any(pick & assigned[j] for j in earlier[i]):
                 continue
             assigned[i] = pick
-            if place(i + 1):
+            if place(k + 1):
                 return True
         assigned[i] = frozenset()
         return False
@@ -104,15 +106,27 @@ def brute_chromatic(graph: Graph, w: Vec, max_branches: int = DEFAULT_MAX_BRANCH
 
 
 def _layer(w: Vec, total: int):
-    """The vectors u <= w (coordinatewise, u >= 0) with sum(u) == total."""
-    if not w:
-        if total == 0:
-            yield ()
-        return
-    rest = sum(w[1:])
-    for x in range(max(0, total - rest), min(w[0], total) + 1):
-        for tail in _layer(w[1:], total - x):
-            yield (x, *tail)
+    """The vectors u <= w (coordinatewise, u >= 0) with sum(u) == total.
+
+    Only the coordinates with w_v > 0 are branched on, so the recursion is
+    as deep as they are many, at most log2 of prod(w_v + 1); each vector
+    costs one copy of u.
+    """
+    free = [v for v, x in enumerate(w) if x]
+    rest = [*accumulate((w[v] for v in reversed(free)), initial=0)][::-1]
+    u = [0] * len(w)
+
+    def fill(k: int, left: int):
+        if k == len(free):
+            if left == 0:
+                yield tuple(u)
+            return
+        v = free[k]
+        for x in range(max(0, left - rest[k + 1]), min(w[v], left) + 1):
+            u[v] = x
+            yield from fill(k + 1, left - x)
+
+    return fill(0, total)
 
 
 def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[Vec]:

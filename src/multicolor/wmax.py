@@ -351,13 +351,10 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     B**g <= 256 and B**g <= N.  A bitset is the column translated to
     ASCII "0"/"1" by a 256-byte table and parsed as a base-2 int (base 2
     is exempt from the int-string conversion limit), once per value that
-    occurs in the column.  When g > 1, so that B * B <= N, each value
-    a > 0 is found by an ``in`` probe of the column, value 0 holds every
-    vector, and a value below B that does not occur gets 0, which no
-    vector looks up.  When g = 1, B probes could cost more than reading
-    the column's N bytes into a set, so the values are read off the
-    column, and a vector's own coordinate indexes its column's bitsets.
-    A group's table has B**g entries: entry
+    occurs in the column.  Each value a > 0 is found by an ``in`` probe
+    of the column, value 0 holds every vector, and a value below B that
+    does not occur gets 0, which no vector looks up.  A group's table has
+    B**g entries (for g = 1, the column's bitsets themselves): entry
     d_1 * B**(g-1) + ... + d_g is the AND of its columns' bitsets for the
     values d_1, ..., d_g, built by nested comprehensions.  A vector's
     index into it is one byte, made for all vectors at once: each column
@@ -376,14 +373,14 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     collector does not track, and no iterator or container is made per
     vector.
 
-    Cost: one N-byte translate and parse per occurring value of each
-    column; when g > 1, B**g table entries per group, each one AND of
-    N-bit ints;
-    and per vector ceil(dim/g) lookups, ceil(dim/g) - 1 ANDs of N-bit
-    ints and one bit count.  Memory: N bits per value of 0..B-1 per
-    coordinate, at most B**g <= min(256, N) N-bit table entries per group,
-    the flat sequence, and at most two N-bit accumulators per row of a
-    block of _PRUNE_ROWS rows.  In a wmax set, coordinate v counts the
+    Cost: B - 1 ``in`` probes and one N-byte translate and parse per
+    occurring value of each column; B**g table entries per group, each
+    one AND of N-bit ints when g > 1; and per vector ceil(dim/g)
+    lookups, ceil(dim/g) - 1 ANDs of N-bit ints and one bit count.
+    Memory: N bits per occurring value of each coordinate (the values
+    that do not occur share the int 0); per group with g > 1,
+    B**g <= min(256, N) N-bit table entries; the flat sequence; and at
+    most two N-bit accumulators per row of a block of _PRUNE_ROWS rows.  In a wmax set, coordinate v counts the
     colors whose chosen set contains v, so a column holds at most
     |L(v)| + 1 distinct values.
 
@@ -434,24 +431,19 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
         g = 1
         while g < dim and base ** (g + 1) <= min(256, n):
             g += 1
-        if g == 1:
-            lookups = [{a: int(c.translate(_AT_LEAST[a]), 2) for a in set(c)}.__getitem__ for c in columns]
-            codes = columns
-        else:
-            everyone = (1 << n) - 1
-            above = [
-                [everyone]
-                + [int(c.translate(_AT_LEAST[a]), 2) if _BYTE[a] in c else 0 for a in range(1, base)]
-                for c in columns
-            ]
-            lookups, codes = [], []
-            for k in range(0, dim, g):
-                table, code = above[k], int.from_bytes(columns[k], "big")
-                for i in range(k + 1, min(k + g, dim)):
-                    table = [x & y for x in table for y in above[i]]
-                    code = code * base + int.from_bytes(columns[i], "big")
-                lookups.append(table.__getitem__)
-                codes.append(code.to_bytes(n, "big"))
+        everyone = (1 << n) - 1
+        above = [
+            [everyone] + [int(c.translate(_AT_LEAST[a]), 2) if _BYTE[a] in c else 0 for a in range(1, base)]
+            for c in columns
+        ]
+        lookups, codes = [], []
+        for k in range(0, dim, g):
+            table, code = above[k], int.from_bytes(columns[k], "big")
+            for i in range(k + 1, min(k + g, dim)):
+                table = [x & y for x in table for y in above[i]]
+                code = code * base + int.from_bytes(columns[i], "big")
+            lookups.append(table.__getitem__)
+            codes.append(code.to_bytes(n, "big"))
     kept: list[Vec] = []
     (first, head), *rest = zip(lookups, codes)
     for lo in range(0, n, _PRUNE_ROWS):

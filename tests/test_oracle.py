@@ -124,6 +124,22 @@ def test_oncall_scans_layers_below_a_cap_at_the_candidate_count():
         brute_oncall(inst, 11)
 
 
+def test_oncall_on_a_wide_instance_branches_only_on_positive_weights():
+    """1 500 vertices, far more than the recursion limit, with weight 0 on
+    all but three: both the layers and the search recurse only over those."""
+    n = 1500
+    wide = graph_from_edges(n, {(0, 1)})
+    w = (1, 1, 1) + (0,) * (n - 3)
+    inst = Instance(wide, uniform_lists(n, 1), w)
+    assert brute_colorable(inst) is None
+    assert brute_oncall(inst, 8) == {(1, 0, 1) + w[3:], (0, 1, 1) + w[3:]}
+    witness = brute_colorable(inst.with_weights((0, 1, 1) + w[3:]))
+    assert witness == (frozenset(), frozenset({1}), frozenset({1})) + (frozenset(),) * (n - 3)
+    assert brute_all_colorings(inst.with_weights((1, 0, 1) + w[3:])) == {
+        (frozenset({1}), frozenset(), frozenset({1})) + (frozenset(),) * (n - 3)
+    }
+
+
 def test_is_permissible_on_path():
     inst = Instance(P3, P3_LISTS, (1, 1, 1))
     for w in [(0, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 1)]:
