@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library: wmax, check, color, enumerate,
-chromatic, oncall, extend, verify.  Structured output is line-delimited
-JSON on standard output; warnings and error diagnostics go to standard
-error.  Exit codes: 0 success, 1 infeasible or not-permissible answer,
-2 input or usage error, 3 resource limit exceeded.
+chromatic, oncall, extend, verify.  main loads the instance, checks its
+weights and folds its wmax set once, as far as the subcommand needs them;
+each handler only calls its solver and prints the answer.  Structured
+output is line-delimited JSON on standard output; warnings and error
+diagnostics go to standard error.  Exit codes: 0 success, 1 infeasible
+or not-permissible answer, 2 input or usage error, 3 resource limit
+exceeded.
 
 Nothing here is randomized; identical invocations produce byte-identical
 output.
@@ -32,7 +35,7 @@ from .oracle import (
     brute_oncall,
 )
 from .vectors import Vec, in_hyperrectangle
-from .wmax import DEFAULT_MAX_VECTORS, wmax, prune_dominated
+from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, prune_dominated, wmax
 
 VERIFY_ENUM_BRANCHES = 100_000
 
@@ -53,22 +56,7 @@ def _coloring_line(graph: Graph, coloring: Coloring) -> str:
     return json.dumps(_coloring_doc(graph, coloring))
 
 
-def _load(args: argparse.Namespace) -> Instance:
-    return load_instance(args.instance, args.sidecar)
-
-
-def _warn_lists_ignored(inst: Instance) -> None:
-    if any(inst.lists):
-        print(
-            "warning: the instance's color lists are ignored; "
-            "this problem uses a uniform palette",
-            file=sys.stderr,
-        )
-
-
-def _cmd_wmax(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
+def _cmd_wmax(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     if args.emit_mis:
         for x, family in sorted(ws.families.items()):
             for s in family:
@@ -83,11 +71,8 @@ def _cmd_wmax(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    w = inst.require_weights()
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
-    witness = in_hyperrectangle(w, ws.packed)
+def _cmd_check(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
+    witness = in_hyperrectangle(inst.weights, ws.packed)
     if witness is None:
         print("NOT PERMISSIBLE")
         return 1
@@ -95,10 +80,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_color(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    inst.require_weights()
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
+def _cmd_color(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     try:
         coloring = find_coloring(inst, ws)
     except NotPermissibleError:
@@ -108,30 +90,21 @@ def _cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    inst.require_weights()
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
+def _cmd_enumerate(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     count = 0
     for count, coloring in enumerate(islice(iter_colorings(inst, ws), args.limit), 1):
         print(_coloring_line(inst.graph, coloring))
     return 0 if count else 1
 
 
-def _cmd_chromatic(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    w = inst.require_weights()
-    _warn_lists_ignored(inst)
-    result = weighted_chromatic(inst.graph, w, args.max_branches)
+def _cmd_chromatic(args: argparse.Namespace, inst: Instance, ws: None) -> int:
+    result = weighted_chromatic(inst.graph, inst.weights, args.max_branches)
     print(json.dumps({"chi": result.chi, "lower_bound": result.lower_bound}))
     print(_coloring_line(inst.graph, result.coloring))
     return 0
 
 
-def _cmd_oncall(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    inst.require_weights()
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
+def _cmd_oncall(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     for sol, witness in oncall_solutions(inst, ws):
         if args.with_colorings:
             print(
@@ -144,11 +117,8 @@ def _cmd_oncall(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    w = inst.require_weights()
-    _warn_lists_ignored(inst)
-    c0 = load_precoloring(args.precoloring, inst.graph)
+def _cmd_extend(args: argparse.Namespace, inst: Instance, ws: None) -> int:
+    w, c0 = inst.weights, load_precoloring(args.precoloring, inst.graph)
     # the oracle and the solver both run before any output, so a tripped
     # guard leaves stdout empty
     exact = (
@@ -168,11 +138,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load(args)
-    w = inst.require_weights()
-    ws = wmax(inst.graph, inst.lists, args.max_vectors)
-    cap = args.max_branches
+def _cmd_verify(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
+    w, cap = inst.weights, args.max_branches
     # (name, oracle, agreement): a check whose oracle outgrows the cap is
     # skipped, and its solver does not run
     checks = (
@@ -323,9 +290,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Before the handler runs, the instance is loaded, its weights are
+    required (by all but wmax), and its wmax set is folded (for all but
+    chromatic and extend, which use a uniform palette and warn instead if
+    the instance has lists); the handler gets the instance and the set.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inst = load_instance(args.instance, args.sidecar)
+        if args.command != "wmax":
+            inst.require_weights()
+        uniform = args.command in ("chromatic", "extend")
+        if uniform and any(inst.lists):
+            print(
+                "warning: the instance's color lists are ignored; "
+                "this problem uses a uniform palette",
+                file=sys.stderr,
+            )
+        ws = None if uniform else wmax(inst.graph, inst.lists, args.max_vectors)
+        return args.func(args, inst, ws)
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,8 @@ def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:
 
     Bron-Kerbosch with the pivot rule of Tomita, Tanaka and Takahashi
     (TCS 2006), run on the non-adjacency relation of the members (all
-    vertices when members is None).  Each set is returned as an int mask
+    vertices when members is None) with an explicit stack, so a set of
+    any size needs no recursion.  Each set is returned as an int mask
     with vertex v at bit n-1-v, and the masks are sorted as ints, which
     orders them as their indicator vectors are ordered lexicographically.
     The non-adjacency table is built for the member vertices only, so the
@@ -44,11 +45,15 @@ def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:
         compat[b] = everyone & ~(low | adjacency[top - b])
 
     out: list[int] = []
-
-    def extend(chosen: int, candidates: int, excluded: int) -> None:
+    # (chosen, candidates, excluded) still to expand: a branch's arguments
+    # do not depend on its siblings' results, so every branch of a call is
+    # pushed at once and the depth costs no Python recursion
+    stack = [(0, everyone, 0)]
+    while stack:
+        chosen, candidates, excluded = stack.pop()
         if not candidates | excluded:
             out.append(chosen)
-            return
+            continue
         best = -1
         rest = candidates | excluded
         while rest:
@@ -62,10 +67,8 @@ def enumerate_mis(graph: Graph, members: int | None = None) -> tuple[int, ...]:
             low = branch & -branch
             branch ^= low
             c = compat[low.bit_length() - 1]
-            extend(chosen | low, candidates & c, excluded & c)
+            stack.append((chosen | low, candidates & c, excluded & c))
             candidates ^= low
             excluded |= low
-
-    extend(0, everyone, 0)
     out.sort()
     return tuple(out)

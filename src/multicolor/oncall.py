@@ -32,9 +32,8 @@ def oncall_solutions(
     whole-set subtraction of w gives min(w, m) for every member m at once
     and one multiplication gives every total, with no loop over the
     vectors; only the members reaching the best total are visited (see
-    PackedVectors.best_minima), and each optimum costs one find_coloring.
-    Fields are the smallest whole number of bytes that hold the largest
-    coordinate below a guard bit, and n times it.
+    PackedVectors.best_minima, which also gives the field widths), and
+    each optimum costs one find_coloring.
 
     Args:
         inst: instance whose weights field holds the requested demand.

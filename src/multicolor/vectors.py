@@ -29,11 +29,11 @@ class PackedVectors:
     Layout: the distinct vectors in ascending lexicographic order, vector j
     a block of n fields, vector 0 in the most significant block and
     coordinate 0 first in its block; the big-endian byte fields of
-    wmax.vecsum_families.  A field holds its coordinate minus lo, the
-    smallest coordinate or 0 if none is negative.  Its width is the smallest
-    whole number of bytes that holds span, the largest coordinate minus lo,
-    below a guard bit, and also n * span, the largest total of a block.  So
-    every field has its top bit free, and a block's total never carries.
+    wmax.vecsum_families.  Members are non-negative, and a field holds its
+    coordinate.  Its width is the smallest whole number of bytes that holds
+    the largest coordinate below a guard bit, and also n times it, the
+    largest total of a block.  So every field has its top bit free, and a
+    block's total never carries.
 
     Queries repeat the query vector w in every block (w.rep) and subtract
     it from the packed set with every guard bit set:
@@ -47,7 +47,7 @@ class PackedVectors:
     when every coordinate lies in 0..min(127, 255 // n)).
     """
 
-    __slots__ = ("vectors", "n", "lo", "width", "x", "guards", "unguarded", "blocks")
+    __slots__ = ("vectors", "n", "width", "x", "guards", "unguarded", "blocks")
 
     def __init__(self, vecs: Iterable[Vec], data: bytes | None = None):
         """Pack vecs.
@@ -62,7 +62,8 @@ class PackedVectors:
                 were not given.
 
         Raises:
-            ValueError: if the vectors do not all have one length.
+            ValueError: if the vectors do not all have one length, or if a
+                coordinate is negative.
         """
         vectors = tuple(vecs)
         if data is not None:
@@ -72,7 +73,7 @@ class PackedVectors:
             ones = int.from_bytes(b"\1" * count, "big")
             top = min(127, 255 // max(n, 1))
             if len(data) == count and not (x | x + (127 - top) * ones) & ones << 7:
-                self._set(vectors, n, 0, 1, x, ones)
+                self._set(vectors, n, 1, x, ones)
                 return
         # sorted with the first of equal members kept, lists accepted
         vectors = tuple(next(g) for _, g in groupby(sorted(vectors, key=tuple), tuple))
@@ -81,17 +82,18 @@ class PackedVectors:
             raise ValueError(f"dimension mismatch: {lengths[0]} vs {lengths[-1]}")
         n = lengths[0] if lengths else 0
         coords = set(chain.from_iterable(vectors))
-        lo = min(0, min(coords, default=0))
-        span = max(coords, default=0) - lo
-        size = (max(span.bit_length() + 1, (n * span).bit_length()) + 7) // 8
-        fields = {a: int.to_bytes(a - lo, size, "big") for a in coords}
+        if min(coords, default=0) < 0:
+            raise ValueError(f"vector coordinates must be non-negative, got {min(coords)}")
+        largest = max(coords, default=0)
+        size = (max(largest.bit_length() + 1, (n * largest).bit_length()) + 7) // 8
+        fields = {a: int.to_bytes(a, size, "big") for a in coords}
         data = b"".join(map(fields.__getitem__, chain.from_iterable(vectors)))
         ones = int.from_bytes((bytes(size - 1) + b"\1") * (n * len(vectors)), "big")
-        self._set(vectors, n, lo, size, int.from_bytes(data, "big"), ones)
+        self._set(vectors, n, size, int.from_bytes(data, "big"), ones)
 
-    def _set(self, vectors: tuple[Vec, ...], n: int, lo: int, size: int, x: int, ones: int):
+    def _set(self, vectors: tuple[Vec, ...], n: int, size: int, x: int, ones: int):
         """Keep the packed set x, with ones a 1 in the low bit of every field."""
-        self.vectors, self.n, self.lo, self.width, self.x = vectors, n, lo, 8 * size, x
+        self.vectors, self.n, self.width, self.x = vectors, n, 8 * size, x
         self.guards = ones << (self.width - 1)
         self.unguarded = (1 << n * len(vectors) * self.width) - 1 ^ self.guards
         block = bytes(n * size - 1) + b"\1" if n else b""
@@ -103,21 +105,21 @@ class PackedVectors:
     def _subtract(self, w: Vec) -> tuple[int, int]:
         """w.rep and (X | guards) - w.rep.
 
-        w.rep holds w - lo in every block, each field clamped to
-        0..2**(width-1); a clamped field compares with every member as w
-        does, since members lie in 0..span and span < 2**(width-1).
+        w.rep holds w in every block, each field clamped to 0..2**(width-1);
+        a clamped field compares with every member as w does, since members
+        lie in 0..2**(width-1) - 1.
 
         Raises:
             ValueError: if the set is not empty and w's length is not n.
         """
         if self.vectors and len(w) != self.n:
             raise ValueError(f"dimension mismatch: {len(w)} vs {self.n}")
-        lo, size = self.lo, self.width // 8
+        size = self.width // 8
         half = 1 << (self.width - 1)
-        if size == 1 and not lo and 0 <= min(w, default=0) and max(w, default=0) <= half:
-            block = bytes(w)  # nothing to shift or clamp
+        if size == 1 and 0 <= min(w, default=0) and max(w, default=0) <= half:
+            block = bytes(w)  # nothing to clamp
         else:
-            block = b"".join(int.to_bytes(min(max(a - lo, 0), half), size, "big") for a in w)
+            block = b"".join(int.to_bytes(min(max(a, 0), half), size, "big") for a in w)
         rep = int.from_bytes(block * len(self.vectors), "big")
         return rep, (self.x | self.guards) - rep
 
@@ -181,7 +183,7 @@ class PackedVectors:
             else [int.from_bytes(raw[i - size : i], "big") for i in range(step, len(raw) + 1, step)]
         )
         best = max(totals)
-        if best + n * self.lo == sum(w):  # totals are of coordinates minus lo
+        if best == sum(w):
             return (tuple(w),)
         found = set()
         j = -1
@@ -204,13 +206,13 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
     the first block with no failing field by one carry.  Cost: packing
     sorts the members and converts each coordinate once, by one lookup
     among the distinct coordinates; the query is a fixed number of big-int
-    operations on the packed set.  Fields are the smallest whole number of
-    bytes that hold the coordinates' span below a guard bit, and n times
-    the span.  Coordinates may be any ints, negative or large.
+    operations on the packed set, whose field widths PackedVectors gives.
+    Members must be non-negative; w may have any coordinates.
 
     Raises:
-        ValueError: if the members do not all have one length, or if w's
-            length is not theirs (unless there are none).
+        ValueError: if the members do not all have one length, if one has
+            a negative coordinate, or if w's length is not theirs (unless
+            there are none).
     """
     packed = vecs if isinstance(vecs, PackedVectors) else PackedVectors(vecs)
     return packed.witness(w)

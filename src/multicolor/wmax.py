@@ -160,10 +160,6 @@ class WmaxSet:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted(self.families))
-
     @cached_property
     def packed(self) -> PackedVectors:
         """The vectors packed for dominance queries, once, on the first."""

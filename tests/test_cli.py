@@ -339,6 +339,26 @@ class TestVerify:
         ]
         assert "no check ran" in proc.stderr
 
+    def test_a_set_far_above_the_recursion_limit_passes(self, run_cli, tmp_path):
+        """1 500 vertices, the edge v0-v1, lists {1} and weight 1 on v0..v2
+        only: the chromatic solver enumerates a maximal set of 1 499."""
+        names = [f"v{i}" for i in range(1500)]
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({
+            "vertices": names,
+            "edges": [["v0", "v1"]],
+            "lists": {v: [1] if i < 3 else [] for i, v in enumerate(names)},
+            "weights": {v: int(i < 3) for i, v in enumerate(names)},
+        }))
+        proc = run_cli("verify", str(doc))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "PASS permissibility",
+            "PASS enumeration",
+            "PASS chromatic",
+            "PASS oncall",
+        ]
+
     def test_negative_branch_cap_is_a_usage_error(self, run_cli):
         proc = run_cli("verify", "fix_p3.json", "--max-branches", "-5")
         assert proc.returncode == 2

@@ -75,6 +75,16 @@ def test_empty_member_set_graph():
     assert enumerate_mis(P3, 0) == (0,)
 
 
+def test_a_set_far_above_the_recursion_limit():
+    """1 500 vertices and the one edge v0-v1: the two maximal sets each hold
+    1 499 vertices, one choice deep apiece."""
+    n = 1500
+    wide = graph_from_edges(n, {(0, 1)})
+    everyone = (1 << n) - 1
+    # v0 is bit n-1, so the set without it is the smaller mask
+    assert enumerate_mis(wide) == (everyone ^ 1 << n - 1, everyone ^ 1 << n - 2)
+
+
 # masks on P3 and K2: vertex v at bit n-1-v, so v1 is the highest bit
 def test_maximality_check_rejects_non_independent():
     assert not is_maximal_independent(K2, 0b11)

@@ -137,8 +137,8 @@ def test_best_minima_match_the_loop_on_dense_sets():
 
 
 # (n, smallest coordinate, largest coordinate, bytes per field): a field
-# holds span = largest - min(smallest, 0) below a guard bit, and n * span;
-# for n >= 2 the total needs the wider field, for n = 1 the guard does
+# holds the largest coordinate below a guard bit, and n times it; for
+# n >= 2 the total needs the wider field, for n = 1 the guard does
 FIELD_WIDTHS = [
     (3, 0, 85, 1),
     (3, 0, 86, 2),
@@ -146,32 +146,33 @@ FIELD_WIDTHS = [
     (1, 0, 128, 2),
     (1, 0, 255, 2),
     (1, 0, 2**15, 3),
-    (1, -(2**63), 0, 9),
-    (3, -5, 5, 1),
+    (1, 2**62, 2**63, 9),
+    (3, 5, 85, 1),
     (4, 0, 2**14 - 1, 2),
     (4, 0, 2**14, 3),
     (2, 0, 2**31 - 1, 4),
     (2, 0, 2**31, 5),
+    (2, 0, 2**47 - 1, 6),
+    (2, 0, 2**47, 7),
     (2, 0, 2**63 - 1, 8),
     (2, 0, 2**63, 9),
-    (3, -(2**70), 2**70, 10),
+    (3, 2**70, 2**71, 10),
 ]
 
 
 @pytest.mark.parametrize("n, lo, hi, size", FIELD_WIDTHS)
 def test_every_field_width_matches_the_scan(n, lo, hi, size):
     rng = random.Random(f"{n}:{lo}:{hi}")
-    span = hi - min(lo, 0)
     for _ in range(30):
         # coordinates near both ends and the middle, with lo and hi present
-        pool = [lo, lo + 1, hi, hi - 1, (lo + hi) // 2, max(lo, 0), max(lo, 1)]
+        pool = [lo, lo + 1, hi, hi - 1, (lo + hi) // 2, max(lo, 1)]
         vecs = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(rng.randint(1, 12))]
         vecs += [(lo,) * n, (hi,) * n]
         packed = PackedVectors(vecs)
-        assert packed.width == 8 * size and span < 2 ** (8 * size - 1)
+        assert packed.width == 8 * size and hi < 2 ** (8 * size - 1)
         near = [a + d for a in pool for d in (-1, 0, 1)]
         demands = [tuple(rng.choice(near) for _ in range(n)) for _ in range(10)]
-        demands += [(hi + 1,) * n, (lo - 1,) * n, (2**80,) * n]
+        demands += [(hi + 1,) * n, (lo - 1,) * n, (-1,) * n, (2**80,) * n]
         for w in demands:
             assert packed.witness(w) == scan_witness(w, vecs), (w, vecs)
             if min(w) >= 0:
@@ -240,11 +241,13 @@ def test_bytes_of_the_wrong_length_are_not_used():
     assert PackedVectors([(1, 2), (3, 4)], bytes([1, 2, 3])).witness((3, 3)) == (3, 4)
 
 
-wide = st.integers(min_value=-300, max_value=300)
+# members are non-negative; demands may be negative, and clamp to 0
+wide = st.integers(min_value=0, max_value=300)
 wide_vecs = st.lists(st.tuples(wide, wide, wide), max_size=10)
+signed = st.integers(min_value=-300, max_value=300)
 
 
-@given(st.tuples(wide, wide, wide), wide_vecs, st.randoms(use_true_random=False))
+@given(st.tuples(signed, signed, signed), wide_vecs, st.randoms(use_true_random=False))
 def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
     members = [*xs, *xs[:2]]
     rnd.shuffle(members)
@@ -254,3 +257,5 @@ def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
     assert in_hyperrectangle(w, members) == expected
     if members and min(w) >= 0:
         assert ws.packed.best_minima(w) == scan_oncall(w, members)
+    with pytest.raises(ValueError, match="non-negative"):
+        in_hyperrectangle(w, [*members, (0, -1, 0)])

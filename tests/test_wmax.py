@@ -61,7 +61,7 @@ def test_colorless_assignment_permits_only_zero():
     ws = wmax(K2, (frozenset(), frozenset()))
     assert ws.vectors == ((0, 0),)
     assert dict(ws.certificates) == {(0, 0): {}}
-    assert ws.colors == ()
+    assert tuple(ws.families) == ()
     assert is_permissible(K2, (frozenset(), frozenset()), (0, 0), ws) == (0, 0)
     assert is_permissible(K2, (frozenset(), frozenset()), (1, 0), ws) is None
 
