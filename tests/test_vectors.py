@@ -146,7 +146,7 @@ FIELD_WIDTHS = [
     (1, 0, 128, 2),
     (1, 0, 255, 2),
     (1, 0, 2**15, 3),
-    (1, 2**62, 2**63, 9),
+    (1, 0, 2**63, 9),
     (3, 5, 85, 1),
     (4, 0, 2**14 - 1, 2),
     (4, 0, 2**14, 3),
@@ -156,7 +156,7 @@ FIELD_WIDTHS = [
     (2, 0, 2**47, 7),
     (2, 0, 2**63 - 1, 8),
     (2, 0, 2**63, 9),
-    (3, 2**70, 2**71, 10),
+    (3, 0, 2**71, 10),
 ]
 
 
