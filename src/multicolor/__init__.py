@@ -44,8 +44,8 @@ from .oracle import (
     brute_nonrecolor_chi,
     brute_oncall,
 )
-from .vectors import Vec, in_hyperrectangle
-from .wmax import WmaxSet, is_permissible, prune_dominated, wmax
+from .vectors import Vec, in_hyperrectangle, prune_dominated
+from .wmax import WmaxSet, is_permissible, wmax
 
 __version__ = "0.1.0"
 

@@ -17,15 +17,16 @@ endpoint).  The exact search branches on the lowest-index vertex with a
 deficit, over only the MIS that contain it, since every cover uses one of
 them.  It tries them in index order and skips an MIS whose overlap with
 the deficit's support lies inside the overlap of one already tried.  A
-deficit is one int of fixed-width fields with vertex 0 in the most
-significant field, the order of vertex masks, so an MIS mask widens into
-its packed indicator vector by instance.spread and the lowest-index
-deficient vertex is the top nonzero field.  A state's answer does not
-depend on w, so one memo serves every palette level and every demand on
-the same graph.  The memo is monotone in the budget: each deficit keeps
-the smallest budget known feasible, with one pick that achieves it, and
-the largest known infeasible.  The search runs on an explicit stack, so
-its depth is not bounded by Python's recursion limit.
+deficit is one int of whole-byte fields, as vectors.pack lays a vector
+out, with vertex 0 in the most significant field, the order of vertex
+masks, so an MIS mask widens into its packed indicator vector by
+instance.spread and the lowest-index deficient vertex is the top nonzero
+field.  A state's answer does not depend on w, so one memo serves every
+palette level and every demand on the same graph.  The memo is monotone
+in the budget: each deficit keeps the smallest budget known feasible,
+with one pick that achieves it, and the largest known infeasible.  The
+search runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit.
 
 The witness is the lexicographically first non-decreasing sequence of MIS
 indices whose sum dominates w, padded with index 0 to the palette size.
@@ -54,7 +55,7 @@ from .coloring import Coloring, _assemble, shrink
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, spread
 from .mis import enumerate_mis
-from .vectors import Vec, leq
+from .vectors import Vec, leq, pack
 
 __all__ = ["ChromaticResult", "weighted_chromatic"]
 
@@ -78,11 +79,12 @@ class ChromaticSolver:
     A deficit is one packed int with vertex v in field n-1-v, at bit
     (n-1-v) * width: vertex 0 is the most significant field, as in vertex
     masks and in the fold, so instance.spread turns an MIS mask into its
-    packed indicator vector.  The width is the fewest bits that keep twice
-    the largest demand below a field's high bit and the total demand below
-    the field mask, so an edge sum never carries into the next field and
-    each prune and the clipped subtraction of an MIS are a few int
-    operations.  It is fixed by the largest demand the solver will see.
+    packed indicator vector.  The width is the fewest whole bytes that keep
+    twice the largest demand below a field's high bit and the total demand
+    below the field mask, so an edge sum never carries into the next field
+    and each prune and the clipped subtraction of an MIS are a few int
+    operations; a demand is packed by vectors.pack.  It is fixed by the
+    largest demand the solver will see.
 
     Args:
         graph: the conflict graph.
@@ -103,8 +105,10 @@ class ChromaticSolver:
         self.expanded = 0
         self.level = 0
         top, total = max(bound, default=0), sum(bound)
-        # edge sums stay below the high bit, the total below 2**bits - 1
-        self._bits = bits = max((2 * top).bit_length() + 1, (total + 1).bit_length())
+        # edge sums stay below the high bit, the total below 2**bits - 1; the
+        # fields are whole bytes, so a demand packs as vectors.pack lays it out
+        least = max((2 * top).bit_length() + 1, (total + 1).bit_length())
+        self._bits = bits = 8 * ((least + 7) // 8)
         self._ones = spread((1 << self.n) - 1, bits)
         self._high = self._ones << (bits - 1)
         self._cap = (1 << (bits - 1)) - 1
@@ -163,10 +167,7 @@ class ChromaticSolver:
         """The deficit of w: one field per vertex, vertex 0 the most significant."""
         if not leq(w, self.bound):
             raise ValueError("demand exceeds the solver's bound")
-        d = 0
-        for x in w:
-            d = d << self._bits | x
-        return d
+        return int.from_bytes(pack((w,), self._bits // 8), "big")
 
     def _climb(self, d: int, a: int) -> tuple[int, list[int] | None]:
         """The first level from a up that covers d, and the optimistic walk's picks there.

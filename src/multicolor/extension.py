@@ -37,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chromatic import ChromaticSolver
-from .coloring import Coloring, _assemble, shrink, weight_of
+from .coloring import Coloring, _assemble, is_valid_coloring, shrink, weight_of
 from .errors import DEFAULT_MAX_BRANCHES
-from .instance import Graph, color_masks
+from .instance import Graph, Instance, color_masks, uniform_lists
 from .mis import enumerate_mis
 from .vectors import Vec, leq
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families
@@ -56,23 +56,15 @@ class ExtensionResult:
 
 
 def _validate_precoloring(graph: Graph, a0: int, c0: Coloring) -> None:
+    """Raise ValueError unless c0 is a valid coloring of its own weight on {1..a0}.
+
+    The message names the first violation is_valid_coloring finds.
+    """
     if a0 < 0:
         raise ValueError("base palette size must be non-negative")
-    if len(c0) != graph.n:
-        raise ValueError("precoloring has wrong dimension")
-    for v, held in enumerate(c0):
-        bad = [x for x in held if not (1 <= x <= a0)]
-        if bad:
-            raise ValueError(
-                f"vertex {graph.names[v]}: precolors {sorted(bad)} outside 1..{a0}"
-            )
-    for i, j in graph.edges:
-        shared = c0[i] & c0[j]
-        if shared:
-            raise ValueError(
-                f"edge {graph.names[i]}-{graph.names[j]}: precoloring shares "
-                f"colors {sorted(shared)}"
-            )
+    check = is_valid_coloring(Instance(graph, uniform_lists(graph.n, a0), weight_of(c0)), c0)
+    if not check.ok:
+        raise ValueError(f"precoloring on 1..{a0}: {check.violations[0]}")
 
 
 def wmax_constrained(

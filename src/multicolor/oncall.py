@@ -47,8 +47,6 @@ def oncall_solutions(
             all have the instance's dimension, or if wmax_set has none.
     """
     w = inst.require_weights()
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists)
     return tuple(

@@ -1,19 +1,41 @@
-"""Integer vector arithmetic on demand vectors, and the dominance kernel.
+"""Demand vectors: how a set of them is laid out, and every dominance question.
 
 Vectors are plain tuples of ints, one coordinate per vertex in the
-canonical order of the instance.  The maximal set that dominance questions
-are asked against is packed once into a single int (PackedVectors), and
-each question is answered by a few whole-set big-int operations, SIMD
-within a register (Lamport, "Multiple byte processing with full-word
-instructions", CACM 1975), with no loop over the vectors.
+canonical order of the instance.  This module alone decides how a set of
+them is laid out in byte fields and normalised: pack lays the
+coordinates end to end, each a big-endian field of whole bytes, cut
+reads the vectors back out, and sorted_distinct sorts and deduplicates a
+set once.  The fold (wmax.vecsum_families) cuts its sums with cut, and
+the chromatic solver packs its deficits with pack.
+
+Dominance is asked two ways.  Against one set, a witness or on-call
+question runs on the set packed once into a single int (PackedVectors),
+as a few whole-set big-int operations, SIMD within a register (Lamport,
+"Multiple byte processing with full-word instructions", CACM 1975), with
+no loop over the vectors.  Within one set, prune_dominated keeps the
+maxima by the bitmap skyline test of Tan, Eng and Ooi ("Efficient
+progressive skyline computation", VLDB 2001).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain, groupby
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, eq, iconcat, lt
 
 Vec = tuple[int, ...]
+
+# prune_dominated's translate tables: _AT_LEAST[a] maps each byte value to
+# ASCII "1" when it is >= a, else "0"; _HIGH maps it to its high nibble.
+# _BYTE[a] is the one-byte string a, for ``in`` probes.
+_AT_LEAST = tuple(b"0" * a + b"1" * (256 - a) for a in range(256))
+_HIGH = bytes(a >> 4 for a in range(256))
+_BYTE = tuple(bytes((a,)) for a in range(256))
+# rows of vectors per block of prune_dominated's column-major ANDs: at most
+# two N-bit accumulators per row are alive at once, so the block bounds them
+# at 2 * _PRUNE_ROWS * N bits instead of 2 * N * N
+_PRUNE_ROWS = 1024
 
 
 def leq(x: Vec, y: Vec) -> bool:
@@ -21,6 +43,61 @@ def leq(x: Vec, y: Vec) -> bool:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return all(a <= b for a, b in zip(x, y))
+
+
+def pack(vecs: Iterable[Vec], size: int) -> bytes | bytearray:
+    """The vectors' coordinates end to end, each a big-endian field of size bytes.
+
+    The vectors are flattened into one list in C; one-byte fields are that
+    list as a bytearray, which builds about twice as fast as bytes.
+
+    Raises:
+        ValueError: for size 1, if a coordinate is negative or above 255.
+        OverflowError: for a wider size, if a coordinate is negative or
+            does not fit in size bytes.
+    """
+    flat = reduce(iconcat, vecs, [])
+    if size == 1:
+        return bytearray(flat)
+    return b"".join(map(int.to_bytes, flat, repeat(size), repeat("big")))
+
+
+def cut(data: bytes, n: int, size: int) -> tuple[Vec, ...]:
+    """The vectors of n coordinates that pack(vectors, size) laid out as data.
+
+    zip over n references to one iterator of the coordinates makes each
+    vector a tuple of n ints in C; fields wider than a byte are read as
+    ints first.  With n = 0, data holds no field, so it gives no vector.
+    """
+    coords = data
+    if size > 1:
+        coords = [int.from_bytes(data[i : i + size], "big") for i in range(0, len(data), size)]
+    return tuple(zip(*[iter(coords)] * n))
+
+
+def sorted_distinct(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
+    """The distinct vectors in ascending lexicographic order, of one length.
+
+    A strictly ascending tuple of plain tuples, as WmaxSet.vectors is, is
+    returned as it is; anything else becomes tuple(sorted(set(vecs))).
+
+    Raises:
+        TypeError: if a member is unhashable, a list for one.
+        ValueError: if the vectors do not all have one length, naming the
+            first vector's length and the first other one.
+    """
+    items = vecs
+    if not (
+        isinstance(items, tuple)
+        and set(map(type, items)) == {tuple}
+        and all(map(lt, items, items[1:]))
+    ):
+        items = tuple(sorted(set(vecs)))
+    if len(set(map(len, items))) > 1:
+        dim = len(items[0])
+        other = next(filter(dim.__ne__, map(len, items)))
+        raise ValueError(f"dimension mismatch: {dim} vs {other}")
+    return items
 
 
 class PackedVectors:
@@ -42,9 +119,9 @@ class PackedVectors:
     number of big-int operations on |set| x n fields, linear in the set's
     bit length, with no Python loop over the vectors; best_minima then
     visits only the blocks that reach the best total.  Packing sorts and
-    deduplicates the vectors and converts every coordinate once, unless
-    the caller hands over their bytes as one-byte fields (the fold does,
-    when every coordinate lies in 0..min(127, 255 // n)).
+    deduplicates the vectors (sorted_distinct) and lays them out with
+    pack, unless the caller hands over their bytes as one-byte fields (the
+    fold does, when every coordinate lies in 0..min(127, 255 // n)).
     """
 
     __slots__ = ("vectors", "n", "width", "x", "guards", "unguarded", "blocks")
@@ -62,12 +139,13 @@ class PackedVectors:
                 were not given.
 
         Raises:
+            TypeError: if a member is unhashable, a list for one.
             ValueError: if the vectors do not all have one length, or if a
                 coordinate is negative.
         """
         vectors = tuple(vecs)
+        n = len(vectors[0]) if vectors else 0
         if data is not None:
-            n = len(vectors[0]) if vectors else 0
             count = n * len(vectors)
             x = int.from_bytes(data, "big")
             ones = int.from_bytes(b"\1" * count, "big")
@@ -75,21 +153,14 @@ class PackedVectors:
             if len(data) == count and not (x | x + (127 - top) * ones) & ones << 7:
                 self._set(vectors, n, 1, x, ones)
                 return
-        # sorted with the first of equal members kept, lists accepted
-        vectors = tuple(next(g) for _, g in groupby(sorted(vectors, key=tuple), tuple))
-        lengths = sorted(set(map(len, vectors)))
-        if len(lengths) > 1:
-            raise ValueError(f"dimension mismatch: {lengths[0]} vs {lengths[-1]}")
-        n = lengths[0] if lengths else 0
-        coords = set(chain.from_iterable(vectors))
-        if min(coords, default=0) < 0:
-            raise ValueError(f"vector coordinates must be non-negative, got {min(coords)}")
-        largest = max(coords, default=0)
+        vectors = sorted_distinct(vectors)
+        low = min(chain.from_iterable(vectors), default=0)
+        if low < 0:
+            raise ValueError(f"vector coordinates must be non-negative, got {low}")
+        largest = max(chain.from_iterable(vectors), default=0)
         size = (max(largest.bit_length() + 1, (n * largest).bit_length()) + 7) // 8
-        fields = {a: int.to_bytes(a, size, "big") for a in coords}
-        data = b"".join(map(fields.__getitem__, chain.from_iterable(vectors)))
         ones = int.from_bytes((bytes(size - 1) + b"\1") * (n * len(vectors)), "big")
-        self._set(vectors, n, size, int.from_bytes(data, "big"), ones)
+        self._set(vectors, n, size, int.from_bytes(pack(vectors, size), "big"), ones)
 
     def _set(self, vectors: tuple[Vec, ...], n: int, size: int, x: int, ones: int):
         """Keep the packed set x, with ones a 1 in the low bit of every field."""
@@ -114,13 +185,10 @@ class PackedVectors:
         """
         if self.vectors and len(w) != self.n:
             raise ValueError(f"dimension mismatch: {len(w)} vs {self.n}")
-        size = self.width // 8
         half = 1 << (self.width - 1)
-        if size == 1 and 0 <= min(w, default=0) and max(w, default=0) <= half:
-            block = bytes(w)  # nothing to clamp
-        else:
-            block = b"".join(int.to_bytes(min(max(a, 0), half), size, "big") for a in w)
-        rep = int.from_bytes(block * len(self.vectors), "big")
+        if min(w, default=0) < 0 or max(w, default=0) > half:
+            w = [min(max(a, 0), half) for a in w]
+        rep = int.from_bytes(pack((w,), self.width // 8) * len(self.vectors), "big")
         return rep, (self.x | self.guards) - rep
 
     def witness(self, w: Vec) -> Vec | None:
@@ -198,21 +266,133 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
 
     Membership of w in the downward closure of `vecs` is equivalent to a
     witness existing.  Ties break to the lexicographically smallest witness
-    so callers get deterministic output, and the witness is the first such
-    member as given, so a list member comes back as that list.  A
-    PackedVectors is queried as it is; any other iterable is packed
-    first.  Method (see
+    so callers get deterministic output.  A PackedVectors is queried as it
+    is; any other iterable is packed first.  Method (see
     PackedVectors.witness): subtract w from every member at once, then find
     the first block with no failing field by one carry.  Cost: packing
-    sorts the members and converts each coordinate once, by one lookup
-    among the distinct coordinates; the query is a fixed number of big-int
+    sorts the members once (sorted_distinct) and lays their coordinates
+    out in one pass (pack); the query is a fixed number of big-int
     operations on the packed set, whose field widths PackedVectors gives.
-    Members must be non-negative; w may have any coordinates.
+    Members must be non-negative and hashable; w may have any coordinates.
 
     Raises:
+        TypeError: if a member is unhashable, a list for one.
         ValueError: if the members do not all have one length, if one has
             a negative coordinate, or if w's length is not theirs (unless
             there are none).
     """
     packed = vecs if isinstance(vecs, PackedVectors) else PackedVectors(vecs)
     return packed.witness(w)
+
+
+def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
+    """Drop every vector lying below another member; closure is unchanged.
+
+    The bitmap test of Tan, Eng and Ooi ("Efficient progressive skyline
+    computation", VLDB 2001) checks every candidate against all members
+    at once.  The N distinct vectors are sorted lexicographically
+    (sorted_distinct), and vector j is bit N-1-j.  For each coordinate i and
+    each value a occurring there, one int bitset ``above[i][a]`` has the
+    bits of the vectors whose coordinate i is >= a.  The AND of
+    ``above[i][x[i]]`` over all i holds exactly the members >= x, x itself
+    included, so x is a maximum iff that AND has one bit.
+
+    When every coordinate lies in 0..255, the vectors are laid end to end
+    once as one-byte fields (pack), column i is the strided slice ``raw[i::dim]``, and all
+    the per-vector work runs in C.  Let B be 1 + the largest coordinate,
+    found by ``in`` probes of the bytes and of their high nibbles.  The
+    columns are taken g at a time, g the largest group size with
+    B**g <= 256 and B**g <= N.  A bitset is the column translated to
+    ASCII "0"/"1" by a 256-byte table and parsed as a base-2 int (base 2
+    is exempt from the int-string conversion limit), once per value that
+    occurs in the column.  Each value a > 0 is found by an ``in`` probe
+    of the column, value 0 holds every vector, and a value below B that
+    does not occur gets 0, which no vector looks up.  A group's table has
+    B**g entries (for g = 1, the column's bitsets themselves): entry
+    d_1 * B**(g-1) + ... + d_g is the AND of its columns' bitsets for the
+    values d_1, ..., d_g, built by nested comprehensions.  A vector's
+    index into it is one byte, made for all vectors at once: each column
+    is read as one int (``int.from_bytes``), the group's columns are
+    combined as (c_1 * B + c_2) * B + ..., and the sum is written back as
+    N bytes; no byte carries into the next, since each index is at most
+    B**g - 1 <= 255.  A vector then costs ceil(dim/g) table lookups and
+    one AND fewer, instead of dim of each.
+
+    Coordinates outside 0..255, negative or arbitrarily large, take a
+    general path with one group per column: each column, taken by
+    ``zip(*vectors)``, is walked once into a dict of bits, then
+    OR-accumulated over its distinct values in descending order.  Either
+    way the ANDs run column-major, one ``map`` per group over a block of
+    rows: each makes only its int result, which the cyclic garbage
+    collector does not track, and no iterator or container is made per
+    vector.
+
+    Cost: B - 1 ``in`` probes and one N-byte translate and parse per
+    occurring value of each column; B**g table entries per group, each
+    one AND of N-bit ints when g > 1; and per vector ceil(dim/g)
+    lookups, ceil(dim/g) - 1 ANDs of N-bit ints and one bit count.
+    Memory: N bits per occurring value of each coordinate (the values
+    that do not occur share the int 0); per group with g > 1,
+    B**g <= min(256, N) N-bit table entries; the laid-out bytes or the
+    columns; and at most two N-bit accumulators per row of a block of
+    _PRUNE_ROWS rows.  In a wmax set, coordinate v counts the colors whose
+    chosen set contains v, so a column holds at most |L(v)| + 1 distinct
+    values.
+
+    Returns:
+        The maxima, sorted lexicographically.
+
+    Raises:
+        TypeError: if a member is unhashable, a list for one.
+        ValueError: if the vectors do not all have the same length.
+    """
+    items = sorted_distinct(vecs)
+    if not items or not items[0]:
+        return items
+    dim, n = len(items[0]), len(items)
+    try:
+        raw = pack(items, 1)
+    except (ValueError, TypeError):
+        codes = list(zip(*items))
+        lookups = []
+        for column in codes:
+            at: dict[int, int] = {}
+            bit = 1 << n
+            for a in column:
+                bit >>= 1
+                at[a] = at.get(a, 0) | bit
+            acc = 0
+            for a in sorted(at, reverse=True):
+                acc |= at[a]
+                at[a] = acc
+            lookups.append(at.__getitem__)
+    else:
+        columns = [raw[i::dim] for i in range(dim)]
+        high = raw.translate(_HIGH)
+        h = next(h for h in range(15, -1, -1) if _BYTE[h] in high)
+        base = 1 + next(a for a in range(16 * h + 15, 16 * h - 1, -1) if _BYTE[a] in raw)
+        g = 1
+        while g < dim and base ** (g + 1) <= min(256, n):
+            g += 1
+        everyone = (1 << n) - 1
+        above = [
+            [everyone] + [int(c.translate(_AT_LEAST[a]), 2) if _BYTE[a] in c else 0 for a in range(1, base)]
+            for c in columns
+        ]
+        lookups, codes = [], []
+        for k in range(0, dim, g):
+            table, code = above[k], int.from_bytes(columns[k], "big")
+            for i in range(k + 1, min(k + g, dim)):
+                table = [x & y for x in table for y in above[i]]
+                code = code * base + int.from_bytes(columns[i], "big")
+            lookups.append(table.__getitem__)
+            codes.append(code.to_bytes(n, "big"))
+    kept: list[Vec] = []
+    (first, head), *rest = zip(lookups, codes)
+    for lo in range(0, n, _PRUNE_ROWS):
+        hi = lo + _PRUNE_ROWS
+        accs: Iterable[int] = map(first, head[lo:hi])
+        for look, group in rest:
+            accs = list(map(and_, accs, map(look, group[lo:hi])))
+        kept += compress(items[lo:hi], map(eq, map(int.bit_count, accs), repeat(1)))
+    return tuple(kept)

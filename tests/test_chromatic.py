@@ -229,7 +229,8 @@ def test_one_solver_answers_every_demand_below_its_bound(route):
     for _ in range(20):
         graph = random_graph(rng, rng.randint(3, 8), 0.5)
         cases.append((graph, tuple(rng.randint(0, 4) for _ in range(graph.n))))
-    # fields of 10 bits keep 2 * 150 below the high bit; the demands drawn below it need fewer
+    # 10 bits keep 2 * 150 below the high bit, so fields are 2 bytes; the demands drawn below
+    # it would fit in 1
     cases.append((C5, (150, 3, 150, 0, 12)))
     for graph, bound in cases:
         solver = ChromaticSolver(graph, bound)

@@ -138,15 +138,15 @@ class TestWmaxConstrained:
             wmax_constrained(K2, -1, coloring(set(), set()))
 
     def test_rejects_out_of_range_precolor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^precoloring on 1\.\.1: v1: colors \[2\] not in its list$"):
             wmax_constrained(K2, 1, coloring({2}, set()))
 
     def test_rejects_conflicting_precoloring(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^precoloring on 1\.\.1: edge v1-v2: shares colors \[1\]$"):
             wmax_constrained(K2, 1, coloring({1}, {1}))
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^precoloring on 1\.\.1: expected 2 vertex entries, got 1$"):
             wmax_constrained(K2, 1, coloring({1},))
 
 

@@ -99,3 +99,11 @@ def test_empty_wmax_set_is_named():
     ws = WmaxSet(vectors=(), certificates={})
     with pytest.raises(ValueError, match="vector set is empty"):
         oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)
+
+
+def test_negative_weights_are_rejected():
+    inst = Instance(K2, K2_LISTS, (1, -1))
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        oncall_solutions(inst)
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        oncall_solutions(inst, WmaxSet(vectors=((1, 0), (0, 1)), certificates={}))

@@ -1,3 +1,4 @@
+import importlib
 import random
 from dataclasses import replace
 
@@ -5,11 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multicolor
 from multicolor import WmaxSet, is_permissible
 from multicolor.vectors import (
     PackedVectors,
+    cut,
     in_hyperrectangle,
     leq,
+    pack,
+    prune_dominated,
+    sorted_distinct,
 )
 from multicolor.wmax import wmax_uniform
 from util import (
@@ -218,12 +224,15 @@ def test_hand_built_set_out_of_order_keeps_the_smallest_witness():
     assert in_hyperrectangle((3, 0), ws.packed) is None
 
 
-def test_list_members_are_returned_as_given():
+def test_list_members_are_rejected():
     members = [[1, 2], [0, 3], [1, 2]]
-    assert in_hyperrectangle((1, 1), members) == scan_witness((1, 1), members) == [1, 2]
-    assert in_hyperrectangle((1, 1), members) is members[0]
-    assert in_hyperrectangle((0, 3), members) == [0, 3]
-    assert PackedVectors(members).best_minima((1, 3)) == scan_oncall((1, 3), members)
+    for build in (PackedVectors, lambda vs: in_hyperrectangle((1, 1), vs), prune_dominated):
+        with pytest.raises(TypeError):
+            build(members)
+    tuples = [tuple(m) for m in members]
+    assert in_hyperrectangle((1, 1), tuples) == scan_witness((1, 1), tuples) == (1, 2)
+    assert in_hyperrectangle((0, 3), tuples) == (0, 3)
+    assert PackedVectors(tuples).best_minima((1, 3)) == scan_oncall((1, 3), tuples)
 
 
 def test_byte_fields_come_only_from_the_fold():
@@ -259,3 +268,40 @@ def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
         assert ws.packed.best_minima(w) == scan_oncall(w, members)
     with pytest.raises(ValueError, match="non-negative"):
         in_hyperrectangle(w, [*members, (0, -1, 0)])
+
+
+# -- the layout: pack, cut and sorted_distinct ------------------------------
+
+
+@given(st.data())
+def test_cut_reads_back_what_pack_lays_out(data):
+    size = data.draw(st.integers(min_value=1, max_value=3))
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    coord = st.integers(min_value=0, max_value=256**size - 1)
+    vs = data.draw(st.lists(st.tuples(*[coord] * n), max_size=12))
+    raw = pack(vs, size)
+    assert raw == b"".join(a.to_bytes(size, "big") for v in vs for a in v)
+    assert cut(raw, n, size) == tuple(vs)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_pack_rejects_a_coordinate_that_does_not_fit(size):
+    for a in (256**size, -1):
+        with pytest.raises((ValueError, OverflowError)):
+            pack([(0, 1), (2, a)], size)
+
+
+def test_sorted_distinct_takes_a_sorted_tuple_as_it_is():
+    vecs = ((0, 3), (1, 2), (2, 0))
+    assert sorted_distinct(vecs) is vecs
+    assert sorted_distinct([(2, 0), (0, 3), (1, 2), (0, 3)]) == vecs
+    assert sorted_distinct(vecs[::-1]) == vecs
+    assert sorted_distinct(vecs + vecs[-1:]) == vecs
+    assert sorted_distinct(iter(vecs)) == vecs
+    assert sorted_distinct(()) == ()
+
+
+def test_prune_dominated_is_one_function_under_every_name():
+    # the benchmark calls it as multicolor.wmax.prune_dominated
+    wmax_module = importlib.import_module("multicolor.wmax")
+    assert wmax_module.prune_dominated is prune_dominated is multicolor.prune_dominated

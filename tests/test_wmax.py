@@ -22,7 +22,7 @@ from multicolor import (
 )
 from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis
-from multicolor.vectors import leq
+from multicolor.vectors import PackedVectors, in_hyperrectangle, leq
 from multicolor.wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families, wmax_uniform
 from util import (
     K2,
@@ -364,9 +364,11 @@ def test_prune_takes_a_sorted_tuple_as_it_is():
 
 def test_prune_reports_the_same_mismatch_sorted_or_not():
     vecs = ((0, 1), (1, 0, 0), (1, 1), (2,))
-    for form in (vecs, vecs[::-1], list(vecs)):
-        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
-            prune_dominated(form)
+    # the packed set and the witness query normalise the set the same way
+    for build in (prune_dominated, PackedVectors, lambda vs: in_hyperrectangle((0, 0), vs)):
+        for form in (vecs, vecs[::-1], list(vecs)):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+                build(form)
 
 
 def test_prune_sets_off_no_garbage_collection():
