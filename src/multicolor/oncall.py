@@ -4,12 +4,13 @@ If the demand w cannot be met in full, the interesting fallbacks are the
 satisfiable vectors u <= w of greatest total size.  Every such optimum is
 the coordinatewise minimum of w with some maximal demand vector, so the
 candidates are finitely many; the packed maximal set yields them all at
-once (PackedVectors.best_minima).
+once, each with the maximal vector whose certificate witnesses it
+(PackedVectors.best_minima).
 """
 
 from __future__ import annotations
 
-from .coloring import Coloring, find_coloring
+from .coloring import Coloring, _assemble, shrink
 from .instance import Instance
 from .vectors import Vec
 from .wmax import WmaxSet, wmax
@@ -32,8 +33,10 @@ def oncall_solutions(
     whole-set subtraction of w gives min(w, m) for every member m at once
     and one multiplication gives every total, with no loop over the
     vectors; only the members reaching the best total are visited (see
-    PackedVectors.best_minima, which also gives the field widths), and
-    each optimum costs one find_coloring.
+    PackedVectors.best_minima, which also gives the field widths).  That
+    scan pairs each optimum u with the smallest maximal vector m above it,
+    the one find_coloring would pick for u, so u's witness is m's
+    certificate coloring shrunk to u, with no further dominance search.
 
     Args:
         inst: instance whose weights field holds the requested demand.
@@ -49,7 +52,8 @@ def oncall_solutions(
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists)
+    n, certificates = inst.graph.n, wmax_set.certificates
     return tuple(
-        (u, find_coloring(inst.with_weights(u), wmax_set))
-        for u in wmax_set.packed.best_minima(w)
+        (u, shrink(_assemble(n, certificates[m]), u))
+        for u, m in wmax_set.packed.best_minima(w)
     )

@@ -5,8 +5,11 @@ canonical order of the instance.  This module alone decides how a set of
 them is laid out in byte fields and normalised: pack lays the
 coordinates end to end, each a big-endian field of whole bytes, cut
 reads the vectors back out, and sorted_distinct sorts and deduplicates a
-set once.  The fold (wmax.vecsum_families) cuts its sums with cut, and
-the chromatic solver packs its deficits with pack.
+set once.  The fold (wmax.vecsum_families) cuts its sums with cut and,
+when its fields are single bytes, hands them on with the vectors as a
+ByteVectors, from which the prune and the packed set lay the set out
+without packing it again; the chromatic solver packs its deficits with
+pack.
 
 Dominance is asked two ways.  Against one set, a witness or on-call
 question runs on the set packed once into a single int (PackedVectors),
@@ -75,10 +78,31 @@ def cut(data: bytes, n: int, size: int) -> tuple[Vec, ...]:
     return tuple(zip(*[iter(coords)] * n))
 
 
+class ByteVectors(tuple):
+    """Sorted, distinct vectors of one length that carry their one-byte fields.
+
+    ``fields`` is meant to be pack(self, 1): the fold (wmax.vecsum_families)
+    returns its vectors as one when its fields are single bytes, with the
+    bytes it joined to cut them, so prune_dominated and PackedVectors lay
+    the set out from those bytes instead of packing every tuple again.
+    Making one vouches that the vectors are sorted, distinct and of one
+    length, so sorted_distinct returns it as it is.  Fields that do not
+    hold one byte per coordinate are not used: the set is packed from its
+    tuples.  Slicing or concatenating one gives a plain tuple.
+    """
+
+    # fields has a default because copy and pickle rebuild a tuple subclass
+    # from its items alone, then restore the attribute
+    def __new__(cls, vecs: Iterable[Vec], fields: bytes = b""):
+        self = super().__new__(cls, vecs)
+        self.fields = fields
+        return self
+
+
 def sorted_distinct(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     """The distinct vectors in ascending lexicographic order, of one length.
 
-    A strictly ascending tuple of plain tuples, as WmaxSet.vectors is, is
+    A ByteVectors, or a strictly ascending tuple of plain tuples, is
     returned as it is; anything else becomes tuple(sorted(set(vecs))).
 
     Raises:
@@ -87,6 +111,8 @@ def sorted_distinct(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
             first vector's length and the first other one.
     """
     items = vecs
+    if isinstance(items, ByteVectors):
+        return items
     if not (
         isinstance(items, tuple)
         and set(map(type, items)) == {tuple}
@@ -120,40 +146,35 @@ class PackedVectors:
     bit length, with no Python loop over the vectors; best_minima then
     visits only the blocks that reach the best total.  Packing sorts and
     deduplicates the vectors (sorted_distinct) and lays them out with
-    pack, unless the caller hands over their bytes as one-byte fields (the
-    fold does, when every coordinate lies in 0..min(127, 255 // n)).
+    pack, unless they are a ByteVectors, as the fold's are, and every
+    coordinate lies in 0..min(127, 255 // n): then its bytes are the
+    fields as they are.
     """
 
     __slots__ = ("vectors", "n", "width", "x", "guards", "unguarded", "blocks")
 
-    def __init__(self, vecs: Iterable[Vec], data: bytes | None = None):
-        """Pack vecs.
+    def __init__(self, vecs: Iterable[Vec]):
+        """Pack vecs, the vectors in any order, duplicates allowed.
 
-        Args:
-            vecs: the vectors, in any order, duplicates allowed.
-            data: optionally, the vectors' coordinates as bytes, joined in
-                order; passing it vouches that vecs are sorted, distinct and
-                of one length.  It is used as the fields when it has one
-                byte per coordinate and every byte is at most
-                min(127, 255 // n); otherwise vecs are packed as if it
-                were not given.
+        A ByteVectors's fields are used as they are when they hold one
+        byte per coordinate and every byte is at most min(127, 255 // n);
+        otherwise its tuples are packed.
 
         Raises:
             TypeError: if a member is unhashable, a list for one.
             ValueError: if the vectors do not all have one length, or if a
                 coordinate is negative.
         """
-        vectors = tuple(vecs)
+        vectors = sorted_distinct(vecs)
         n = len(vectors[0]) if vectors else 0
-        if data is not None:
+        if isinstance(vectors, ByteVectors):
             count = n * len(vectors)
-            x = int.from_bytes(data, "big")
+            x = int.from_bytes(vectors.fields, "big")
             ones = int.from_bytes(b"\1" * count, "big")
             top = min(127, 255 // max(n, 1))
-            if len(data) == count and not (x | x + (127 - top) * ones) & ones << 7:
+            if len(vectors.fields) == count and not (x | x + (127 - top) * ones) & ones << 7:
                 self._set(vectors, n, 1, x, ones)
                 return
-        vectors = sorted_distinct(vectors)
         low = min(chain.from_iterable(vectors), default=0)
         if low < 0:
             raise ValueError(f"vector coordinates must be non-negative, got {low}")
@@ -212,15 +233,22 @@ class PackedVectors:
         carries = (d | self.unguarded) + self.blocks & self.blocks << nb
         return self.vectors[-((carries.bit_length() - 1) // nb)] if carries else None
 
-    def best_minima(self, w: Vec) -> tuple[Vec, ...]:
-        """The distinct min(w, m) over the members m of largest total, sorted.
+    def best_minima(self, w: Vec) -> tuple[tuple[Vec, Vec], ...]:
+        """Each distinct min(w, m) of largest total, with its first such m.
+
+        Returns (u, m) pairs sorted by u: u = min(w, m) over the members m
+        whose minimum with w has the largest total, and m the first member
+        in sorted order with min(w, m) = u.  That m is the smallest member
+        that dominates u (witness(u)): a member m' >= u has
+        min(w, m') >= u, and no minimum has a larger total than u.
 
         The guards that ``(X | guards) - w.rep`` keeps become a mask of the
         fields where m_i >= w_i, and ``X ^ ((X ^ w.rep) & mask)`` is
         min(w, m) for every member at once.  Multiplying it by one block of
         ones puts each block's total in the block's coordinate-0 field.
-        When the best total is |w|, w itself is the answer; otherwise each
-        block reaching it contributes min(w, m), recomputed from its member.
+        When the best total is |w|, w itself is the only u, paired with the
+        first block reaching it; otherwise each block reaching it
+        contributes min(w, m), recomputed from its member, in block order.
 
         Raises:
             ValueError: if the set is empty, if w has a negative
@@ -233,7 +261,7 @@ class PackedVectors:
         rep, d = self._subtract(w)
         n, width, x = self.n, self.width, self.x
         if not n:
-            return ((),)
+            return (((), self.vectors[0]),)
         keep = d & self.guards
         minima = x ^ (x ^ rep) & keep - (keep >> (width - 1))
         size = width // 8
@@ -252,13 +280,14 @@ class PackedVectors:
         )
         best = max(totals)
         if best == sum(w):
-            return (tuple(w),)
-        found = set()
+            return ((tuple(w), self.vectors[totals.index(best)]),)
+        found: dict[Vec, Vec] = {}
         j = -1
         for _ in range(totals.count(best)):
             j = totals.index(best, j + 1)
-            found.add(tuple(map(min, w, self.vectors[j])))
-        return tuple(sorted(found))
+            m = self.vectors[j]
+            found.setdefault(tuple(map(min, w, m)), m)
+        return tuple(sorted(found.items()))
 
 
 def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
@@ -298,8 +327,10 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     included, so x is a maximum iff that AND has one bit.
 
     When every coordinate lies in 0..255, the vectors are laid end to end
-    once as one-byte fields (pack), column i is the strided slice ``raw[i::dim]``, and all
-    the per-vector work runs in C.  Let B be 1 + the largest coordinate,
+    once as one-byte fields: a ByteVectors, as the fold returns, brings
+    them (and skips sorted_distinct's checks), anything else is laid out
+    by pack.  Column i is the strided slice ``raw[i::dim]``, and all the
+    per-vector work runs in C.  Let B be 1 + the largest coordinate,
     found by ``in`` probes of the bytes and of their high nibbles.  The
     columns are taken g at a time, g the largest group size with
     B**g <= 256 and B**g <= N.  A bitset is the column translated to
@@ -350,8 +381,9 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     if not items or not items[0]:
         return items
     dim, n = len(items[0]), len(items)
+    carried = isinstance(items, ByteVectors) and len(items.fields) == dim * n
     try:
-        raw = pack(items, 1)
+        raw = items.fields if carried else pack(items, 1)
     except (ValueError, TypeError):
         codes = list(zip(*items))
         lookups = []

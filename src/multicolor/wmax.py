@@ -36,7 +36,7 @@ from .instance import Graph, Lists, color_masks, spread, uniform_lists
 from .mis import enumerate_mis
 # prune_dominated lives in vectors.py; it is imported here so that
 # wmax.prune_dominated stays the same function
-from .vectors import PackedVectors, Vec, cut, in_hyperrectangle, prune_dominated
+from .vectors import ByteVectors, PackedVectors, Vec, cut, in_hyperrectangle, prune_dominated
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
@@ -122,7 +122,12 @@ class WmaxSet:
     """The maximal demand vectors of an instance, with certificates.
 
     Attributes:
-        vectors: the set itself, sorted lexicographically.
+        vectors: the set itself, sorted lexicographically.  A set from
+            vecsum_families with one-byte fields holds them as a
+            vectors.ByteVectors, which carries the bytes the fold cut them
+            from, so the prune and the packed set start from those bytes
+            instead of converting every tuple; a set built by hand or by
+            dataclasses.replace has whatever it was given.
         certificates: for each vector, one mapping color -> mask of a
             maximal independent set of that color's subgraph (vertex v at
             bit n-1-v) whose indicator vectors sum to the vector (the first
@@ -131,18 +136,11 @@ class WmaxSet:
             certificate is built on its first read.
         families: per color, the full family of maximal independent sets
             of its subgraph, as sorted masks.
-        byte_fields: the vectors' coordinates as bytes, joined in order,
-            when the fold that built the set had them as one-byte fields;
-            packing starts from them instead of converting every tuple.
-            Only vecsum_families sets it, so it always matches the
-            vectors; a set built by hand or by dataclasses.replace has
-            None and packs from the tuples.
     """
 
     vectors: tuple[Vec, ...]
     certificates: Mapping[Vec, Certificate]
     families: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
-    byte_fields: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.certificates, _Certificates):
@@ -156,7 +154,7 @@ class WmaxSet:
     @cached_property
     def packed(self) -> PackedVectors:
         """The vectors packed for dominance queries, once, on the first."""
-        return PackedVectors(self.vectors, self.byte_fields)
+        return PackedVectors(self.vectors)
 
 
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[int, ...]]:
@@ -209,8 +207,9 @@ def vecsum_families(
     between fields and packed sums order as their vectors do.  The final
     sums are sorted as ints, each is converted to its bytes once, and the
     joined bytes are cut into the vectors by vectors.cut, whatever the
-    field width.  When the fields are single bytes, the joined bytes are
-    also handed on as WmaxSet.byte_fields.
+    field width.  When the fields are single bytes, the vectors are a
+    vectors.ByteVectors that keeps the joined bytes, for the prune and the
+    packed set to lay the set out from.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
@@ -258,9 +257,9 @@ def vecsum_families(
     keys = sorted(acc)
     data = b"".join(map(int.to_bytes, map(add, keys, repeat(offset)), repeat(n * size), repeat("big")))
     vectors = cut(data, n, size) if n else ((),) * len(keys)
-    out = WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
-    object.__setattr__(out, "byte_fields", data if size == 1 else None)
-    return out
+    if size == 1:
+        vectors = ByteVectors(vectors, data)
+    return WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
 
 
 def wmax(graph: Graph, lists: Lists, max_vectors: int = DEFAULT_MAX_VECTORS) -> WmaxSet:

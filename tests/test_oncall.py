@@ -2,16 +2,18 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multicolor import (
     Instance,
     WmaxSet,
     brute_oncall,
+    find_coloring,
     is_valid_coloring,
     oncall_solutions,
     weight_of,
+    wmax,
 )
 from multicolor.vectors import leq
 from util import (
@@ -21,6 +23,7 @@ from util import (
     P3_LISTS,
     demands_near,
     dense_sets,
+    graph_from_edges,
     random_graph,
     random_lists,
     scan_oncall,
@@ -79,9 +82,45 @@ def test_rejects_wmax_set_of_wrong_dimension(vectors, other_dim, data):
     mixed = (*vectors[:at], odd, *vectors[at:])
     ws = WmaxSet(vectors=mixed, certificates={})
     # the scan itself must reject the set, before any witness is built
-    with patch("multicolor.oncall.find_coloring", side_effect=AssertionError):
+    with patch("multicolor.oncall._assemble", side_effect=AssertionError):
         with pytest.raises(ValueError):
             oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)
+
+
+@st.composite
+def oncall_cases(draw):
+    """An instance on up to six vertices and its maximal set; half the
+    demands are lowered below a maximal vector, so they are permissible."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    graph = graph_from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else set())
+    lists = tuple(draw(st.frozensets(st.integers(1, 3))) for _ in range(n))
+    ws = wmax(graph, lists)
+    w = draw(st.tuples(*[st.integers(min_value=0, max_value=3)] * n))
+    if draw(st.booleans()):
+        w = tuple(map(min, w, draw(st.sampled_from(ws.vectors))))
+    return Instance(graph, lists, w), ws
+
+
+EMPTY = graph_from_edges(0, set())
+
+
+@given(oncall_cases())
+@example((Instance(EMPTY, (), ()), wmax(EMPTY, ())))
+@example((Instance(P3, P3_LISTS, (1, 0, 1)), wmax(P3, P3_LISTS)))
+@example((Instance(P3, P3_LISTS, (1, 2, 1)), wmax(P3, P3_LISTS)))
+def test_each_optimum_is_witnessed_as_find_coloring_witnesses_it(case):
+    inst, ws = case
+    w = inst.require_weights()
+    sols = oncall_solutions(inst, ws)
+    assert sols == tuple((u, find_coloring(inst.with_weights(u), ws)) for u, _ in sols)
+    pairs = ws.packed.best_minima(w)
+    assert tuple(u for u, _ in pairs) == tuple(u for u, _ in sols)
+    for u, m in pairs:
+        assert m == ws.packed.witness(u)
+    if ws.packed.witness(w) is not None:
+        # already permissible: w alone, of the best total |w|
+        assert [u for u, _ in sols] == [w]
 
 
 def test_matches_the_loop_on_dense_sets():

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import multicolor
-from multicolor import WmaxSet, is_permissible
+from multicolor import Graph, WmaxSet, is_permissible, wmax
 from multicolor.vectors import (
+    ByteVectors,
     PackedVectors,
     cut,
     in_hyperrectangle,
@@ -19,11 +20,14 @@ from multicolor.vectors import (
 )
 from multicolor.wmax import wmax_uniform
 from util import (
+    K2,
     SV,
     demands_near,
     dense_sets,
     indicator,
-    scan_oncall,
+    random_graph,
+    random_lists,
+    scan_best_minima,
     scan_witness,
 )
 
@@ -139,7 +143,7 @@ def test_best_minima_match_the_loop_on_dense_sets():
         demands = demands_near(rng, ws.vectors, 40)
         demands.append(tuple(a + 5 for a in ws.vectors[-1]))
         for w in demands:
-            assert ws.packed.best_minima(w) == scan_oncall(w, ws.vectors), w
+            assert ws.packed.best_minima(w) == scan_best_minima(w, ws.vectors), w
 
 
 # (n, smallest coordinate, largest coordinate, bytes per field): a field
@@ -182,16 +186,16 @@ def test_every_field_width_matches_the_scan(n, lo, hi, size):
         for w in demands:
             assert packed.witness(w) == scan_witness(w, vecs), (w, vecs)
             if min(w) >= 0:
-                assert packed.best_minima(w) == scan_oncall(w, vecs), (w, vecs)
+                assert packed.best_minima(w) == scan_best_minima(w, vecs), (w, vecs)
 
 
 def test_fold_bytes_without_room_for_a_guard_are_repacked():
     ws = wmax_uniform(SV, 200)
-    assert ws.vectors == ((200,),) and ws.byte_fields == bytes([200])
+    assert ws.vectors == ((200,),) and ws.vectors.fields == bytes([200])
     assert ws.packed.width == 16
     assert in_hyperrectangle((150,), ws.packed) == (200,)
     assert in_hyperrectangle((201,), ws.packed) is None
-    assert ws.packed.best_minima((250,)) == ((200,),)
+    assert ws.packed.best_minima((250,)) == (((200,), (200,)),)
 
 
 def test_zero_dimension_and_empty_sets():
@@ -199,7 +203,7 @@ def test_zero_dimension_and_empty_sets():
     assert in_hyperrectangle((), [()]) == ()
     assert in_hyperrectangle((), [(), ()]) == ()
     assert in_hyperrectangle((1, 2), []) is None
-    assert PackedVectors([(), ()]).best_minima(()) == ((),)
+    assert PackedVectors([(), ()]).best_minima(()) == (((), ()),)
     assert len(PackedVectors([])) == 0
     with pytest.raises(ValueError, match="vector set is empty"):
         PackedVectors([]).best_minima((1,))
@@ -232,22 +236,78 @@ def test_list_members_are_rejected():
     tuples = [tuple(m) for m in members]
     assert in_hyperrectangle((1, 1), tuples) == scan_witness((1, 1), tuples) == (1, 2)
     assert in_hyperrectangle((0, 3), tuples) == (0, 3)
-    assert PackedVectors(tuples).best_minima((1, 3)) == scan_oncall((1, 3), tuples)
+    assert PackedVectors(tuples).best_minima((1, 3)) == scan_best_minima((1, 3), tuples)
 
 
 def test_byte_fields_come_only_from_the_fold():
     ws = wmax_uniform(SV, 2)
-    assert ws.byte_fields == bytes([2])
-    with pytest.raises(TypeError):
-        WmaxSet(vectors=((5,),), certificates={}, byte_fields=bytes([2]))
+    assert isinstance(ws.vectors, ByteVectors) and ws.vectors.fields == bytes([2])
+    hand_built = WmaxSet(vectors=((5,),), certificates={})
     grown = replace(ws, vectors=((5,),))
-    assert grown.byte_fields is None
-    assert in_hyperrectangle((4,), grown.packed) == (5,)
-    assert grown.packed.best_minima((7,)) == ((5,),)
+    for plain in (hand_built, grown):
+        assert type(plain.vectors) is tuple
+        assert in_hyperrectangle((4,), plain.packed) == (5,)
+        assert plain.packed.best_minima((7,)) == (((5,), (5,)),)
 
 
 def test_bytes_of_the_wrong_length_are_not_used():
-    assert PackedVectors([(1, 2), (3, 4)], bytes([1, 2, 3])).witness((3, 3)) == (3, 4)
+    carrier = ByteVectors(((1, 2), (3, 4)), bytes([1, 2, 3]))
+    assert PackedVectors(carrier).witness((3, 3)) == (3, 4)
+    assert prune_dominated(carrier) == ((3, 4),)
+
+
+def fold_outputs():
+    """Fold output with one-byte fields: the dense sets, small random
+    folds, n = 0 and a coordinate of 200 (no room for a guard bit)."""
+    rng = random.Random(31)
+    sets = [ws for _, _, ws in dense_sets()]
+    for _ in range(20):
+        graph = random_graph(rng, rng.randint(1, 7), rng.random())
+        sets.append(wmax(graph, random_lists(rng, graph.n, colors=rng.randint(1, 4))))
+    sets += [wmax(Graph.build((), set()), ()), wmax_uniform(SV, 200), wmax_uniform(K2, 3)]
+    return sets
+
+
+def test_prune_of_fold_output_equals_the_prune_of_its_tuples():
+    for ws in fold_outputs():
+        assert isinstance(ws.vectors, ByteVectors)
+        assert ws.vectors.fields == b"".join(map(bytes, ws.vectors))
+        assert prune_dominated(ws.vectors) == prune_dominated(list(ws.vectors))
+
+
+def test_prune_carrier_answers_queries_as_its_tuples_do():
+    rng = random.Random(37)
+    for ws in fold_outputs():
+        carried, plain = PackedVectors(ws.vectors), PackedVectors(list(ws.vectors))
+        assert (carried.width, carried.x) == (plain.width, plain.x)
+        demands = demands_near(rng, ws.vectors, 10) if ws.vectors[0] else [()]
+        for w in demands:
+            assert carried.witness(w) == plain.witness(w), w
+            assert carried.best_minima(w) == plain.best_minima(w), w
+
+
+@pytest.mark.parametrize(
+    "vecs, fields",
+    [
+        # bytes of the wrong length (one short: see the test above)
+        (((1, 2), (3, 4)), bytes([1, 2, 3, 4, 0])),
+        (((1, 2), (3, 4)), b""),
+        # the right bytes, with a coordinate above min(127, 255 // n)
+        (((0, 85), (40, 40), (86, 0)), bytes([0, 85, 40, 40, 86, 0])),
+        (((128,),), bytes([128])),
+        (((3,), (200,)), bytes([3, 200])),
+    ],
+)
+def test_prune_carrier_with_unusable_bytes_packs_its_tuples(vecs, fields):
+    carrier = ByteVectors(vecs, fields)
+    packed, plain = PackedVectors(carrier), PackedVectors(list(vecs))
+    # with the right bytes, the tuples need two-byte fields: the same width
+    # shows the carried bytes were not used
+    assert (packed.width, packed.x) == (plain.width, plain.x)
+    assert prune_dominated(carrier) == prune_dominated(list(vecs))
+    for w in {*vecs, (0,) * len(vecs[0]), tuple(a + 1 for a in vecs[0])}:
+        assert packed.witness(w) == scan_witness(w, vecs)
+        assert packed.best_minima(w) == scan_best_minima(w, vecs)
 
 
 # members are non-negative; demands may be negative, and clamp to 0
@@ -265,7 +325,7 @@ def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
     assert in_hyperrectangle(w, ws.packed) == expected
     assert in_hyperrectangle(w, members) == expected
     if members and min(w) >= 0:
-        assert ws.packed.best_minima(w) == scan_oncall(w, members)
+        assert ws.packed.best_minima(w) == scan_best_minima(w, members)
     with pytest.raises(ValueError, match="non-negative"):
         in_hyperrectangle(w, [*members, (0, -1, 0)])
 

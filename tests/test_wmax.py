@@ -22,7 +22,7 @@ from multicolor import (
 )
 from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis
-from multicolor.vectors import PackedVectors, in_hyperrectangle, leq
+from multicolor.vectors import ByteVectors, PackedVectors, in_hyperrectangle, leq
 from multicolor.wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families, wmax_uniform
 from util import (
     K2,
@@ -496,15 +496,15 @@ def test_vecsum_families_cuts_vectors_as_plain_tuples_of_ints(families, n, expec
     assert set(map(type, ws.vectors)) == {tuple}
     assert all(type(a) is int for v in ws.vectors for a in v)
     if len(families) < 256:
-        assert ws.byte_fields == b"".join(map(bytes, expected))
+        assert ws.vectors.fields == b"".join(map(bytes, expected))
     else:
-        assert ws.byte_fields is None
+        assert not isinstance(ws.vectors, ByteVectors)
 
 
 def test_vecsum_families_cuts_each_vector_from_its_byte_fields():
     for _, _, ws in dense_sets():
         n = len(ws.vectors[0])
-        fields = ws.byte_fields
+        fields = ws.vectors.fields
         rows = tuple(tuple(fields[i : i + n]) for i in range(0, len(fields), n))
         assert ws.vectors == rows
         assert set(map(type, ws.vectors)) == {tuple}
@@ -585,8 +585,8 @@ def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
         }
         assert ordered(certificates) == ordered(expected)
         assert dict(got.families) == families
-        if got.byte_fields is not None:
-            assert got.byte_fields == b"".join(map(bytes, got.vectors))
+        # at most four colors: every field is one byte
+        assert got.vectors.fields == b"".join(map(bytes, got.vectors))
 
 
 @given(family_maps(min_family=1).filter(lambda case: case[1]), st.data())

@@ -142,6 +142,15 @@ def scan_oncall(w: Vec, vecs) -> tuple[Vec, ...]:
     return tuple(sorted(u for u, total in sums.items() if total == best))
 
 
+def scan_best_minima(w: Vec, vecs) -> tuple[tuple[Vec, Vec], ...]:
+    """The on-call optima, each paired with its scanned witness.
+
+    The pairs PackedVectors.best_minima must return: every u of
+    scan_oncall with scan_witness(u), the smallest member above u.
+    """
+    return tuple((u, scan_witness(u, vecs)) for u in scan_oncall(w, vecs))
+
+
 @lru_cache(maxsize=None)
 def dense_sets():
     """(graph, lists, wmax set) for G(10, 0.5) and G(11, 0.5), 4-colour lists.
