@@ -17,11 +17,10 @@ endpoint).  The exact search branches on the lowest-index vertex with a
 deficit, over only the MIS that contain it, since every cover uses one of
 them.  It tries them in index order and skips an MIS whose overlap with
 the deficit's support lies inside the overlap of one already tried.  A
-deficit is one int of whole-byte fields, as vectors.pack lays a vector
-out, with vertex 0 in the most significant field, the order of vertex
-masks, so an MIS mask widens into its packed indicator vector by
-instance.spread and the lowest-index deficient vertex is the top nonzero
-field.  A state's answer does not depend on w, so one memo serves every
+deficit is one int of fixed-width bit fields, with vertex 0 in the most
+significant field, the order of vertex masks, so an MIS mask widens into
+its packed indicator vector by instance.spread and the lowest-index
+deficient vertex is the top nonzero field.  A state's answer does not depend on w, so one memo serves every
 palette level and every demand on the same graph.  The memo is monotone
 in the budget: each deficit keeps the smallest budget known feasible,
 with one pick that achieves it, and the largest known infeasible.  The
@@ -29,7 +28,9 @@ search runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit.
 
 The witness is the lexicographically first non-decreasing sequence of MIS
-indices whose sum dominates w, padded with index 0 to the palette size.
+indices whose sum dominates w; it has exactly as many picks as the
+palette size, since the climb starts at a lower bound and passes only
+refuted levels.
 A greedy walk rebuilds it from any exact feasibility test: each position
 takes the smallest index, no smaller than the previous pick, whose
 remainder is still feasible with one pick fewer.  If a smaller index had
@@ -50,12 +51,13 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import ceil
+from operator import lshift
 
 from .coloring import Coloring, _assemble, shrink
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, spread
 from .mis import enumerate_mis
-from .vectors import Vec, leq, pack
+from .vectors import Vec, leq
 
 __all__ = ["ChromaticResult", "weighted_chromatic"]
 
@@ -79,12 +81,12 @@ class ChromaticSolver:
     A deficit is one packed int with vertex v in field n-1-v, at bit
     (n-1-v) * width: vertex 0 is the most significant field, as in vertex
     masks and in the fold, so instance.spread turns an MIS mask into its
-    packed indicator vector.  The width is the fewest whole bytes that keep
-    twice the largest demand below a field's high bit and the total demand
-    below the field mask, so an edge sum never carries into the next field
-    and each prune and the clipped subtraction of an MIS are a few int
-    operations; a demand is packed by vectors.pack.  It is fixed by the
-    largest demand the solver will see.
+    packed indicator vector.  The width is the fewest bits that keep twice
+    the largest demand below a field's high bit and the total demand below
+    the field mask, so an edge sum never carries into the next field and
+    each prune and the clipped subtraction of an MIS are a few int
+    operations; a demand is packed by shifting each entry to its field.
+    It is fixed by the largest demand the solver will see.
 
     Args:
         graph: the conflict graph.
@@ -105,10 +107,10 @@ class ChromaticSolver:
         self.expanded = 0
         self.level = 0
         top, total = max(bound, default=0), sum(bound)
-        # edge sums stay below the high bit, the total below 2**bits - 1; the
-        # fields are whole bytes, so a demand packs as vectors.pack lays it out
-        least = max((2 * top).bit_length() + 1, (total + 1).bit_length())
-        self._bits = bits = 8 * ((least + 7) // 8)
+        # edge sums stay below the high bit, the total below 2**bits - 1
+        self._bits = bits = max((2 * top).bit_length() + 1, (total + 1).bit_length())
+        # vertex v's field starts at bit (n-1-v) * bits
+        self._shifts = [bits * f for f in range(self.n - 1, -1, -1)]
         self._ones = spread((1 << self.n) - 1, bits)
         self._high = self._ones << (bits - 1)
         self._cap = (1 << (bits - 1)) - 1
@@ -159,7 +161,6 @@ class ChromaticSolver:
         a, picks = self._climb(d, start)
         if picks is None:
             picks = self._walk(d, a, self._cover(d))
-        picks += [0] * (a - len(picks))
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
         return ChromaticResult(a, lower, shrink(_assemble(self.n, cert), w))
 
@@ -167,7 +168,7 @@ class ChromaticSolver:
         """The deficit of w: one field per vertex, vertex 0 the most significant."""
         if not leq(w, self.bound):
             raise ValueError("demand exceeds the solver's bound")
-        return int.from_bytes(pack((w,), self._bits // 8), "big")
+        return sum(map(lshift, w, self._shifts))
 
     def _climb(self, d: int, a: int) -> tuple[int, list[int] | None]:
         """The first level from a up that covers d, and the optimistic walk's picks there.
@@ -290,8 +291,6 @@ class ChromaticSolver:
         picks: list[int] = []
         idx = 0
         for budget in range(a - 1, -1, -1):
-            if not d:
-                break
             self._tick()
             support = self._support(d)
             for idx in range(idx, len(masks)):
@@ -327,7 +326,7 @@ def weighted_chromatic(
     memoises clipped deficits across levels, and the walk is then
     repeated with exact feasibility.  The witness at the first feasible
     level is the lexicographically first non-decreasing sequence of MIS
-    indices whose sum dominates w, padded with index 0, with each color
+    indices whose sum dominates w, one per color, with each color
     class shrunk until the weight is exactly w.  It does not depend on
     which route found it.
 

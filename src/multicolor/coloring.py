@@ -39,13 +39,19 @@ def is_valid_coloring(inst: Instance, coloring: Coloring) -> ValidationResult:
 
     Verifies dimension, list containment, exact per-vertex set sizes, and
     disjointness across every edge; all violations are collected, not just
-    the first.
+    the first.  A coloring of the wrong length is the one violation reported.
+
+    Raises:
+        ValueError: if the instance's weights or lists do not have one
+            entry per vertex, naming the lengths.
     """
     g = inst.graph
     w = inst.require_weights()
     problems: list[str] = []
     if len(coloring) != g.n:
         return ValidationResult(False, (f"expected {g.n} vertex entries, got {len(coloring)}",))
+    if len(w) != g.n or len(inst.lists) != g.n:
+        raise ValueError(f"instance has {g.n} vertices, {len(w)} weights and {len(inst.lists)} lists")
     for v in range(g.n):
         extra = coloring[v] - inst.lists[v]
         if extra:

@@ -8,8 +8,9 @@ n-1-v, the whole graph by default), such as the vertices whose list holds
 one color.  A maximal independent set is a mask in the same convention,
 over the whole instance, so sets taken on different member sets share one
 vertex numbering; the fold (wmax.vecsum_families) and the chromatic solver
-widen masks into packed indicator vectors with instance.spread, on
-whole-byte fields, the layout of vectors.pack.
+widen masks into packed indicator vectors with instance.spread, the
+fold on whole-byte fields, the layout of vectors.pack, and the solver on
+fields of the fewest bits its demands need.
 """
 
 from __future__ import annotations

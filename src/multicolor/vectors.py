@@ -5,11 +5,10 @@ canonical order of the instance.  This module alone decides how a set of
 them is laid out in byte fields and normalised: pack lays the
 coordinates end to end, each a big-endian field of whole bytes, cut
 reads the vectors back out, and sorted_distinct sorts and deduplicates a
-set once.  The fold (wmax.vecsum_families) cuts its sums with cut and,
-when its fields are single bytes, hands them on with the vectors as a
-ByteVectors, from which the prune and the packed set lay the set out
-without packing it again; the chromatic solver packs its deficits with
-pack.
+set once.  The fold (wmax.vecsum_families) cuts its sums with cut and
+hands the vectors on as a ByteVectors, which also carries the bytes when
+its fields are single bytes, so the prune and the packed set lay the set
+out without packing it again.
 
 Dominance is asked two ways.  Against one set, a witness or on-call
 question runs on the set packed once into a single int (PackedVectors),
@@ -25,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import and_, eq, iconcat, lt
+from operator import and_, eq, iconcat
 
 Vec = tuple[int, ...]
 
@@ -81,14 +80,16 @@ def cut(data: bytes, n: int, size: int) -> tuple[Vec, ...]:
 class ByteVectors(tuple):
     """Sorted, distinct vectors of one length that carry their one-byte fields.
 
-    ``fields`` is meant to be pack(self, 1): the fold (wmax.vecsum_families)
-    returns its vectors as one when its fields are single bytes, with the
-    bytes it joined to cut them, so prune_dominated and PackedVectors lay
-    the set out from those bytes instead of packing every tuple again.
-    Making one vouches that the vectors are sorted, distinct and of one
-    length, so sorted_distinct returns it as it is.  Fields that do not
-    hold one byte per coordinate are not used: the set is packed from its
-    tuples.  Slicing or concatenating one gives a plain tuple.
+    The fold (wmax.vecsum_families) returns its vectors as one for every
+    field width.  ``fields`` is meant to be pack(self, 1): when the fold's
+    fields are single bytes, they are the bytes it joined to cut the
+    vectors, so prune_dominated and PackedVectors lay the set out from
+    them instead of packing every tuple again; for wider fields they are
+    empty.  Making one vouches that the vectors are sorted, distinct and
+    of one length, so sorted_distinct returns it as it is.  Fields that do
+    not hold one byte per coordinate, empty ones included, are not used:
+    the set is packed from its tuples.  Slicing or concatenating one gives
+    a plain tuple.
     """
 
     # fields has a default because copy and pickle rebuild a tuple subclass
@@ -102,23 +103,17 @@ class ByteVectors(tuple):
 def sorted_distinct(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     """The distinct vectors in ascending lexicographic order, of one length.
 
-    A ByteVectors, or a strictly ascending tuple of plain tuples, is
-    returned as it is; anything else becomes tuple(sorted(set(vecs))).
+    A ByteVectors is returned as it is; anything else becomes
+    tuple(sorted(set(vecs))).
 
     Raises:
         TypeError: if a member is unhashable, a list for one.
         ValueError: if the vectors do not all have one length, naming the
             first vector's length and the first other one.
     """
-    items = vecs
-    if isinstance(items, ByteVectors):
-        return items
-    if not (
-        isinstance(items, tuple)
-        and set(map(type, items)) == {tuple}
-        and all(map(lt, items, items[1:]))
-    ):
-        items = tuple(sorted(set(vecs)))
+    if isinstance(vecs, ByteVectors):
+        return vecs
+    items = tuple(sorted(set(vecs)))
     if len(set(map(len, items))) > 1:
         dim = len(items[0])
         other = next(filter(dim.__ne__, map(len, items)))
@@ -146,8 +141,9 @@ class PackedVectors:
     bit length, with no Python loop over the vectors; best_minima then
     visits only the blocks that reach the best total.  Packing sorts and
     deduplicates the vectors (sorted_distinct) and lays them out with
-    pack, unless they are a ByteVectors, as the fold's are, and every
-    coordinate lies in 0..min(127, 255 // n): then its bytes are the
+    pack, unless they are a ByteVectors that carries one byte per
+    coordinate, as the fold's does when its fields are single bytes, and
+    every coordinate lies in 0..min(127, 255 // n): then its bytes are the
     fields as they are.
     """
 
@@ -299,8 +295,9 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
     is; any other iterable is packed first.  Method (see
     PackedVectors.witness): subtract w from every member at once, then find
     the first block with no failing field by one carry.  Cost: packing
-    sorts the members once (sorted_distinct) and lays their coordinates
-    out in one pass (pack); the query is a fixed number of big-int
+    sorts the members once (sorted_distinct), which a ByteVectors skips,
+    and lays their coordinates out in one pass (pack), which the fold's
+    one-byte fields skip; the query is a fixed number of big-int
     operations on the packed set, whose field widths PackedVectors gives.
     Members must be non-negative and hashable; w may have any coordinates.
 
@@ -327,10 +324,11 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     included, so x is a maximum iff that AND has one bit.
 
     When every coordinate lies in 0..255, the vectors are laid end to end
-    once as one-byte fields: a ByteVectors, as the fold returns, brings
-    them (and skips sorted_distinct's checks), anything else is laid out
-    by pack.  Column i is the strided slice ``raw[i::dim]``, and all the
-    per-vector work runs in C.  Let B be 1 + the largest coordinate,
+    once as one-byte fields: a ByteVectors that carries one byte per
+    coordinate, as the fold's does when its fields are single bytes,
+    brings them (and skips sorted_distinct's checks), anything else is
+    laid out by pack.  Column i is the strided slice ``raw[i::dim]``, and
+    all the per-vector work runs in C.  Let B be 1 + the largest coordinate,
     found by ``in`` probes of the bytes and of their high nibbles.  The
     columns are taken g at a time, g the largest group size with
     B**g <= 256 and B**g <= N.  A bitset is the column translated to

@@ -123,10 +123,11 @@ class WmaxSet:
 
     Attributes:
         vectors: the set itself, sorted lexicographically.  A set from
-            vecsum_families with one-byte fields holds them as a
-            vectors.ByteVectors, which carries the bytes the fold cut them
-            from, so the prune and the packed set start from those bytes
-            instead of converting every tuple; a set built by hand or by
+            vecsum_families holds them as a vectors.ByteVectors; when the
+            fold's fields are single bytes it carries the bytes the fold
+            cut them from, so the prune and the packed set start from
+            those bytes instead of converting every tuple, and otherwise
+            its fields are empty.  A set built by hand or by
             dataclasses.replace has whatever it was given.
         certificates: for each vector, one mapping color -> mask of a
             maximal independent set of that color's subgraph (vertex v at
@@ -207,9 +208,10 @@ def vecsum_families(
     between fields and packed sums order as their vectors do.  The final
     sums are sorted as ints, each is converted to its bytes once, and the
     joined bytes are cut into the vectors by vectors.cut, whatever the
-    field width.  When the fields are single bytes, the vectors are a
-    vectors.ByteVectors that keeps the joined bytes, for the prune and the
-    packed set to lay the set out from.
+    field width.  The vectors are a vectors.ByteVectors for every field
+    width; when the fields are single bytes it keeps the joined bytes, for
+    the prune and the packed set to lay the set out from, and otherwise
+    its fields are empty.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
@@ -256,9 +258,7 @@ def vecsum_families(
 
     keys = sorted(acc)
     data = b"".join(map(int.to_bytes, map(add, keys, repeat(offset)), repeat(n * size), repeat("big")))
-    vectors = cut(data, n, size) if n else ((),) * len(keys)
-    if size == 1:
-        vectors = ByteVectors(vectors, data)
+    vectors = ByteVectors(cut(data, n, size) if n else ((),) * len(keys), data if size == 1 else b"")
     return WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
 
 

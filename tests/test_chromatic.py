@@ -229,8 +229,8 @@ def test_one_solver_answers_every_demand_below_its_bound(route):
     for _ in range(20):
         graph = random_graph(rng, rng.randint(3, 8), 0.5)
         cases.append((graph, tuple(rng.randint(0, 4) for _ in range(graph.n))))
-    # 10 bits keep 2 * 150 below the high bit, so fields are 2 bytes; the demands drawn below
-    # it would fit in 1
+    # 10 bits keep 2 * 150 below the high bit, so fields are 10 bits wide; the demands drawn
+    # below it would fit in fewer
     cases.append((C5, (150, 3, 150, 0, 12)))
     for graph, bound in cases:
         solver = ChromaticSolver(graph, bound)
@@ -253,6 +253,16 @@ def test_huge_demand_meets_the_branch_cap():
     # fields widen to fit any demand, so only the cap stops the climb
     with pytest.raises(ResourceLimitExceeded, match="limit 1000"):
         weighted_chromatic(K2, (2**62, 1), max_branches=1000)
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [((1,), "weight vector has wrong dimension"), ((1, -1), "weights must be non-negative")],
+    ids=["wrong-length", "negative-entry"],
+)
+def test_weighted_chromatic_rejects_a_malformed_demand(w, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        weighted_chromatic(K2, w)
 
 
 def test_solver_rejects_a_demand_above_its_bound():

@@ -78,6 +78,20 @@ def test_wrong_set_size_reported():
     assert any("demand" in v for v in result.violations)
 
 
+def test_instance_without_an_entry_per_vertex_is_rejected():
+    c = coloring({1}, set(), {1})
+    for weights, lists, counts in [
+        ((1, 0, 1, 0), P3_LISTS, "4 weights and 3 lists"),
+        ((1, 0), P3_LISTS, "2 weights and 3 lists"),
+        ((1, 0, 1), P3_LISTS[:2], "3 weights and 2 lists"),
+    ]:
+        with pytest.raises(ValueError, match=f"^instance has 3 vertices, {counts}$"):
+            is_valid_coloring(Instance(P3, lists, weights), c)
+    # a coloring of the wrong length is still reported first, as a violation
+    short = is_valid_coloring(Instance(P3, P3_LISTS, (1, 0)), c[:2])
+    assert short.violations == ("expected 3 vertex entries, got 2",)
+
+
 def test_decompose_splits_by_color():
     parts = decompose(coloring({1}, {2}, set()))
     assert parts == {

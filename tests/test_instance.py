@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from multicolor import (
     Graph,
+    Instance,
     InstanceFormatError,
     all_colors,
     load_instance,
@@ -93,6 +95,28 @@ def test_parse_rejects_malformed_json():
         parse_instance("not json")
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"vertices": ["v1", 2, "v3"]}, '"vertices" must be a list of strings'),
+        ({"edges": [["v1"]]}, "malformed edge ['v1']"),
+        ({"lists": [["v1", 1]]}, '"lists" must be an object'),
+        ({"weights": [1, 0, 1]}, '"weights" must be an object'),
+        ({"weights": {"v1": 1, "zz": 1}}, "weight for unknown vertex 'zz'"),
+    ],
+    ids=["vertices-not-strings", "edge-of-one-name", "lists-not-object", "weights-not-object",
+         "weight-for-unknown-vertex"],
+)
+def test_parse_names_the_malformed_part(overrides, message):
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        parse_instance(doc(**overrides))
+
+
+def test_with_weights_rejects_the_wrong_length():
+    with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
+        Instance(P3, P3_LISTS).with_weights((1, 0))
+
+
 def test_round_trip_is_identity():
     inst = parse_instance(doc())
     again = parse_instance(serialize_instance(inst))
@@ -136,6 +160,24 @@ def test_dimacs_rejects_negative_vertex_count():
 def test_dimacs_rejects_a_second_problem_line():
     with pytest.raises(InstanceFormatError, match="line 3: second problem line"):
         parse_dimacs("p edge 3 1\ne 1 2\np edge 2 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p edge 3\n", "line 1: malformed problem line"),
+        ("c edges first\ne 1 2\np edge 2 1\n", "line 2: edge before problem line"),
+        ("p edge 3 1\ne 1\n", "line 2: malformed edge line"),
+        ("p edge 3 1\ne 1 4\n", "line 2: edge endpoint out of range"),
+        ("p edge 3 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+        ("c no problem line\n", "missing 'p edge n m' problem line"),
+    ],
+    ids=["short-problem-line", "edge-first", "short-edge-line", "endpoint-out-of-range",
+         "self-loop", "no-problem-line"],
+)
+def test_dimacs_names_the_malformed_line(text, message):
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        parse_dimacs(text)
 
 
 def test_load_dimacs_with_sidecar():

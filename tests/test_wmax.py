@@ -179,6 +179,11 @@ def test_permissible_rejection():
     assert is_permissible(P3, P3_LISTS, (1, 2, 1)) is None
 
 
+def test_permissible_rejects_a_demand_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
+        is_permissible(P3, P3_LISTS, (1, 0))
+
+
 def test_zero_weight_always_permissible():
     assert is_permissible(K2, K2_LISTS, (0, 0)) is not None
 
@@ -490,15 +495,16 @@ def test_vecsum_families_pairing():
     ids=["n0-no-colors", "n0", "n1", "two-byte-fields"],
 )
 def test_vecsum_families_cuts_vectors_as_plain_tuples_of_ints(families, n, expected):
-    """The vectors are plain tuples of ints, as prune_dominated takes as they are."""
+    """The vectors are plain tuples of ints, in a ByteVectors for every field width."""
     ws = vecsum_families(families, n)
     assert ws.vectors == expected
     assert set(map(type, ws.vectors)) == {tuple}
     assert all(type(a) is int for v in ws.vectors for a in v)
+    assert isinstance(ws.vectors, ByteVectors)
     if len(families) < 256:
         assert ws.vectors.fields == b"".join(map(bytes, expected))
     else:
-        assert not isinstance(ws.vectors, ByteVectors)
+        assert ws.vectors.fields == b""
 
 
 def test_vecsum_families_cuts_each_vector_from_its_byte_fields():
