@@ -17,7 +17,6 @@ from .coloring import (
     find_coloring,
     is_valid_coloring,
     iter_colorings,
-    shrink,
     weight_of,
 )
 from .errors import (
@@ -79,7 +78,6 @@ __all__ = [
     "parse_dimacs",
     "parse_instance",
     "prune_dominated",
-    "shrink",
     "uniform_lists",
     "weight_of",
     "weighted_chromatic",

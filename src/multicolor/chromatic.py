@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from math import ceil
 from operator import lshift
 
-from .coloring import Coloring, _assemble, shrink
+from .coloring import Coloring, from_certificate
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, spread
 from .mis import enumerate_mis
@@ -162,7 +162,7 @@ class ChromaticSolver:
         if picks is None:
             picks = self._walk(d, a, self._cover(d))
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
-        return ChromaticResult(a, lower, shrink(_assemble(self.n, cert), w))
+        return ChromaticResult(a, lower, from_certificate(self.n, cert, w))
 
     def _pack(self, w: Vec) -> int:
         """The deficit of w: one field per vertex, vertex 0 the most significant."""
@@ -326,9 +326,9 @@ def weighted_chromatic(
     memoises clipped deficits across levels, and the walk is then
     repeated with exact feasibility.  The witness at the first feasible
     level is the lexicographically first non-decreasing sequence of MIS
-    indices whose sum dominates w, one per color, with each color
-    class shrunk until the weight is exactly w.  It does not depend on
-    which route found it.
+    indices whose sum dominates w, one per color, each color dealt in
+    ascending order to the vertices of its set still short of w, so the
+    weight is exactly w.  It does not depend on which route found it.
 
     Args:
         graph: the conflict graph.

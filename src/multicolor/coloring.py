@@ -2,19 +2,20 @@
 
 A coloring assigns each vertex a finite set of colors drawn from its list,
 with adjacent vertices receiving disjoint sets.  Demands are met exactly:
-vertex v gets precisely w(v) colors.  A single coloring is assembled from
-the per-color maximal independent sets that certify a maximal demand vector
-above w, then shrunk to w; the full set of colorings is enumerated directly,
-vertex by vertex, in sorted order.  Certificates hold each color's
-independent set as a vertex mask (vertex v at bit n-1-v), and assembly
-walks the mask's set bits.
+vertex v gets precisely w(v) colors.  A single coloring is built in one
+pass from the per-color maximal independent sets that certify a maximal
+demand vector above w: each color, ascending, goes to the vertices of its
+set still short of their demand (from_certificate).  The full set of
+colorings is enumerated directly, vertex by vertex, in sorted order.
+Certificates hold each color's independent set as a vertex mask (vertex v
+at bit n-1-v), and the pass walks the masks' set bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import NotPermissibleError
 from .instance import Instance, all_colors, vertices_of
@@ -71,49 +72,42 @@ def is_valid_coloring(inst: Instance, coloring: Coloring) -> ValidationResult:
     return ValidationResult(not problems, tuple(problems))
 
 
-def _assemble(n: int, certificate: Certificate) -> Coloring:
-    """Certificate to coloring, trusting the entries."""
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for x, mask in certificate.items():
-        for v in vertices_of(mask, n):
-            sets[v].add(x)
-    return tuple(frozenset(s) for s in sets)
+def from_certificate(n: int, certificate: Certificate, target: Vec) -> Coloring:
+    """The coloring of weight target that a certificate's sets give.
 
-
-def shrink(
-    coloring: Coloring,
-    target: Vec,
-    protected: Mapping[int, frozenset[int]] | None = None,
-) -> Coloring:
-    """Keep target[v] colors at each vertex: its protected ones, then the smallest.
-
-    protected maps a vertex to colors that must stay.  Deleting colors
-    preserves validity; the weight drops to exactly target.
+    Deals the colors in ascending order, each to the vertices of its set
+    (a mask, vertex v at bit n-1-v) that hold fewer than target[v] colors,
+    so vertex v keeps the target[v] smallest colors whose sets contain it.
+    The sets are trusted to be independent; deleting colors keeps the
+    coloring valid.
 
     Raises:
-        ValueError: if target has the wrong dimension, or if some target[v]
-            is above the colors vertex v holds or below the protected ones.
+        ValueError: if target does not have n entries, or if some vertex
+            lies in fewer than target[v] of the sets or target[v] < 0.
     """
-    if len(target) != len(coloring):
-        raise ValueError("shrink target has wrong dimension")
-    out: list[frozenset[int]] = []
-    for v, (have, count) in enumerate(zip(coloring, target)):
-        keep = have & protected.get(v, frozenset()) if protected else frozenset()
-        if not len(keep) <= count <= len(have):
-            raise ValueError(
-                f"vertex {v}: cannot keep {count} of {len(have)} colors, "
-                f"{len(keep)} of them protected"
-            )
-        out.append(keep.union(sorted(have - keep)[: count - len(keep)]))
-    return tuple(out)
+    if len(target) != n:
+        raise ValueError(f"target has {len(target)} entries for {n} vertices")
+    sets: list[list[int]] = [[] for _ in range(n)]
+    # the vertices that hold their target
+    full = sum(1 << (n - 1 - v) for v, t in enumerate(target) if t <= 0)
+    for x, mask in sorted(certificate.items()):
+        for v in vertices_of(mask & ~full, n):
+            sets[v].append(x)
+            if len(sets[v]) == target[v]:
+                full |= 1 << (n - 1 - v)
+    for v, (held, t) in enumerate(zip(sets, target)):
+        if len(held) != t:
+            raise ValueError(f"vertex {v}: the certificate gives {len(held)} colors, target {t}")
+    return tuple(map(frozenset, sets))
 
 
 def find_coloring(inst: Instance, wmax_set: WmaxSet | None = None) -> Coloring:
     """One coloring meeting the instance's demands.
 
     Picks the lexicographically smallest maximal vector dominating the
-    demand, builds its certificate coloring, and deletes the surplus
-    colors (largest first at each vertex), so the output is deterministic.
+    demand and deals its certificate's colors, smallest first, until each
+    vertex meets its demand (from_certificate), so the output is
+    deterministic.
 
     Raises:
         NotPermissibleError: if the demand is not satisfiable.
@@ -124,7 +118,7 @@ def find_coloring(inst: Instance, wmax_set: WmaxSet | None = None) -> Coloring:
     witness = in_hyperrectangle(w, wmax_set.packed)
     if witness is None:
         raise NotPermissibleError(w)
-    return shrink(_assemble(inst.graph.n, wmax_set.certificates[witness]), w)
+    return from_certificate(inst.graph.n, wmax_set.certificates[witness], w)
 
 
 def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[Coloring]:

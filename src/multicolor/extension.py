@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chromatic import ChromaticSolver
-from .coloring import Coloring, _assemble, is_valid_coloring, shrink, weight_of
+from .coloring import Coloring, from_certificate, is_valid_coloring, weight_of
 from .errors import DEFAULT_MAX_BRANCHES
 from .instance import Graph, Instance, color_masks, uniform_lists
 from .mis import enumerate_mis
@@ -90,16 +90,13 @@ def _constrained(
     graph: Graph, a0: int, c0: Coloring, family: tuple[int, ...], max_vectors: int
 ) -> WmaxSet:
     """wmax_constrained of a valid precoloring, filtered from family, the
-    graph's maximal independent sets.  Colors with equal R_x share one
-    filter.  A graph with no vertex lists no color, so it folds no family."""
+    graph's maximal independent sets, once per color.  A graph with no
+    vertex lists no color, so it folds no family."""
     required = color_masks(c0)
-    by_mask: dict[int, tuple[int, ...]] = {}
     families: dict[int, tuple[int, ...]] = {}
     for x in range(1, a0 + 1) if graph.n else ():
         r = required.get(x, 0)
-        if r not in by_mask:
-            by_mask[r] = tuple(m for m in family if m & r == r)
-        families[x] = by_mask[r]
+        families[x] = tuple(m for m in family if m & r == r)
     return vecsum_families(families, graph.n, max_vectors)
 
 
@@ -119,11 +116,13 @@ def extend_coloring(
     or one whose start level max(ceil(|r|/alpha), max r) is at least the
     best chromatic number so far, cannot have a strictly smaller one, and
     a tie never replaces the best.  Each decision finds the level alone;
-    the witness is then built once: the constrained certificate's coloring
-    shrunk to min(w, w1) without touching c0's colors, plus the winning
-    residual's chromatic witness shifted into the fresh block
-    {a0+1..bound}.  One ChromaticSolver, with one memo, answers every
-    residual; every residual is at most w, so w sizes it.  Its MIS family
+    the witness is then built once: c0, plus the constrained
+    certificate's sets less the precolored vertices dealt up to
+    min(w, w1) - w0 (from_certificate), plus the winning residual's
+    chromatic witness shifted into the fresh block {a0+1..bound}.  Every
+    set for color x contains R_x, so c0 and the smallest other colors of
+    the certificate's coloring are kept.  One ChromaticSolver, with one
+    memo, answers every residual; every residual is at most w, so w sizes it.  Its MIS family
     is the one the constrained families are filtered from, so the graph's
     maximal independent sets are enumerated once.
 
@@ -167,10 +166,11 @@ def extend_coloring(
             best = (chi, w1, residual)
     _, base, residual = best
     fresh = solver.solve(residual)
-    full = _assemble(graph.n, constrained.certificates[base])
-    protected = {v: c0[v] for v in range(graph.n)}
-    kept = shrink(full, tuple(map(min, w, base)), protected)
+    held = color_masks(c0)
+    rest = {x: m & ~held.get(x, 0) for x, m in constrained.certificates[base].items()}
+    target = tuple(min(x, y) - z for x, y, z in zip(w, base, w0))
+    kept = from_certificate(graph.n, rest, target)
     combined = tuple(
-        kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
+        c0[v] | kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
     )
     return ExtensionResult(bound=a0 + fresh.chi, coloring=combined)

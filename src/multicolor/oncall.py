@@ -10,7 +10,7 @@ once, each with the maximal vector whose certificate witnesses it
 
 from __future__ import annotations
 
-from .coloring import Coloring, _assemble, shrink
+from .coloring import Coloring, from_certificate
 from .instance import Instance
 from .vectors import Vec
 from .wmax import WmaxSet, wmax
@@ -35,8 +35,9 @@ def oncall_solutions(
     vectors; only the members reaching the best total are visited (see
     PackedVectors.best_minima, which also gives the field widths).  That
     scan pairs each optimum u with the smallest maximal vector m above it,
-    the one find_coloring would pick for u, so u's witness is m's
-    certificate coloring shrunk to u, with no further dominance search.
+    the one find_coloring would pick for u, so u's witness is dealt from
+    m's certificate down to u (from_certificate), with no further
+    dominance search.
 
     Args:
         inst: instance whose weights field holds the requested demand.
@@ -54,6 +55,6 @@ def oncall_solutions(
         wmax_set = wmax(inst.graph, inst.lists)
     n, certificates = inst.graph.n, wmax_set.certificates
     return tuple(
-        (u, shrink(_assemble(n, certificates[m]), u))
+        (u, from_certificate(n, certificates[m], u))
         for u, m in wmax_set.packed.best_minima(w)
     )

@@ -6,9 +6,10 @@ the instance model and the Vec type.  Any disagreement between this
 module and the solvers is a bug in exactly one of them.
 
 Searches are guarded by an upfront estimate of the branch count
-(product over vertices of C(|L(v)|, w(v)), default limit 1e7), and the
+(product over vertices of C(|L(v)|, w(v)), default limit 1e7), the
 on-call scan by its candidate count (product over vertices of w(v) + 1),
-so a stray large instance fails fast instead of hanging.
+and the palette climbs by the palette size, checked before each palette
+is built, so a stray large instance fails fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ def _branch_estimate(inst: Instance) -> int:
     return total
 
 
-def _guard(inst: Instance, max_branches: int) -> bool:
-    """True if the instance is searchable; False if trivially infeasible."""
+def _guard(inst: Instance, max_branches: int, search: str) -> bool:
+    """True if the instance is searchable; False if trivially infeasible.
+
+    search names the search in the ResourceLimitExceeded message.
+    """
     estimate = _branch_estimate(inst)
     if estimate > max_branches:
         raise ResourceLimitExceeded(
-            f"estimated {estimate} branches exceeds limit {max_branches}"
+            f"{search} oracle: estimated {estimate} branches exceeds limit {max_branches}"
         )
     return estimate > 0
 
@@ -80,7 +84,7 @@ def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
 
 def brute_colorable(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> BruteColoring | None:
     """First valid coloring in search order, or None if none exists."""
-    if not _guard(inst, max_branches):
+    if not _guard(inst, max_branches, "colorable"):
         return None
     found = _search(inst, collect_all=False)
     return found[0] if found else None
@@ -88,17 +92,34 @@ def brute_colorable(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) ->
 
 def brute_all_colorings(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[BruteColoring]:
     """The complete set of valid colorings."""
-    if not _guard(inst, max_branches):
+    if not _guard(inst, max_branches, "all-colorings"):
         return set()
     return set(_search(inst, collect_all=True))
 
 
+def _palette_guard(oracle: str, a: int, max_branches: int) -> None:
+    """Raise before a palette climb builds a palette of more than max_branches colors."""
+    if a > max_branches:
+        raise ResourceLimitExceeded(
+            f"{oracle} oracle: palette of {a} colors exceeds limit {max_branches}"
+        )
+
+
 def brute_chromatic(graph: Graph, w: Vec, max_branches: int = DEFAULT_MAX_BRANCHES) -> int:
-    """Smallest palette size a such that colors {1..a} satisfy the demand w."""
+    """Smallest palette size a such that colors {1..a} satisfy the demand w.
+
+    Climbs from max(w), since a vertex needs w(v) distinct colors.
+
+    Raises:
+        ResourceLimitExceeded: before its palette is built, if a palette
+            size to probe exceeds max_branches; and if some probe's search
+            space exceeds max_branches.
+    """
     if sum(w) == 0:
         return 0
-    a = 1
+    a = max(w)
     while True:
+        _palette_guard("chromatic", a, max_branches)
         probe = Instance(graph, uniform_lists(graph.n, a), tuple(w))
         if brute_colorable(probe, max_branches) is not None:
             return a
@@ -168,7 +189,8 @@ def brute_nonrecolor_chi(
 ) -> int:
     """Smallest palette admitting a weight-w coloring that contains c0.
 
-    Ascends from a0.  Each palette size {1..a} is probed as an ordinary
+    Ascends from max(a0, max(w)), since a vertex needs w(v) distinct
+    colors.  Each palette size {1..a} is probed as an ordinary
     coloring problem for the extra colors: vertex v needs w(v) - |c0(v)|
     further colors drawn from {1..a} minus its own and its neighbors'
     precolors, and any such coloring unions with c0 into a valid
@@ -178,8 +200,9 @@ def brute_nonrecolor_chi(
         ValueError: if a0 < 0, c0 or w has the wrong length, c0 holds a
             color outside {1..a0} or shares a color across an edge, or
             w falls below c0's weight at some vertex.
-        ResourceLimitExceeded: if some probe's search space exceeds
-            max_branches before a witness is found.
+        ResourceLimitExceeded: before its palette is built, if a palette
+            size to probe exceeds max_branches; and if some probe's search
+            space exceeds max_branches before a witness is found.
     """
     if a0 < 0:
         raise ValueError("base palette size must be non-negative")
@@ -198,8 +221,9 @@ def brute_nonrecolor_chi(
         blocked[i] |= c0[j]
         blocked[j] |= c0[i]
     extra = tuple(w[v] - len(c0[v]) for v in range(graph.n))
-    a = a0
+    a = max(a0, max(w, default=0))
     while True:
+        _palette_guard("non-recoloring chromatic", a, max_branches)
         palette = frozenset(range(1, a + 1))
         lists = tuple(palette - blocked[v] for v in range(graph.n))
         if brute_colorable(Instance(graph, lists, extra), max_branches) is not None:

@@ -214,7 +214,8 @@ def vecsum_families(
     its fields are empty.
 
     Raises:
-        ResourceLimitExceeded: if an intermediate set outgrows max_vectors.
+        ResourceLimitExceeded: if an intermediate set outgrows max_vectors;
+            the message names the color and its step in the fold.
         ValueError: if a mask the fold reaches has a bit at or above n.
     """
     size = max(1, (len(families).bit_length() + 7) // 8)  # bytes per field
@@ -226,8 +227,14 @@ def vecsum_families(
     template: dict[int, int] = {}
     tables: list[tuple[int, _Table, tuple[int, ...], list[int]]] = []
     order = None
-    too_many = f"more than {max_vectors} intermediate demand vectors"
-    for c in sorted(families):
+
+    def too_many(step: int, c: int) -> ResourceLimitExceeded:
+        return ResourceLimitExceeded(
+            f"wmax fold at color {c} (step {step} of {len(families)}): "
+            f"more than {max_vectors} intermediate demand vectors"
+        )
+
+    for step, c in enumerate(sorted(families), 1):
         if not acc:
             break
         family = families[c]
@@ -236,7 +243,7 @@ def vecsum_families(
                 raise ValueError(f"vertex set {r:#b} does not fit {n} vertices")
         if len(family) == 1:
             if len(acc) > max_vectors:
-                raise ResourceLimitExceeded(too_many)
+                raise too_many(step, c)
             (r,) = family
             template[c] = r
             offset += spread(r, width)
@@ -250,7 +257,7 @@ def vecsum_families(
                 if total not in nxt:
                     nxt[total] = j
                     if len(nxt) > max_vectors:
-                        raise ResourceLimitExceeded(too_many)
+                        raise too_many(step, c)
         template[c] = 0  # a placeholder, filled from the table when read
         tables.append((c, nxt, family, shifts))
         acc = order = nxt

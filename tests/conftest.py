@@ -27,21 +27,23 @@ def run_cli():
     """Run ``python -m multicolor ARGS`` from the fixtures directory.
 
     The child gets the inherited environment with ``SRC`` first on
-    ``PYTHONPATH``.  Returns the ``CompletedProcess``.  A child that
-    cannot import the package fails the test with its stderr, so an
-    import failure is never mistaken for an expected exit 1 or an empty
-    answer.
+    ``PYTHONPATH``.  Returns the ``CompletedProcess``; a child still
+    running after ``timeout`` seconds is killed and the test errors.  A
+    child that cannot import the package fails the test with its stderr,
+    so an import failure is never mistaken for an expected exit 1 or an
+    empty answer.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
 
-    def run(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    def run(*args: str, text: bool = True, timeout: float | None = None) -> subprocess.CompletedProcess:
         proc = subprocess.run(
             [sys.executable, "-m", "multicolor", *args],
             cwd=FIXTURES,
             env=env,
             capture_output=True,
             text=text,
+            timeout=timeout,
         )
         stderr = proc.stderr if text else proc.stderr.decode(errors="replace")
         if _IMPORT_FAILED.search(stderr):

@@ -359,6 +359,24 @@ class TestVerify:
             "PASS oncall",
         ]
 
+    @pytest.mark.parametrize("cap", [(), ("--max-branches", "10")], ids=["default-cap", "cap-10"])
+    def test_a_huge_demand_skips_the_palette_climbs(self, run_cli, tmp_path, cap):
+        """One vertex listed {1} with demand 10**30: the chromatic oracle's
+        first palette would hold 10**30 colors, so it is skipped at once,
+        as is the on-call oracle's scan of 10**30 + 1 candidates."""
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({
+            "vertices": ["v"], "edges": [], "lists": {"v": [1]}, "weights": {"v": 10**30},
+        }))
+        proc = run_cli("verify", str(doc), *cap, timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "PASS permissibility",
+            "PASS enumeration",
+            "SKIP chromatic",
+            "SKIP oncall",
+        ]
+
     def test_negative_branch_cap_is_a_usage_error(self, run_cli):
         proc = run_cli("verify", "fix_p3.json", "--max-branches", "-5")
         assert proc.returncode == 2

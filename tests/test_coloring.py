@@ -12,11 +12,10 @@ from multicolor import (
     find_coloring,
     is_valid_coloring,
     iter_colorings,
-    shrink,
     uniform_lists,
     weight_of,
 )
-from multicolor.coloring import _assemble
+from multicolor.coloring import from_certificate
 from util import (
     K2,
     K2_LISTS,
@@ -125,54 +124,47 @@ def mask(members):
 
 def test_build_from_certificate():
     cert = {1: mask({0}), 2: mask({2})}
-    assert _assemble(3, cert) == coloring({1}, set(), {2})
+    assert from_certificate(3, cert, (1, 0, 1)) == coloring({1}, set(), {2})
 
 
 def test_build_overlapping_certificate():
     cert = {1: mask({1}), 2: mask({1})}
-    assert _assemble(3, cert) == coloring(set(), {1, 2}, set())
+    assert from_certificate(3, cert, (0, 2, 0)) == coloring(set(), {1, 2}, set())
 
 
-def test_shrink_removes_largest_colors_first():
-    c = coloring({1}, set(), {2})
-    assert shrink(c, (0, 0, 1)) == coloring(set(), set(), {2})
-    assert shrink(coloring({1, 2}), (1,)) == coloring({1})
+def test_from_certificate_keeps_the_smallest_colors():
+    cert = {1: mask({0}), 2: mask({2})}
+    assert from_certificate(3, cert, (0, 0, 1)) == coloring(set(), set(), {2})
+    assert from_certificate(1, {1: 1, 2: 1}, (1,)) == coloring({1})
+    # colors are dealt in ascending order whatever the certificate's order
+    assert from_certificate(1, {3: 1, 2: 1, 1: 1}, (2,)) == coloring({1, 2})
 
 
-def test_shrink_zero_is_identity():
-    # zero colors deleted: the target is the coloring's own weight
-    c = coloring({1}, {2}, set())
-    assert shrink(c, weight_of(c)) == c
+def test_from_certificate_full_target_is_the_certificate_coloring():
+    # nothing to delete: the target is the weight of every set the certificate holds
+    cert = {1: mask({0}), 2: mask({1})}
+    assert from_certificate(3, cert, (1, 1, 0)) == coloring({1}, {2}, set())
 
 
-def test_shrink_rejects_excessive_amount():
-    with pytest.raises(ValueError, match="vertex 0: cannot keep 3 of 2 colors"):
-        shrink(coloring({1, 2}), (3,))
-    with pytest.raises(ValueError, match="vertex 0: cannot keep -1 of 2 colors"):
-        shrink(coloring({1, 2}), (-1,))
-    with pytest.raises(ValueError, match="wrong dimension"):
-        shrink(coloring({1, 2}), (1, 1))
+def test_from_certificate_rejects_an_unreachable_target():
+    with pytest.raises(ValueError, match="vertex 0: the certificate gives 2 colors, target 3"):
+        from_certificate(1, {1: 1, 2: 1}, (3,))
+    with pytest.raises(ValueError, match="vertex 0: the certificate gives 0 colors, target -1"):
+        from_certificate(1, {1: 1, 2: 1}, (-1,))
+    with pytest.raises(ValueError, match="target has 2 entries for 1 vertices"):
+        from_certificate(1, {1: 1, 2: 1}, (1, 1))
 
 
-def test_shrink_respects_protected_colors():
-    c = coloring({1, 2, 3})
-    assert shrink(c, (2,), protected={0: frozenset({3})}) == coloring({1, 3})
-    assert shrink(c, (1,), protected={0: frozenset({3, 4})}) == coloring({3})
-    with pytest.raises(ValueError, match="cannot keep 0 of 3 colors, 1 of them protected"):
-        shrink(c, (0,), protected={0: frozenset({3})})
-
-
-def reference_shrink(c, target, protected):
-    """Delete the largest unprotected color until each vertex holds its target.
+def reference_shrink(c, target):
+    """Delete the largest color until each vertex holds its target.
 
     None when some vertex cannot reach its target that way.
     """
     out = []
     for v, have in enumerate(c):
         held = set(have)
-        must = held & set((protected or {}).get(v, ()))
-        while len(held) > target[v] and held - must:
-            held.remove(max(held - must))
+        while len(held) > target[v] and held:
+            held.remove(max(held))
         if len(held) != target[v]:
             return None
         out.append(frozenset(held))
@@ -180,27 +172,27 @@ def reference_shrink(c, target, protected):
 
 
 @st.composite
-def shrink_cases(draw):
-    """A coloring, a target near each vertex's color count, maybe protected colors."""
-    c = tuple(draw(st.lists(st.frozensets(st.integers(1, 6)), max_size=5)))
-    target = tuple(draw(st.integers(-1, len(have) + 1)) for have in c)
-    protected = draw(st.none() | st.fixed_dictionaries(
-        {}, optional={v: st.frozensets(st.integers(1, 7)) for v in range(len(c))}
-    ))
-    return c, target, protected
+def certificate_cases(draw):
+    """A vertex count, a certificate of masks on it, and a target near each
+    vertex's count of sets."""
+    n = draw(st.integers(0, 5))
+    cert = draw(st.dictionaries(st.integers(1, 6), st.integers(0, (1 << n) - 1)))
+    sets = tuple(frozenset(x for x, m in cert.items() if m >> (n - 1 - v) & 1) for v in range(n))
+    target = tuple(draw(st.integers(-1, len(have) + 1)) for have in sets)
+    return n, cert, sets, target
 
 
-@given(shrink_cases())
-# a target one above the vertex's three colors
-@example(((frozenset({1, 2, 3}),), (4,), None))
-def test_shrink_matches_deleting_largest_unprotected(case):
-    c, target, protected = case
-    expected = reference_shrink(c, target, protected)
+@given(certificate_cases())
+# a target one above the vertex's three sets
+@example((1, {1: 1, 2: 1, 3: 1}, (frozenset({1, 2, 3}),), (4,)))
+def test_from_certificate_matches_deleting_the_largest(case):
+    n, cert, sets, target = case
+    expected = reference_shrink(sets, target)
     if expected is None:
         with pytest.raises(ValueError):
-            shrink(c, target, protected)
+            from_certificate(n, cert, target)
     else:
-        assert shrink(c, target, protected) == expected
+        assert from_certificate(n, cert, target) == expected
 
 
 def test_find_coloring_exact_demand():

@@ -24,7 +24,6 @@ from multicolor import (
     wmax_constrained,
 )
 from multicolor.chromatic import ChromaticSolver
-from multicolor.coloring import _assemble, shrink
 from multicolor.mis import enumerate_mis
 from multicolor.wmax import vecsum_families, wmax, wmax_uniform
 from util import (
@@ -78,6 +77,23 @@ def reference_wmax_constrained(graph, a0, c0):
     return vecsum_families(families, graph.n).certificates, families
 
 
+def reduced_lists(graph, a0, c0):
+    """The paper's reduction of an extension to a list problem: each vertex
+    lists {1..a0} less its neighbors' precolors."""
+    lists = [frozenset(range(1, a0 + 1))] * graph.n
+    for i, j in graph.edges:
+        lists[i] -= c0[j]
+        lists[j] -= c0[i]
+    return tuple(lists)
+
+
+def in_order(ws):
+    """A maximal set's vectors, its certificates and its families, each
+    mapping as a list of items in its own order."""
+    certificates = [(vec, list(cert.items())) for vec, cert in ws.certificates.items()]
+    return ws.vectors, certificates, list(ws.families.items())
+
+
 class TestWmaxConstrained:
     def test_edge_forced_color(self):
         assert wmax_constrained(K2, 1, C0_K2).vectors == ((1, 0),)
@@ -122,6 +138,23 @@ class TestWmaxConstrained:
             assert got.vectors == tuple(sorted(sums)), (graph, a0, c0)
             assert dict(got.certificates) == sums
             assert dict(got.families) == families
+
+    def test_equals_the_wmax_of_the_reduced_lists(self):
+        """Every color of {1..a0} is listed somewhere once n >= 1, so the
+        reduction's maximal set equals the constrained one: vectors,
+        certificates and families, each in the same order."""
+        cases = [
+            alternating_ring(*ring)[:3]
+            for ring in ((11, 3, 3, 0), (11, 3, 3, 3), (11, 3, 3, 6), (13, 3, 2, 0))
+        ]
+        rng = random.Random(37)
+        for _ in range(300):
+            graph = random_graph(rng, rng.randint(1, 8), rng.random())
+            a0 = rng.randint(0, 4)
+            cases.append((graph, a0, random_precoloring(rng, graph, a0)))
+        for graph, a0, c0 in cases:
+            got = in_order(wmax_constrained(graph, a0, c0))
+            assert got == in_order(wmax(graph, reduced_lists(graph, a0, c0))), (graph, a0, c0)
 
     def test_empty_graph_serves_only_the_empty_vector(self):
         empty = Graph.build((), set())
@@ -236,14 +269,11 @@ def alternating_ring(n, a0, b, turn):
 def reference_extend(graph, a0, c0, w):
     """The extension by its first loop: every distinct residual solved, the
     first w1 whose residual has the strictly smallest chi, and the witness
-    assembled from its certificate.  The constrained set is wmax of the
-    lists {1..a0} minus the neighbors' precolors.  Also returns whether
-    two distinct residuals tie at that chi."""
-    lists = [frozenset(range(1, a0 + 1))] * graph.n
-    for i, j in graph.edges:
-        lists[i] -= c0[j]
-        lists[j] -= c0[i]
-    constrained = wmax(graph, tuple(lists))
+    read from its certificate's masks: c0 plus the smallest other colors
+    up to min(w, w1), then the residual's chromatic witness shifted above
+    a0.  The constrained set is wmax of reduced_lists.  Also returns
+    whether two distinct residuals tie at that chi."""
+    constrained = wmax(graph, reduced_lists(graph, a0, c0))
     solved, best = {}, None
     for w1 in constrained.vectors:
         residual = tuple(max(x - y, 0) for x, y in zip(w, w1))
@@ -252,13 +282,14 @@ def reference_extend(graph, a0, c0, w):
         if best is None or solved[residual].chi < best[0].chi:
             best = (solved[residual], w1)
     fresh, base = best
-    full = _assemble(graph.n, constrained.certificates[base])
-    kept = shrink(full, tuple(map(min, w, base)), dict(enumerate(c0)))
-    combined = tuple(
-        kept[v] | frozenset(x + a0 for x in fresh.coloring[v]) for v in range(graph.n)
-    )
+    cert = constrained.certificates[base]
+    combined = []
+    for v in range(graph.n):
+        held = {x for x, m in cert.items() if mask_to_vec(m, graph.n)[v]}
+        others = sorted(held - c0[v])[: min(w[v], base[v]) - len(c0[v])]
+        combined.append(c0[v] | set(others) | {x + a0 for x in fresh.coloring[v]})
     tied = sum(r.chi == fresh.chi for r in solved.values()) > 1
-    return ExtensionResult(a0 + fresh.chi, combined), tied
+    return ExtensionResult(a0 + fresh.chi, tuple(combined)), tied
 
 
 def test_extension_equals_the_loop_over_every_residual():

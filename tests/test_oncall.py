@@ -82,7 +82,7 @@ def test_rejects_wmax_set_of_wrong_dimension(vectors, other_dim, data):
     mixed = (*vectors[:at], odd, *vectors[at:])
     ws = WmaxSet(vectors=mixed, certificates={})
     # the scan itself must reject the set, before any witness is built
-    with patch("multicolor.oncall._assemble", side_effect=AssertionError):
+    with patch("multicolor.oncall.from_certificate", side_effect=AssertionError):
         with pytest.raises(ValueError):
             oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)
 

@@ -93,8 +93,33 @@ def test_oncall_path():
 def test_guard_trips_on_large_search():
     big = complete_graph(8)
     inst = Instance(big, uniform_lists(8, 8), (4,) * 8)
-    with pytest.raises(ResourceLimitExceeded):
+    # the message names the search that tripped
+    estimate = r"estimated 576480100000000 branches exceeds limit 1000$"
+    with pytest.raises(ResourceLimitExceeded, match=r"^colorable oracle: " + estimate):
         brute_colorable(inst, max_branches=1000)
+    with pytest.raises(ResourceLimitExceeded, match=r"^all-colorings oracle: " + estimate):
+        brute_all_colorings(inst, max_branches=1000)
+
+
+def test_chromatic_climb_stops_before_a_palette_above_the_cap():
+    """One vertex with demand 4 000: the climb starts at a palette of 4 000
+    colors, so it raises at once, without building a palette.  (Demand
+    10**30 is run through the CLI under a timeout in test_cli.py.)"""
+    start = perf_counter()
+    with pytest.raises(
+        ResourceLimitExceeded, match=r"^chromatic oracle: palette of 4000 colors exceeds limit 10$"
+    ):
+        brute_chromatic(graph_from_edges(1, ()), (4000,), 10)
+    assert perf_counter() - start < 0.1
+
+
+def test_chromatic_climb_starts_at_the_largest_demand():
+    """Every palette below max(w) is skipped; climbing from 1 would build
+    8 000 palettes, which is quadratic in the demand."""
+    start = perf_counter()
+    assert brute_chromatic(graph_from_edges(1, ()), (8000,), 8000) == 8000
+    assert brute_chromatic(K2, (1, 3), 100) == 4
+    assert perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("cap", [0, 4**10 - 1])
@@ -196,3 +221,21 @@ class TestBruteNonrecolorChi:
     def test_guard_trips(self):
         with pytest.raises(ResourceLimitExceeded):
             brute_nonrecolor_chi(K3, 1, coloring(set(), set(), set()), (1, 1, 1), max_branches=0)
+
+    def test_climb_starts_at_the_largest_demand(self):
+        start = perf_counter()
+        assert brute_nonrecolor_chi(graph_from_edges(1, ()), 1, coloring({1}), (8000,), 8000) == 8000
+        assert perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "a0, c0, w, a",
+        [(0, coloring(set()), (4000,), 4000), (2, coloring({1}, {2}), (1, 1), 2)],
+        ids=["large-demand", "base-above-cap"],
+    )
+    def test_climb_stops_before_a_palette_above_the_cap(self, a0, c0, w, a):
+        graph = graph_from_edges(len(c0), {(0, 1)} if len(c0) == 2 else ())
+        with pytest.raises(
+            ResourceLimitExceeded,
+            match=rf"^non-recoloring chromatic oracle: palette of {a} colors exceeds limit 1$",
+        ):
+            brute_nonrecolor_chi(graph, a0, c0, w, max_branches=1)

@@ -75,7 +75,11 @@ def test_empty_graph_permits_only_the_empty_vector():
 
 
 def test_vector_cap_trips():
-    with pytest.raises(ResourceLimitExceeded):
+    # the message names the color and its step in the fold
+    with pytest.raises(
+        ResourceLimitExceeded,
+        match=r"^wmax fold at color 2 \(step 2 of 2\): more than 2 intermediate demand vectors$",
+    ):
         wmax(P3, P3_LISTS, max_vectors=2)
 
 
@@ -620,7 +624,10 @@ def test_vecsum_families_rejects_a_one_set_family_outside_n(families):
 def test_a_one_set_step_checks_its_mask_before_the_cap():
     with pytest.raises(ValueError):
         vecsum_families({1: (0b1000,)}, 3, max_vectors=0)
-    with pytest.raises(ResourceLimitExceeded):
+    with pytest.raises(
+        ResourceLimitExceeded,
+        match=r"^wmax fold at color 1 \(step 1 of 2\): more than 0 intermediate demand vectors$",
+    ):
         vecsum_families({1: (0b100,), 2: (0b1000,)}, 3, max_vectors=0)
 
 
