@@ -7,7 +7,7 @@ of a three-node network.  The stream lists each plan exactly once, in
 sorted order: by alpha's channels, then bravo's, then charlie's.
 """
 
-from multicolor import Graph, Instance, enumerate_colorings, iter_colorings
+from multicolor import Graph, Instance, iter_colorings
 
 NODES = ("alpha", "bravo", "charlie")
 EDGES = {(0, 1), (1, 2)}
@@ -23,7 +23,7 @@ def describe(plan) -> str:
 
 def main() -> None:
     instance = Instance(Graph.build(NODES, EDGES), LISTS, DEMAND)
-    plans = enumerate_colorings(instance)
+    plans = list(iter_colorings(instance))
     print(f"{len(plans)} valid plans for demand {DEMAND}:")
     for plan in plans:
         print(f"  {describe(plan)}")

@@ -13,7 +13,6 @@ backs every solver for cross-checking.
 from .chromatic import ChromaticResult, weighted_chromatic
 from .coloring import (
     Coloring,
-    enumerate_colorings,
     find_coloring,
     is_valid_coloring,
     iter_colorings,
@@ -28,7 +27,6 @@ from .extension import ExtensionResult, extend_coloring, wmax_constrained
 from .instance import (
     Graph,
     Instance,
-    all_colors,
     load_instance,
     parse_dimacs,
     parse_instance,
@@ -59,13 +57,11 @@ __all__ = [
     "ResourceLimitExceeded",
     "Vec",
     "WmaxSet",
-    "all_colors",
     "brute_all_colorings",
     "brute_chromatic",
     "brute_colorable",
     "brute_nonrecolor_chi",
     "brute_oncall",
-    "enumerate_colorings",
     "enumerate_mis",
     "extend_coloring",
     "find_coloring",

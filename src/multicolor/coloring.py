@@ -6,7 +6,8 @@ vertex v gets precisely w(v) colors.  A single coloring is built in one
 pass from the per-color maximal independent sets that certify a maximal
 demand vector above w: each color, ascending, goes to the vertices of its
 set still short of their demand (from_certificate).  The full set of
-colorings is enumerated directly, vertex by vertex, in sorted order.
+colorings is one lazy stream, iter_colorings, that backtracks vertex by
+vertex in sorted order; callers take its first item, a prefix or all of it.
 Certificates hold each color's independent set as a vertex mask (vertex v
 at bit n-1-v), and the pass walks the masks' set bits.
 """
@@ -14,11 +15,11 @@ at bit n-1-v), and the pass walks the masks' set bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Iterator
 
 from .errors import NotPermissibleError
-from .instance import Instance, all_colors, vertices_of
+from .instance import Instance, color_masks, vertices_of
 from .vectors import Vec, in_hyperrectangle
 from .wmax import Certificate, WmaxSet, wmax
 
@@ -139,7 +140,7 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
     if in_hyperrectangle(w, wmax_set.packed) is None:
         return
     n = inst.graph.n
-    bit = {x: 1 << i for i, x in enumerate(all_colors(inst.lists))}
+    bit = {x: 1 << i for i, x in enumerate(color_masks(inst.lists))}
     options = [
         [
             (frozenset(subset), sum(bit[x] for x in subset))
@@ -181,14 +182,3 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
                 stack.append(iter(allowed(v + 1)))
             else:
                 yield from completions()
-
-
-def enumerate_colorings(
-    inst: Instance, limit: int | None = None, wmax_set: WmaxSet | None = None
-) -> tuple[Coloring, ...]:
-    """The stream of iter_colorings, collected; limit truncates it.
-
-    Raises:
-        ValueError: if limit is negative.
-    """
-    return tuple(islice(iter_colorings(inst, wmax_set), limit))

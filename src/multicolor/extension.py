@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .chromatic import ChromaticSolver
 from .coloring import Coloring, from_certificate, is_valid_coloring, weight_of
-from .errors import DEFAULT_MAX_BRANCHES
+from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, color_masks, uniform_lists
 from .mis import enumerate_mis
 from .vectors import Vec, leq
@@ -55,13 +55,20 @@ class ExtensionResult:
     coloring: Coloring
 
 
-def _validate_precoloring(graph: Graph, a0: int, c0: Coloring) -> None:
+def _validate_precoloring(graph: Graph, a0: int, c0: Coloring, max_vectors: int) -> None:
     """Raise ValueError unless c0 is a valid coloring of its own weight on {1..a0}.
 
-    The message names the first violation is_valid_coloring finds.
+    The message names the first violation is_valid_coloring finds.  A base
+    palette of more than max_vectors colors raises ResourceLimitExceeded
+    before the palette is built: the constrained fold that it feeds takes
+    one step per color, and max_vectors caps that fold.
     """
     if a0 < 0:
         raise ValueError("base palette size must be non-negative")
+    if a0 > max_vectors:
+        raise ResourceLimitExceeded(
+            f"extension: base palette of {a0} colors exceeds limit {max_vectors}"
+        )
     check = is_valid_coloring(Instance(graph, uniform_lists(graph.n, a0), weight_of(c0)), c0)
     if not check.ok:
         raise ValueError(f"precoloring on 1..{a0}: {check.violations[0]}")
@@ -81,8 +88,13 @@ def wmax_constrained(
     sets of G - N(R_x), the vertices whose list {1..a0} minus their
     neighbors' precolors holds x.  With an all-empty precoloring this is
     the unconstrained maximal set of the uniform assignment.
+
+    Raises:
+        ValueError: if a0 < 0 or c0 is not a valid coloring on {1..a0}.
+        ResourceLimitExceeded: if a0 exceeds max_vectors, before any
+            palette is built; or if the fold exceeds it.
     """
-    _validate_precoloring(graph, a0, c0)
+    _validate_precoloring(graph, a0, c0, max_vectors)
     return _constrained(graph, a0, c0, enumerate_mis(graph), max_vectors)
 
 
@@ -132,7 +144,8 @@ def extend_coloring(
             empty and the bound is the weighted chromatic number of w.
         c0: valid precoloring using only colors from {1..a0}.
         w: target demand, at least c0's weight at every vertex.
-        max_vectors: cap on the constrained maximal vector set.
+        max_vectors: cap on the constrained maximal vector set, and on
+            a0, the colors that set is folded over.
         max_branches: cap on the states the chromatic solver expands over
             the residuals decided and the winner's witness together.
 
@@ -142,9 +155,10 @@ def extend_coloring(
         with those properties fits a smaller palette.
 
     Raises:
-        ResourceLimitExceeded: if either cap is exceeded.
+        ResourceLimitExceeded: if either cap is exceeded, or if a0
+            exceeds max_vectors (before any palette is built).
     """
-    _validate_precoloring(graph, a0, c0)
+    _validate_precoloring(graph, a0, c0, max_vectors)
     w0 = weight_of(c0)
     if len(w) != graph.n:
         raise ValueError("weight vector has wrong dimension")

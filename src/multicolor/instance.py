@@ -85,22 +85,22 @@ class Instance:
         return self.graph.n
 
     def require_weights(self) -> Vec:
+        """The demand vector.
+
+        Raises:
+            InstanceFormatError: if the instance has no weights.
+            ValueError: if a weight is negative.
+        """
         if self.weights is None:
             raise InstanceFormatError("instance has no weights")
+        if min(self.weights, default=0) < 0:
+            raise ValueError("weights must be non-negative")
         return self.weights
 
     def with_weights(self, weights: Vec) -> "Instance":
         if len(weights) != self.n:
             raise ValueError("weight vector has wrong dimension")
         return Instance(self.graph, self.lists, tuple(weights))
-
-
-def all_colors(lists: Lists) -> tuple[int, ...]:
-    """Union of all per-vertex color sets, ascending (fixes iteration order)."""
-    colors: set[int] = set()
-    for s in lists:
-        colors |= s
-    return tuple(sorted(colors))
 
 
 def color_masks(lists: Lists) -> dict[int, int]:

@@ -5,6 +5,10 @@ definition of a valid coloring, sharing no code with the solver path beyond
 the instance model and the Vec type.  Any disagreement between this
 module and the solvers is a bug in exactly one of them.
 
+The colorings of an instance come from one lazy search, _colorings, that
+backtracks on an explicit stack: brute_colorable takes its first item
+and brute_all_colorings all of them.
+
 Searches are guarded by an upfront estimate of the branch count
 (product over vertices of C(|L(v)|, w(v)), default limit 1e7), the
 on-call scan by its candidate count (product over vertices of w(v) + 1),
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations
 from math import comb, prod
+from typing import Iterator
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists
@@ -47,13 +52,15 @@ def _guard(inst: Instance, max_branches: int, search: str) -> bool:
     return estimate > 0
 
 
-def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
-    """Backtrack vertex by vertex over w(v)-subsets of L(v).
+def _colorings(inst: Instance) -> Iterator[BruteColoring]:
+    """Every valid coloring, lazily, in search order.
 
-    Subsets are tried in lexicographic order over ascending colors, so the
-    first witness found is deterministic.  A vertex with w(v) = 0 keeps the
-    empty set, which meets nothing, so only the others are placed and the
-    recursion is as deep as they are many.
+    Backtracks vertex by vertex over w(v)-subsets of L(v), keeping one
+    iterator of subsets per placed vertex on an explicit stack, so the
+    search needs no recursion however many vertices it places.  Subsets
+    are tried in lexicographic order over ascending colors, so the first
+    coloring is deterministic.  A vertex with w(v) = 0 keeps the empty
+    set, which meets nothing, so only the others are placed.
     """
     w = inst.require_weights()
     placed = [i for i in range(inst.n) if w[i]]
@@ -61,40 +68,39 @@ def _search(inst: Instance, collect_all: bool) -> list[BruteColoring]:
     choices: dict[int, list[frozenset[int]]] = {
         i: [frozenset(c) for c in combinations(sorted(inst.lists[i]), w[i])] for i in placed
     }
-    found: list[BruteColoring] = []
     assigned: list[frozenset[int]] = [frozenset()] * inst.n
-
-    def place(k: int) -> bool:
-        if k == len(placed):
-            found.append(tuple(assigned))
-            return not collect_all
+    if not placed:
+        yield tuple(assigned)
+        return
+    stack = [iter(choices[placed[0]])]
+    while stack:
+        k = len(stack) - 1
         i = placed[k]
-        for pick in choices[i]:
-            if any(pick & assigned[j] for j in earlier[i]):
-                continue
-            assigned[i] = pick
-            if place(k + 1):
-                return True
-        assigned[i] = frozenset()
-        return False
-
-    place(0)
-    return found
+        for pick in stack[-1]:
+            if not any(pick & assigned[j] for j in earlier[i]):
+                break
+        else:
+            stack.pop()
+            continue
+        assigned[i] = pick
+        if k + 1 < len(placed):
+            stack.append(iter(choices[placed[k + 1]]))
+        else:
+            yield tuple(assigned)
 
 
 def brute_colorable(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> BruteColoring | None:
     """First valid coloring in search order, or None if none exists."""
     if not _guard(inst, max_branches, "colorable"):
         return None
-    found = _search(inst, collect_all=False)
-    return found[0] if found else None
+    return next(_colorings(inst), None)
 
 
 def brute_all_colorings(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[BruteColoring]:
     """The complete set of valid colorings."""
     if not _guard(inst, max_branches, "all-colorings"):
         return set()
-    return set(_search(inst, collect_all=True))
+    return set(_colorings(inst))
 
 
 def _palette_guard(oracle: str, a: int, max_branches: int) -> None:
@@ -156,9 +162,11 @@ def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> se
     Scans candidates w* <= w in descending-norm layers, each generated
     only when it is reached, and stops at the first layer containing a
     satisfiable vector; every solution shares that norm, so lower layers
-    cannot contribute.
+    cannot contribute.  The last layer, total 0, holds only the zero
+    vector, which is always satisfiable, so the scan always returns.
 
     Raises:
+        ValueError: if a weight is negative.
         ResourceLimitExceeded: before any candidate is made, if the
             prod(w_v + 1) candidates exceed max_branches; and if some
             candidate's search space exceeds max_branches.
@@ -177,7 +185,6 @@ def brute_oncall(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> se
         }
         if hits:
             return hits
-    return {tuple(0 for _ in w)}
 
 
 def brute_nonrecolor_chi(

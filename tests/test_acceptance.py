@@ -33,11 +33,11 @@ from multicolor import (
     brute_colorable,
     brute_nonrecolor_chi,
     brute_oncall,
-    enumerate_colorings,
     extend_coloring,
     find_coloring,
     is_permissible,
     is_valid_coloring,
+    iter_colorings,
     oncall_solutions,
     uniform_lists,
     weight_of,
@@ -154,7 +154,7 @@ def test_criterion_2_enumeration_is_complete():
             ws = wmax(g, lists)
             for w in product(range(3), repeat=n):
                 inst = Instance(g, lists, tuple(w))
-                stream = enumerate_colorings(inst, wmax_set=ws)
+                stream = tuple(iter_colorings(inst, ws))
                 keys = [tuple(tuple(sorted(s)) for s in c) for c in stream]
                 assert all(a < b for a, b in zip(keys, keys[1:])), (inst, w)
                 found = set(stream)

@@ -272,6 +272,27 @@ class TestExtend:
         assert json.loads(lines[0]) == {"bound": chi}
         assert json.loads(lines[2]) == {"exact": chi, "verdict": "EQUALITY"}
 
+    @pytest.mark.parametrize(
+        "a0, code, out",
+        [("100000000", 3, []), ("1000", 0, [{"bound": 1000}])],
+        ids=["above-the-vector-cap", "below-it"],
+    )
+    def test_base_palette_above_the_vector_cap_is_a_resource_error(
+        self, run_cli, tmp_path, a0, code, out
+    ):
+        """K2 with unit demand and an empty precoloring: a base palette of
+        10**8 colors trips --max-vectors (default 10**6) before any palette
+        is built, where it used to exhaust memory."""
+        inst = tmp_path / "edge.json"
+        inst.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a": 1, "b": 1}}))
+        pre = tmp_path / "pre.json"
+        pre.write_text("{}")
+        proc = run_cli("extend", str(inst), "--precoloring", str(pre), "--base-colors", a0, timeout=10)
+        assert proc.returncode == code, proc.stderr
+        assert [json.loads(line) for line in proc.stdout.splitlines()[:1]] == out
+        if code == 3:
+            assert proc.stderr == "error: extension: base palette of 100000000 colors exceeds limit 1000000\n"
+
     def test_missing_precoloring_file(self, run_cli):
         proc = run_cli(
             "extend",
@@ -358,6 +379,30 @@ class TestVerify:
             "PASS chromatic",
             "PASS oncall",
         ]
+
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    def test_the_oracle_search_places_1200_vertices(self, run_cli, tmp_path, command):
+        """1 200 isolated vertices listed {1} with demand 1: the oracle's
+        search places every vertex, far past the recursion limit.  The
+        on-call oracle's 2**1200 candidates are skipped."""
+        names = [f"v{i}" for i in range(1200)]
+        doc = tmp_path / "isolated.json"
+        doc.write_text(json.dumps({
+            "vertices": names,
+            "lists": {v: [1] for v in names},
+            "weights": {v: 1 for v in names},
+        }))
+        pre = tmp_path / "pre.json"
+        pre.write_text("{}")
+        extend = ("--precoloring", str(pre), "--base-colors", "1", "--exact")
+        proc = run_cli(command, str(doc), *(extend if command == "extend" else ()), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        if command == "verify":
+            assert lines == ["PASS permissibility", "PASS enumeration", "PASS chromatic", "SKIP oncall"]
+        else:
+            assert json.loads(lines[0]) == {"bound": 1}
+            assert json.loads(lines[2]) == {"exact": 1, "verdict": "EQUALITY"}
 
     @pytest.mark.parametrize("cap", [(), ("--max-branches", "10")], ids=["default-cap", "cap-10"])
     def test_a_huge_demand_skips_the_palette_climbs(self, run_cli, tmp_path, cap):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given
@@ -8,7 +9,6 @@ from multicolor import (
     Instance,
     NotPermissibleError,
     brute_all_colorings,
-    enumerate_colorings,
     find_coloring,
     is_valid_coloring,
     iter_colorings,
@@ -211,24 +211,24 @@ def test_find_coloring_not_permissible():
 
 
 def test_enumerate_single_vertex():
-    got = set(enumerate_colorings(Instance(SV, SV_LISTS, (1,))))
+    got = set(iter_colorings(Instance(SV, SV_LISTS, (1,))))
     assert got == {coloring({1}), coloring({2})}
 
 
 def test_enumerate_path():
-    got = set(enumerate_colorings(p3_inst((1, 1, 0))))
+    got = set(iter_colorings(p3_inst((1, 1, 0))))
     assert got == {coloring({1}, {2}, set())}
 
 
 def test_enumerate_infeasible_is_empty():
-    assert enumerate_colorings(Instance(K2, K2_LISTS, (1, 1))) == ()
+    assert tuple(iter_colorings(Instance(K2, K2_LISTS, (1, 1)))) == ()
 
 
 def test_enumerate_limit_truncates():
     inst = Instance(K3, K3_LISTS, (1, 1, 0))
-    full = enumerate_colorings(inst)
+    full = tuple(iter_colorings(inst))
     assert len(full) == 2
-    assert enumerate_colorings(inst, limit=1) == full[:1]
+    assert tuple(islice(iter_colorings(inst), 1)) == full[:1]
 
 
 def test_enumerate_stream_is_deterministic():
@@ -243,7 +243,7 @@ def test_enumerate_matches_brute_force():
         lists = random_lists(rng, graph.n, colors=3)
         w = tuple(rng.randint(0, 2) for _ in range(graph.n))
         inst = Instance(graph, lists, w)
-        got = enumerate_colorings(inst)
+        got = tuple(iter_colorings(inst))
         assert_sorted_without_repeats(got)
         assert set(got) == brute_all_colorings(inst)
         for c in got:
@@ -255,19 +255,14 @@ def test_enumerate_matches_brute_force():
 def test_cycle_stream_counts_proper_colorings(n, k):
     cycle = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     inst = Instance(cycle, uniform_lists(n, k), (1,) * n)
-    stream = enumerate_colorings(inst)
+    stream = tuple(iter_colorings(inst))
     assert len(stream) == (k - 1) ** n + (-1) ** n * (k - 1)
     assert_sorted_without_repeats(stream)
     for m in (0, 1, 2, 7):
-        assert enumerate_colorings(inst, limit=m) == stream[:m]
-
-
-def test_enumerate_rejects_a_negative_limit():
-    with pytest.raises(ValueError):
-        enumerate_colorings(Instance(K2, uniform_lists(2, 2), (1, 1)), limit=-3)
+        assert tuple(islice(iter_colorings(inst), m)) == stream[:m]
 
 
 def test_enumerate_outputs_have_exact_weight():
     inst = Instance(P3, uniform_lists(3, 2), (1, 1, 1))
-    for c in enumerate_colorings(inst):
+    for c in iter_colorings(inst):
         assert weight_of(c) == (1, 1, 1)

@@ -9,8 +9,14 @@ from multicolor import (
     Graph,
     Instance,
     InstanceFormatError,
-    all_colors,
+    brute_all_colorings,
+    brute_colorable,
+    brute_oncall,
+    find_coloring,
+    is_valid_coloring,
+    iter_colorings,
     load_instance,
+    oncall_solutions,
     parse_dimacs,
     parse_instance,
     uniform_lists,
@@ -19,10 +25,10 @@ from multicolor.instance import load_precoloring, spread, vertices_of
 from util import (
     BAD_PRECOLORINGS,
     FIXTURES,
+    K2,
     K3,
     P3,
     P3_LISTS,
-    SV_LISTS,
     mask_to_vec,
     serialize_instance,
 )
@@ -117,17 +123,40 @@ def test_with_weights_rejects_the_wrong_length():
         Instance(P3, P3_LISTS).with_weights((1, 0))
 
 
+NEGATIVE_DEMAND = Instance(K2, uniform_lists(2, 2), (-1, 2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        find_coloring,
+        lambda inst: next(iter_colorings(inst)),
+        oncall_solutions,
+        lambda inst: is_valid_coloring(inst, (frozenset(), frozenset({1, 2}))),
+        brute_colorable,
+        brute_all_colorings,
+        brute_oncall,
+    ],
+    ids=[
+        "find_coloring",
+        "iter_colorings",
+        "oncall_solutions",
+        "is_valid_coloring",
+        "brute_colorable",
+        "brute_all_colorings",
+        "brute_oncall",
+    ],
+)
+def test_a_negative_demand_is_rejected_by_every_entry_point(entry):
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        entry(NEGATIVE_DEMAND)
+
+
 def test_round_trip_is_identity():
     inst = parse_instance(doc())
     again = parse_instance(serialize_instance(inst))
     assert again == inst
     assert serialize_instance(again) == serialize_instance(inst)
-
-
-def test_all_colors_sorted_union():
-    assert all_colors(P3_LISTS) == (1, 2)
-    assert all_colors((frozenset(), frozenset())) == ()
-    assert all_colors(SV_LISTS) == (1, 2)
 
 
 def test_uniform_lists():
