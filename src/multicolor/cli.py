@@ -34,14 +34,15 @@ from .oracle import (
     brute_nonrecolor_chi,
     brute_oncall,
 )
-from .vectors import Vec, in_hyperrectangle
+from .vectors import in_hyperrectangle
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, prune_dominated, wmax
 
 VERIFY_ENUM_BRANCHES = 100_000
 
 
-def _vec_line(v: Vec) -> str:
-    return json.dumps(list(v))
+def _vec_format(n: int) -> str:
+    """A %-template that prints an n-tuple of ints as json.dumps prints its list."""
+    return "[" + ", ".join(["%d"] * n) + "]"
 
 
 def _names(graph: Graph, mask: int) -> list[str]:
@@ -62,12 +63,13 @@ def _cmd_wmax(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
             for s in family:
                 print(json.dumps({"color": x, "mis": _names(inst.graph, s)}))
     vectors = prune_dominated(ws.vectors) if args.prune_dominated else ws.vectors
+    line = _vec_format(inst.n)
     for v in vectors:
         if args.emit_certificates:
             cert = {str(x): _names(inst.graph, s) for x, s in sorted(ws.certificates[v].items())}
             print(json.dumps({"vector": list(v), "certificate": cert}))
         else:
-            print(_vec_line(v))
+            print(line % v)
     return 0
 
 
@@ -76,7 +78,7 @@ def _cmd_check(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     if witness is None:
         print("NOT PERMISSIBLE")
         return 1
-    print(_vec_line(witness))
+    print(_vec_format(inst.n) % witness)
     return 0
 
 
@@ -105,6 +107,7 @@ def _cmd_chromatic(args: argparse.Namespace, inst: Instance, ws: None) -> int:
 
 
 def _cmd_oncall(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
+    line = _vec_format(inst.n)
     for sol, witness in oncall_solutions(inst, ws):
         if args.with_colorings:
             print(
@@ -113,7 +116,7 @@ def _cmd_oncall(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
                 )
             )
         else:
-            print(_vec_line(sol))
+            print(line % sol)
     return 0
 
 

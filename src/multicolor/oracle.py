@@ -13,14 +13,16 @@ Searches are guarded by an upfront estimate of the branch count
 (product over vertices of C(|L(v)|, w(v)), default limit 1e7), the
 on-call scan by its candidate count (product over vertices of w(v) + 1),
 and the palette climbs by the palette size, checked before each palette
-is built, so a stray large instance fails fast instead of hanging.
+is built; the non-recoloring climb also estimates each probe's branches
+before it builds the probe's lists.  So a stray large instance fails
+fast instead of hanging.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations
 from math import comb, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists
@@ -29,22 +31,22 @@ from .vectors import Vec
 BruteColoring = tuple[frozenset[int], ...]
 
 
-def _branch_estimate(inst: Instance) -> int:
-    w = inst.require_weights()
+def _branch_estimate(sizes: Iterable[int], w: Vec) -> int:
+    """Product over vertices of C(|L(v)|, w(v)), given the sizes |L(v)|."""
     total = 1
-    for i in range(inst.n):
-        total *= comb(len(inst.lists[i]), w[i])
+    for size, need in zip(sizes, w):
+        total *= comb(size, need)
         if total == 0:
             return 0
     return total
 
 
-def _guard(inst: Instance, max_branches: int, search: str) -> bool:
-    """True if the instance is searchable; False if trivially infeasible.
+def _guard(sizes: Iterable[int], w: Vec, max_branches: int, search: str) -> bool:
+    """True if lists of these sizes are searchable; False if trivially infeasible.
 
     search names the search in the ResourceLimitExceeded message.
     """
-    estimate = _branch_estimate(inst)
+    estimate = _branch_estimate(sizes, w)
     if estimate > max_branches:
         raise ResourceLimitExceeded(
             f"{search} oracle: estimated {estimate} branches exceeds limit {max_branches}"
@@ -91,14 +93,14 @@ def _colorings(inst: Instance) -> Iterator[BruteColoring]:
 
 def brute_colorable(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> BruteColoring | None:
     """First valid coloring in search order, or None if none exists."""
-    if not _guard(inst, max_branches, "colorable"):
+    if not _guard(map(len, inst.lists), inst.require_weights(), max_branches, "colorable"):
         return None
     return next(_colorings(inst), None)
 
 
 def brute_all_colorings(inst: Instance, max_branches: int = DEFAULT_MAX_BRANCHES) -> set[BruteColoring]:
     """The complete set of valid colorings."""
-    if not _guard(inst, max_branches, "all-colorings"):
+    if not _guard(map(len, inst.lists), inst.require_weights(), max_branches, "all-colorings"):
         return set()
     return set(_colorings(inst))
 
@@ -208,8 +210,9 @@ def brute_nonrecolor_chi(
             color outside {1..a0} or shares a color across an edge, or
             w falls below c0's weight at some vertex.
         ResourceLimitExceeded: before its palette is built, if a palette
-            size to probe exceeds max_branches; and if some probe's search
-            space exceeds max_branches before a witness is found.
+            size to probe exceeds max_branches; and before its lists are
+            built, if some probe's search space exceeds max_branches before
+            a witness is found.
     """
     if a0 < 0:
         raise ValueError("base palette size must be non-negative")
@@ -231,6 +234,9 @@ def brute_nonrecolor_chi(
     a = max(a0, max(w, default=0))
     while True:
         _palette_guard("non-recoloring chromatic", a, max_branches)
+        # estimate the probe before building its lists: blocked[v] lies
+        # inside {1..a0}, so list v, {1..a} - blocked[v], has a - |blocked[v]|
+        _guard([a - len(held) for held in blocked], extra, max_branches, "colorable")
         palette = frozenset(range(1, a + 1))
         lists = tuple(palette - blocked[v] for v in range(graph.n))
         if brute_colorable(Instance(graph, lists, extra), max_branches) is not None:

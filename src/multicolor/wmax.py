@@ -11,7 +11,8 @@ leads back to the sum it came from, and a certificate is walked back out of
 those steps when it is first read; a color with a single maximal
 independent set shifts every sum by one offset instead.  The x-color
 subgraph is a member mask, the vertices whose list holds x (see
-instance.color_masks), and colors with the same mask share one
+instance.color_masks); when no edge has x at both ends that mask is its
+single set, and otherwise colors with the same mask share one
 enumeration.  Families and certificates hold the sets as vertex masks, as
 enumerate_mis returns them; only the demand vectors are tuples.  The
 uniform palette is a list assignment folded the same way; a precoloring
@@ -161,16 +162,25 @@ class WmaxSet:
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[int, ...]]:
     """Maximal independent sets of every color subgraph, by ascending color.
 
-    Each family is enumerated on its color's member mask, the vertices
-    whose list holds that color, so its cost follows the subgraph and not
-    the whole graph; colors with equal masks share one enumeration.  An
-    assignment that lists no color has no families.
+    A color that no edge has at both ends has an independent member mask,
+    the vertices whose list holds it, and that mask is its single set.
+    Every other family is enumerated on its color's member mask, so its
+    cost follows the subgraph and not the whole graph; colors with equal
+    masks share one enumeration.  An assignment that lists no color has
+    no families.
+
+    Raises:
+        ValueError: if there is not one list per vertex.
     """
+    if len(lists) != graph.n:
+        raise ValueError(f"{len(lists)} color lists for {graph.n} vertices")
+    joined = set().union(*[lists[i] & lists[j] for i, j in graph.edges])
     families: dict[int, tuple[int, ...]] = {}
     by_mask: dict[int, tuple[int, ...]] = {}
     for c, m in color_masks(lists).items():
+        # whether an edge joins c depends on m alone
         if m not in by_mask:
-            by_mask[m] = enumerate_mis(graph, m)
+            by_mask[m] = enumerate_mis(graph, m) if c in joined else (m,)
         families[c] = by_mask[m]
     return families
 

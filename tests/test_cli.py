@@ -1,6 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multicolor import cli
 from multicolor.chromatic import ChromaticResult
@@ -69,6 +72,23 @@ class TestWmax:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "--max-vectors: must be at least 0" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc, out",
+        [({"vertices": ["a"], "lists": {"a": []}}, "[0]\n"), ({"vertices": []}, "[]\n")],
+        ids=["one-colorless-vertex", "no-vertex"],
+    )
+    def test_colorless_instances(self, run_cli, tmp_path, doc, out):
+        path = tmp_path / "colorless.json"
+        path.write_text(json.dumps({"edges": [], **doc}))
+        for flags in ((), ("--prune-dominated",)):
+            proc = run_cli("wmax", str(path), *flags)
+            assert (proc.returncode, proc.stdout) == (0, out)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**70), max_size=30))
+def test_vector_lines_print_as_json_dumps_prints_the_list(v):
+    assert cli._vec_format(len(v)) % tuple(v) == json.dumps(v)
 
 
 class TestCheck:
@@ -292,6 +312,42 @@ class TestExtend:
         assert [json.loads(line) for line in proc.stdout.splitlines()[:1]] == out
         if code == 3:
             assert proc.stderr == "error: extension: base palette of 100000000 colors exceeds limit 1000000\n"
+
+    @pytest.mark.parametrize(
+        "vertices, a0, code, out",
+        [
+            (8, "1000000", 3, ""),
+            (2, "1000", 0, '{"bound": 1000}\n{"v0": [1], "v1": [1]}\n{"exact": 1000, "verdict": "EQUALITY"}\n'),
+        ],
+        ids=["probe-above-the-branch-cap", "probe-below-it"],
+    )
+    def test_exact_estimates_a_probe_before_building_its_lists(
+        self, tmp_path, capsys, vertices, a0, code, out
+    ):
+        """Isolated vertices with unit demand and an empty precoloring: a
+        base palette of 10**6 colors on 8 of them is refused by the
+        oracle's estimate of 10**48 branches, with no list of 10**6 colors
+        built; 1000 colors on 2 of them, 10**6 branches, still answer."""
+        names = [f"v{i}" for i in range(vertices)]
+        inst = tmp_path / "isolated.json"
+        inst.write_text(json.dumps({"vertices": names, "edges": [], "weights": dict.fromkeys(names, 1)}))
+        pre = tmp_path / "pre.json"
+        pre.write_text("{}")
+        tracemalloc.start()
+        try:
+            code_got = cli.main(
+                ["extend", str(inst), "--precoloring", str(pre), "--base-colors", a0, "--exact"]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert (code_got, captured.out) == (code, out)
+        if code == 3:
+            assert captured.err == (
+                f"error: colorable oracle: estimated {10**48} branches exceeds limit 10000000\n"
+            )
+            assert peak < 4 << 20
 
     def test_missing_precoloring_file(self, run_cli):
         proc = run_cli(

@@ -1,11 +1,14 @@
 import random
+import sys
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multicolor import enumerate_mis
+from multicolor.instance import color_masks
 from multicolor.wmax import color_mis_families
 from util import (
     C5,
@@ -141,3 +144,22 @@ def test_color_families_match_brute_force(case):
     for x, family in families.items():
         members = [v for v in range(graph.n) if x in lists[v]]
         assert vecs(graph, family) == tuple(sorted(brute_mis(graph, members)))
+
+
+# P3 a-b-c: colors 1 and 4 at a and b, joined by an edge, share one
+# enumeration; color 2 at a and c and color 3 at b alone are independent
+@example((P3, (frozenset({1, 2, 4}), frozenset({1, 3, 4}), frozenset({2}))))
+@given(listed_graphs())
+def test_color_families_enumerate_only_colors_an_edge_joins(case):
+    graph, lists = case
+    masks = color_masks(lists)
+    joined = {masks[c] for i, j in graph.edges for c in lists[i] & lists[j]}
+    calls = []
+
+    def counting_mis(graph, members=None):
+        calls.append(members)
+        return enumerate_mis(graph, members)
+
+    with mock.patch.object(sys.modules["multicolor.wmax"], "enumerate_mis", counting_mis):
+        color_mis_families(graph, lists)
+    assert sorted(calls) == sorted(joined)

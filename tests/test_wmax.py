@@ -175,6 +175,18 @@ def test_uniform_lists_enumerate_once(monkeypatch):
     assert families == {c: ((0, 1, 0), (1, 0, 1)) for c in (1, 2, 3, 4)}
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_lists_of_the_wrong_length_are_rejected(count):
+    """P3 with one list too few or too many: a list per vertex is required,
+    not numbered from the lists' own count."""
+    lists = (frozenset({1}),) * count
+    message = rf"^{count} color lists for 3 vertices$"
+    with pytest.raises(ValueError, match=message):
+        wmax(P3, lists)
+    with pytest.raises(ValueError, match=message):
+        is_permissible(P3, lists, (0, 0, 0))
+
+
 def test_permissible_membership_witness():
     assert is_permissible(P3, P3_LISTS, (1, 0, 1)) == (1, 0, 1)
 
