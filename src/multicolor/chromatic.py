@@ -50,7 +50,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import ceil
 from operator import lshift
 
 from .coloring import Coloring, from_certificate
@@ -139,7 +138,7 @@ class ChromaticSolver:
         Both are necessary, so chi(w) is at least the second.
         """
         total = sum(w)
-        lower = ceil(total / self.alpha) if total else 0
+        lower = -(-total // self.alpha) if total else 0
         return lower, max(lower, max(w, default=0))
 
     def chi(self, w: Vec) -> int:

@@ -74,7 +74,7 @@ def _cmd_wmax(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
-    witness = in_hyperrectangle(inst.weights, ws.packed)
+    witness = in_hyperrectangle(inst.weights, ws.vectors)
     if witness is None:
         print("NOT PERMISSIBLE")
         return 1
@@ -147,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     # skipped, and its solver does not run
     checks = (
         ("permissibility", lambda: brute_colorable(inst, cap),
-         lambda witness: (witness is None) == (in_hyperrectangle(w, ws.packed) is None)),
+         lambda witness: (witness is None) == (in_hyperrectangle(w, ws.vectors) is None)),
         ("enumeration", lambda: brute_all_colorings(inst, min(cap, VERIFY_ENUM_BRANCHES)),
          lambda expected: set(iter_colorings(inst, ws)) == expected
          and all(is_valid_coloring(inst, c).ok for c in expected)),

@@ -116,7 +116,7 @@ def find_coloring(inst: Instance, wmax_set: WmaxSet | None = None) -> Coloring:
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists)
-    witness = in_hyperrectangle(w, wmax_set.packed)
+    witness = in_hyperrectangle(w, wmax_set.vectors)
     if witness is None:
         raise NotPermissibleError(w)
     return from_certificate(inst.graph.n, wmax_set.certificates[witness], w)
@@ -137,7 +137,7 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
     w = inst.require_weights()
     if wmax_set is None:
         wmax_set = wmax(inst.graph, inst.lists)
-    if in_hyperrectangle(w, wmax_set.packed) is None:
+    if in_hyperrectangle(w, wmax_set.vectors) is None:
         return
     n = inst.graph.n
     bit = {x: 1 << i for i, x in enumerate(color_masks(inst.lists))}

@@ -3,9 +3,9 @@
 If the demand w cannot be met in full, the interesting fallbacks are the
 satisfiable vectors u <= w of greatest total size.  Every such optimum is
 the coordinatewise minimum of w with some maximal demand vector, so the
-candidates are finitely many; the packed maximal set yields them all at
-once, each with the maximal vector whose certificate witnesses it
-(PackedVectors.best_minima).
+candidates are finitely many; the maximal set, packed into one int on its
+first query, yields them all at once, each with the maximal vector whose
+certificate witnesses it (PackedVectors.best_minima).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def oncall_solutions(
     with one of its colorings: the minimum with a dominating maximal
     vector reproduces w, and nothing below it has larger norm.
 
-    Method and cost: on the packed maximal set (WmaxSet.packed), one
+    Method and cost: on the maximal set (WmaxSet.vectors, a
+    vectors.PackedVectors, packed here if no query has packed it yet), one
     whole-set subtraction of w gives min(w, m) for every member m at once
     and one multiplication gives every total, with no loop over the
     vectors; only the members reaching the best total are visited (see
@@ -56,5 +57,5 @@ def oncall_solutions(
     n, certificates = inst.graph.n, wmax_set.certificates
     return tuple(
         (u, from_certificate(n, certificates[m], u))
-        for u, m in wmax_set.packed.best_minima(w)
+        for u, m in wmax_set.vectors.best_minima(w)
     )

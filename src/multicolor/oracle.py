@@ -237,8 +237,10 @@ def brute_nonrecolor_chi(
         # estimate the probe before building its lists: blocked[v] lies
         # inside {1..a0}, so list v, {1..a} - blocked[v], has a - |blocked[v]|
         _guard([a - len(held) for held in blocked], extra, max_branches, "colorable")
-        palette = frozenset(range(1, a + 1))
-        lists = tuple(palette - blocked[v] for v in range(graph.n))
+        # a vertex that needs no extra color is never placed, so it needs no
+        # list, and a probe where none needs one builds no palette
+        palette = frozenset(range(1, a + 1)) if any(extra) else frozenset()
+        lists = tuple(palette - held if need else frozenset() for held, need in zip(blocked, extra))
         if brute_colorable(Instance(graph, lists, extra), max_branches) is not None:
             return a
         a += 1

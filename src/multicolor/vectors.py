@@ -5,24 +5,25 @@ canonical order of the instance.  This module alone decides how a set of
 them is laid out in byte fields and normalised: pack lays the
 coordinates end to end, each a big-endian field of whole bytes, cut
 reads the vectors back out, and sorted_distinct sorts and deduplicates a
-set once.  The fold (wmax.vecsum_families) cuts its sums with cut and
-hands the vectors on as a ByteVectors, which also carries the bytes when
-its fields are single bytes, so the prune and the packed set lay the set
-out without packing it again.
+set once, into the one type a vector set has, PackedVectors.  The fold
+(wmax.vecsum_families) cuts its sums with cut and hands the vectors on
+as a PackedVectors that also carries the bytes when its fields are
+single bytes, so the prune and the packed layout start from them without
+packing the set again.
 
 Dominance is asked two ways.  Against one set, a witness or on-call
-question runs on the set packed once into a single int (PackedVectors),
-as a few whole-set big-int operations, SIMD within a register (Lamport,
-"Multiple byte processing with full-word instructions", CACM 1975), with
-no loop over the vectors.  Within one set, prune_dominated keeps the
-maxima by the bitmap skyline test of Tan, Eng and Ooi ("Efficient
-progressive skyline computation", VLDB 2001).
+question runs on the set packed once, on its first query, into a single
+int (PackedVectors.layout), as a few whole-set big-int operations, SIMD
+within a register (Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975), with no loop over the vectors.  Within one
+set, prune_dominated keeps the maxima by the bitmap skyline test of Tan,
+Eng and Ooi ("Efficient progressive skyline computation", VLDB 2001).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from operator import and_, eq, iconcat
 
@@ -77,61 +78,29 @@ def cut(data: bytes, n: int, size: int) -> tuple[Vec, ...]:
     return tuple(zip(*[iter(coords)] * n))
 
 
-class ByteVectors(tuple):
-    """Sorted, distinct vectors of one length that carry their one-byte fields.
+class PackedVectors(tuple):
+    """Sorted, distinct vectors of one length, packed into one int on the first query.
 
-    The fold (wmax.vecsum_families) returns its vectors as one for every
-    field width.  ``fields`` is meant to be pack(self, 1): when the fold's
-    fields are single bytes, they are the bytes it joined to cut the
-    vectors, so prune_dominated and PackedVectors lay the set out from
-    them instead of packing every tuple again; for wider fields they are
-    empty.  Making one vouches that the vectors are sorted, distinct and
-    of one length, so sorted_distinct returns it as it is.  Fields that do
-    not hold one byte per coordinate, empty ones included, are not used:
-    the set is packed from its tuples.  Slicing or concatenating one gives
-    a plain tuple.
-    """
+    The tuple holds the vectors themselves; making one vouches that they
+    are sorted, distinct and of one length, so sorted_distinct, which
+    makes one from anything else, returns it as it is.  ``fields`` is
+    meant to be pack(self, 1): the fold (wmax.vecsum_families) hands on
+    the bytes it cut the vectors from when its fields are single bytes,
+    so prune_dominated and the layout start from them instead of packing
+    every tuple again; otherwise they are empty.  Fields that do not hold
+    one byte per coordinate, empty ones included, are not used.  Slicing
+    or concatenating one gives a plain tuple.
 
-    # fields has a default because copy and pickle rebuild a tuple subclass
-    # from its items alone, then restore the attribute
-    def __new__(cls, vecs: Iterable[Vec], fields: bytes = b""):
-        self = super().__new__(cls, vecs)
-        self.fields = fields
-        return self
-
-
-def sorted_distinct(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
-    """The distinct vectors in ascending lexicographic order, of one length.
-
-    A ByteVectors is returned as it is; anything else becomes
-    tuple(sorted(set(vecs))).
-
-    Raises:
-        TypeError: if a member is unhashable, a list for one.
-        ValueError: if the vectors do not all have one length, naming the
-            first vector's length and the first other one.
-    """
-    if isinstance(vecs, ByteVectors):
-        return vecs
-    items = tuple(sorted(set(vecs)))
-    if len(set(map(len, items))) > 1:
-        dim = len(items[0])
-        other = next(filter(dim.__ne__, map(len, items)))
-        raise ValueError(f"dimension mismatch: {dim} vs {other}")
-    return items
-
-
-class PackedVectors:
-    """A set of equal-length int vectors packed into one int.
-
-    Layout: the distinct vectors in ascending lexicographic order, vector j
-    a block of n fields, vector 0 in the most significant block and
-    coordinate 0 first in its block; the big-endian byte fields of
-    wmax.vecsum_families.  Members are non-negative, and a field holds its
-    coordinate.  Its width is the smallest whole number of bytes that holds
-    the largest coordinate below a guard bit, and also n times it, the
-    largest total of a block.  So every field has its top bit free, and a
-    block's total never carries.
+    Layout (``layout``, made on the first witness or best_minima and kept):
+    vector j is a block of n fields, vector 0 in the most significant
+    block and coordinate 0 first in its block; the big-endian byte fields
+    of wmax.vecsum_families.  Members are non-negative, and a field holds
+    its coordinate.  Its width is the smallest whole number of bytes that
+    holds the largest coordinate below a guard bit, and also n times it,
+    the largest total of a block.  So every field has its top bit free,
+    and a block's total never carries.  Carried fields are the packed set
+    as they are when every coordinate lies in 0..min(127, 255 // n);
+    otherwise the tuples are laid out by pack.
 
     Queries repeat the query vector w in every block (w.rep) and subtract
     it from the packed set with every guard bit set:
@@ -139,56 +108,45 @@ class PackedVectors:
     m_i >= w_i, and no field borrows from the next.  Each query is a fixed
     number of big-int operations on |set| x n fields, linear in the set's
     bit length, with no Python loop over the vectors; best_minima then
-    visits only the blocks that reach the best total.  Packing sorts and
-    deduplicates the vectors (sorted_distinct) and lays them out with
-    pack, unless they are a ByteVectors that carries one byte per
-    coordinate, as the fold's does when its fields are single bytes, and
-    every coordinate lies in 0..min(127, 255 // n): then its bytes are the
-    fields as they are.
+    visits only the blocks that reach the best total.
     """
 
-    __slots__ = ("vectors", "n", "width", "x", "guards", "unguarded", "blocks")
+    # fields has a default because copy and pickle rebuild a tuple subclass
+    # from its items alone, then restore the attribute (and a cached layout)
+    def __new__(cls, vecs: Iterable[Vec], fields: bytes = b""):
+        self = super().__new__(cls, vecs)
+        self.fields = fields
+        return self
 
-    def __init__(self, vecs: Iterable[Vec]):
-        """Pack vecs, the vectors in any order, duplicates allowed.
+    @cached_property
+    def layout(self) -> tuple[int, int, int, int, int]:
+        """(width, X, guards, unguarded, blocks): the packed set and its masks.
 
-        A ByteVectors's fields are used as they are when they hold one
-        byte per coordinate and every byte is at most min(127, 255 // n);
-        otherwise its tuples are packed.
+        width is the field width in bits, X the packed set, guards the top
+        bit of every field, unguarded every other bit of X's length, and
+        blocks a 1 in the low bit of every block.
 
         Raises:
-            TypeError: if a member is unhashable, a list for one.
-            ValueError: if the vectors do not all have one length, or if a
-                coordinate is negative.
+            ValueError: if a coordinate is negative.
         """
-        vectors = sorted_distinct(vecs)
-        n = len(vectors[0]) if vectors else 0
-        if isinstance(vectors, ByteVectors):
-            count = n * len(vectors)
-            x = int.from_bytes(vectors.fields, "big")
-            ones = int.from_bytes(b"\1" * count, "big")
-            top = min(127, 255 // max(n, 1))
-            if len(vectors.fields) == count and not (x | x + (127 - top) * ones) & ones << 7:
-                self._set(vectors, n, 1, x, ones)
-                return
-        low = min(chain.from_iterable(vectors), default=0)
-        if low < 0:
-            raise ValueError(f"vector coordinates must be non-negative, got {low}")
-        largest = max(chain.from_iterable(vectors), default=0)
-        size = (max(largest.bit_length() + 1, (n * largest).bit_length()) + 7) // 8
-        ones = int.from_bytes((bytes(size - 1) + b"\1") * (n * len(vectors)), "big")
-        self._set(vectors, n, size, int.from_bytes(pack(vectors, size), "big"), ones)
-
-    def _set(self, vectors: tuple[Vec, ...], n: int, size: int, x: int, ones: int):
-        """Keep the packed set x, with ones a 1 in the low bit of every field."""
-        self.vectors, self.n, self.width, self.x = vectors, n, 8 * size, x
-        self.guards = ones << (self.width - 1)
-        self.unguarded = (1 << n * len(vectors) * self.width) - 1 ^ self.guards
+        n = len(self[0]) if self else 0
+        count = n * len(self)
+        size, x = 1, int.from_bytes(self.fields, "big")
+        ones = int.from_bytes(b"\1" * count, "big")
+        top = min(127, 255 // max(n, 1))
+        if len(self.fields) != count or (x | x + (127 - top) * ones) & ones << 7:
+            low = min(chain.from_iterable(self), default=0)
+            if low < 0:
+                raise ValueError(f"vector coordinates must be non-negative, got {low}")
+            largest = max(chain.from_iterable(self), default=0)
+            size = (max(largest.bit_length() + 1, (n * largest).bit_length()) + 7) // 8
+            ones = int.from_bytes((bytes(size - 1) + b"\1") * count, "big")
+            x = int.from_bytes(pack(self, size), "big")
+        width = 8 * size
+        guards = ones << (width - 1)
         block = bytes(n * size - 1) + b"\1" if n else b""
-        self.blocks = int.from_bytes(block * len(vectors), "big")
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+        blocks = int.from_bytes(block * len(self), "big")
+        return width, x, guards, (1 << count * width) - 1 ^ guards, blocks
 
     def _subtract(self, w: Vec) -> tuple[int, int]:
         """w.rep and (X | guards) - w.rep.
@@ -198,15 +156,17 @@ class PackedVectors:
         lie in 0..2**(width-1) - 1.
 
         Raises:
-            ValueError: if the set is not empty and w's length is not n.
+            ValueError: if a member has a negative coordinate, or if the
+                set is not empty and w's length is not its members'.
         """
-        if self.vectors and len(w) != self.n:
-            raise ValueError(f"dimension mismatch: {len(w)} vs {self.n}")
-        half = 1 << (self.width - 1)
+        width, x, guards, _, _ = self.layout
+        if self and len(w) != len(self[0]):
+            raise ValueError(f"dimension mismatch: {len(w)} vs {len(self[0])}")
+        half = 1 << (width - 1)
         if min(w, default=0) < 0 or max(w, default=0) > half:
             w = [min(max(a, 0), half) for a in w]
-        rep = int.from_bytes(pack((w,), self.width // 8) * len(self.vectors), "big")
-        return rep, (self.x | self.guards) - rep
+        rep = int.from_bytes(pack((w,), width // 8) * len(self), "big")
+        return rep, (x | guards) - rep
 
     def witness(self, w: Vec) -> Vec | None:
         """The lexicographically smallest member m with w <= m, or None.
@@ -220,14 +180,18 @@ class PackedVectors:
         witness.
 
         Raises:
-            ValueError: if the set is not empty and w's length is not n.
+            ValueError: if a member has a negative coordinate, or if the
+                set is not empty and w's length is not its members'.
         """
         _, d = self._subtract(w)
-        if not self.n:
-            return self.vectors[0] if self.vectors else None
-        nb = self.n * self.width
-        carries = (d | self.unguarded) + self.blocks & self.blocks << nb
-        return self.vectors[-((carries.bit_length() - 1) // nb)] if carries else None
+        if not self:
+            return None
+        if not self[0]:
+            return self[0]
+        width, _, _, unguarded, blocks = self.layout
+        nb = len(self[0]) * width
+        carries = (d | unguarded) + blocks & blocks << nb
+        return self[-((carries.bit_length() - 1) // nb)] if carries else None
 
     def best_minima(self, w: Vec) -> tuple[tuple[Vec, Vec], ...]:
         """Each distinct min(w, m) of largest total, with its first such m.
@@ -247,18 +211,19 @@ class PackedVectors:
         contributes min(w, m), recomputed from its member, in block order.
 
         Raises:
-            ValueError: if the set is empty, if w has a negative
-                coordinate, or if w's length is not n.
+            ValueError: if the set is empty, if w or a member has a
+                negative coordinate, or if w's length is not the members'.
         """
-        if not self.vectors:
+        if not self:
             raise ValueError("the vector set is empty: there is no min(w, m) to take")
         if min(w, default=0) < 0:
             raise ValueError("weights must be non-negative")
         rep, d = self._subtract(w)
-        n, width, x = self.n, self.width, self.x
+        n = len(self[0])
         if not n:
-            return (((), self.vectors[0]),)
-        keep = d & self.guards
+            return (((), self[0]),)
+        width, x, guards, _, _ = self.layout
+        keep = d & guards
         minima = x ^ (x ^ rep) & keep - (keep >> (width - 1))
         size = width // 8
         # times one block of ones, (2**(n*width) - 1) / (2**width - 1), as a
@@ -267,7 +232,7 @@ class PackedVectors:
         # the set, above vector 0's block, and vector j's total is field
         # n - 1 + j * n from the top
         summed = ((minima << n * width) - minima) // ((1 << width) - 1)
-        raw = summed.to_bytes((n * len(self.vectors) + n - 1) * size, "big")
+        raw = summed.to_bytes((n * len(self) + n - 1) * size, "big")
         step = n * size
         totals = (
             raw[n - 1 :: n]
@@ -276,14 +241,35 @@ class PackedVectors:
         )
         best = max(totals)
         if best == sum(w):
-            return ((tuple(w), self.vectors[totals.index(best)]),)
+            return ((tuple(w), self[totals.index(best)]),)
         found: dict[Vec, Vec] = {}
         j = -1
         for _ in range(totals.count(best)):
             j = totals.index(best, j + 1)
-            m = self.vectors[j]
+            m = self[j]
             found.setdefault(tuple(map(min, w, m)), m)
         return tuple(sorted(found.items()))
+
+
+def sorted_distinct(vecs: Iterable[Vec]) -> PackedVectors:
+    """The distinct vectors in ascending lexicographic order, of one length.
+
+    A PackedVectors is returned as it is; anything else becomes
+    PackedVectors(sorted(set(vecs))), with no fields.
+
+    Raises:
+        TypeError: if a member is unhashable, a list for one.
+        ValueError: if the vectors do not all have one length, naming the
+            first vector's length and the first other one.
+    """
+    if isinstance(vecs, PackedVectors):
+        return vecs
+    items = PackedVectors(sorted(set(vecs)))
+    if len(set(map(len, items))) > 1:
+        dim = len(items[0])
+        other = next(filter(dim.__ne__, map(len, items)))
+        raise ValueError(f"dimension mismatch: {dim} vs {other}")
+    return items
 
 
 def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
@@ -291,15 +277,17 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
 
     Membership of w in the downward closure of `vecs` is equivalent to a
     witness existing.  Ties break to the lexicographically smallest witness
-    so callers get deterministic output.  A PackedVectors is queried as it
-    is; any other iterable is packed first.  Method (see
-    PackedVectors.witness): subtract w from every member at once, then find
-    the first block with no failing field by one carry.  Cost: packing
-    sorts the members once (sorted_distinct), which a ByteVectors skips,
-    and lays their coordinates out in one pass (pack), which the fold's
-    one-byte fields skip; the query is a fixed number of big-int
-    operations on the packed set, whose field widths PackedVectors gives.
-    Members must be non-negative and hashable; w may have any coordinates.
+    so callers get deterministic output.  This is
+    sorted_distinct(vecs).witness(w): a PackedVectors, such as every
+    WmaxSet's vectors, is queried as it is, and packs itself on its first
+    query; any other iterable is sorted and deduplicated first.  Method
+    (see PackedVectors.witness): subtract w from every member at once,
+    then find the first block with no failing field by one carry.  Cost:
+    the first query lays the coordinates out in one pass (pack), which
+    the fold's one-byte fields skip; every query is a fixed number of
+    big-int operations on the packed set, whose field widths
+    PackedVectors gives.  Members must be non-negative and hashable; w may
+    have any coordinates.
 
     Raises:
         TypeError: if a member is unhashable, a list for one.
@@ -307,8 +295,7 @@ def in_hyperrectangle(w: Vec, vecs: Iterable[Vec]) -> Vec | None:
             a negative coordinate, or if w's length is not theirs (unless
             there are none).
     """
-    packed = vecs if isinstance(vecs, PackedVectors) else PackedVectors(vecs)
-    return packed.witness(w)
+    return sorted_distinct(vecs).witness(w)
 
 
 def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
@@ -324,10 +311,10 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     included, so x is a maximum iff that AND has one bit.
 
     When every coordinate lies in 0..255, the vectors are laid end to end
-    once as one-byte fields: a ByteVectors that carries one byte per
-    coordinate, as the fold's does when its fields are single bytes,
-    brings them (and skips sorted_distinct's checks), anything else is
-    laid out by pack.  Column i is the strided slice ``raw[i::dim]``, and
+    once as one-byte fields: a PackedVectors whose fields hold one byte
+    per coordinate, as the fold's do when they are single bytes, brings
+    them (and skips sorted_distinct's checks), anything else is laid out
+    by pack.  Column i is the strided slice ``raw[i::dim]``, and
     all the per-vector work runs in C.  Let B be 1 + the largest coordinate,
     found by ``in`` probes of the bytes and of their high nibbles.  The
     columns are taken g at a time, g the largest group size with
@@ -379,9 +366,8 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
     if not items or not items[0]:
         return items
     dim, n = len(items[0]), len(items)
-    carried = isinstance(items, ByteVectors) and len(items.fields) == dim * n
     try:
-        raw = items.fields if carried else pack(items, 1)
+        raw = items.fields if len(items.fields) == dim * n else pack(items, 1)
     except (ValueError, TypeError):
         codes = list(zip(*items))
         lookups = []

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
@@ -37,7 +36,7 @@ from .instance import Graph, Lists, color_masks, spread, uniform_lists
 from .mis import enumerate_mis
 # prune_dominated lives in vectors.py; it is imported here so that
 # wmax.prune_dominated stays the same function
-from .vectors import ByteVectors, PackedVectors, Vec, cut, in_hyperrectangle, prune_dominated
+from .vectors import PackedVectors, Vec, cut, in_hyperrectangle, prune_dominated, sorted_distinct
 
 DEFAULT_MAX_VECTORS = 1_000_000
 
@@ -123,13 +122,14 @@ class WmaxSet:
     """The maximal demand vectors of an instance, with certificates.
 
     Attributes:
-        vectors: the set itself, sorted lexicographically.  A set from
-            vecsum_families holds them as a vectors.ByteVectors; when the
-            fold's fields are single bytes it carries the bytes the fold
-            cut them from, so the prune and the packed set start from
-            those bytes instead of converting every tuple, and otherwise
-            its fields are empty.  A set built by hand or by
-            dataclasses.replace has whatever it was given.
+        vectors: the set itself, a vectors.PackedVectors, sorted
+            lexicographically and distinct, which packs itself for
+            dominance queries on the first.  Any other vectors given, by
+            hand or by dataclasses.replace, are made one by
+            vectors.sorted_distinct.  A set from vecsum_families carries
+            the bytes the fold cut its vectors from when the fold's fields
+            are single bytes, so the prune and the packed layout start
+            from those bytes instead of converting every tuple.
         certificates: for each vector, one mapping color -> mask of a
             maximal independent set of that color's subgraph (vertex v at
             bit n-1-v) whose indicator vectors sum to the vector (the first
@@ -145,6 +145,7 @@ class WmaxSet:
     families: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "vectors", sorted_distinct(self.vectors))
         if not isinstance(self.certificates, _Certificates):
             frozen = {v: MappingProxyType(dict(c)) for v, c in self.certificates.items()}
             object.__setattr__(self, "certificates", MappingProxyType(frozen))
@@ -152,11 +153,6 @@ class WmaxSet:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    @cached_property
-    def packed(self) -> PackedVectors:
-        """The vectors packed for dominance queries, once, on the first."""
-        return PackedVectors(self.vectors)
 
 
 def color_mis_families(graph: Graph, lists: Lists) -> dict[int, tuple[int, ...]]:
@@ -218,10 +214,11 @@ def vecsum_families(
     between fields and packed sums order as their vectors do.  The final
     sums are sorted as ints, each is converted to its bytes once, and the
     joined bytes are cut into the vectors by vectors.cut, whatever the
-    field width.  The vectors are a vectors.ByteVectors for every field
+    field width.  The vectors are a vectors.PackedVectors for every field
     width; when the fields are single bytes it keeps the joined bytes, for
-    the prune and the packed set to lay the set out from, and otherwise
-    its fields are empty.
+    the prune and its packed layout to start from, and otherwise its
+    fields are empty.  Nothing is packed here: the set packs itself on its
+    first query.
 
     Raises:
         ResourceLimitExceeded: if an intermediate set outgrows max_vectors;
@@ -275,7 +272,7 @@ def vecsum_families(
 
     keys = sorted(acc)
     data = b"".join(map(int.to_bytes, map(add, keys, repeat(offset)), repeat(n * size), repeat("big")))
-    vectors = ByteVectors(cut(data, n, size) if n else ((),) * len(keys), data if size == 1 else b"")
+    vectors = PackedVectors(cut(data, n, size) if n else ((),) * len(keys), data if size == 1 else b"")
     return WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
 
 
@@ -325,4 +322,4 @@ def is_permissible(
         raise ValueError("weight vector has wrong dimension")
     if wmax_set is None:
         wmax_set = wmax(graph, lists)
-    return in_hyperrectangle(w, wmax_set.packed)
+    return in_hyperrectangle(w, wmax_set.vectors)

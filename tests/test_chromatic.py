@@ -211,6 +211,21 @@ def test_branch_cap_names_the_palette_level():
         weighted_chromatic(C5, (1,) * 5, max_branches=0)
 
 
+@pytest.mark.parametrize(
+    "n, w, lower",
+    [(1, (10**30,), 10**30), (2, (2**53 + 1, 0), 2**52 + 1)],
+    ids=["one-vertex-10e30", "two-vertices-2e53"],
+)
+def test_bounds_are_exact_beyond_float_precision(n, w, lower):
+    # two isolated vertices have alpha 2, so the lower bound is ceil(|w| / 2)
+    assert ChromaticSolver(graph_from_edges(n, ()), w).bounds(w) == (lower, max(lower, max(w)))
+
+
+def test_branch_cap_names_a_level_beyond_float_precision():
+    with pytest.raises(ResourceLimitExceeded, match=rf"^chromatic search at palette level {10**30}: "):
+        weighted_chromatic(graph_from_edges(1, ()), (10**30,), max_branches=10)
+
+
 def test_branch_cap_counts_search_states(route):
     # a cap of exactly the states expanded passes, one fewer trips
     for graph, w in ((C5, (1,) * 5), (C5, (2,) * 5), (cycle(9), (3,) * 9)):

@@ -186,6 +186,14 @@ class TestChromatic:
         assert "palette level 3" in proc.stderr
         assert "expanded 1 states, limit 0" in proc.stderr
 
+    def test_branch_cap_names_a_level_beyond_float_precision(self, run_cli, tmp_path):
+        inst = tmp_path / "one.json"
+        inst.write_text(json.dumps({"vertices": ["a"], "edges": [], "weights": {"a": 10**30}}))
+        proc = run_cli("chromatic", str(inst), "--max-branches", "10")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"chromatic search at palette level {10**30}: expanded 11 states, limit 10" in proc.stderr
+
     def test_large_demand_on_an_edge(self, run_cli, tmp_path):
         # one search step per colour: 1200 steps outrun Python's recursion limit
         inst = tmp_path / "edge.json"

@@ -80,10 +80,11 @@ def test_rejects_wmax_set_of_wrong_dimension(vectors, other_dim, data):
     at = data.draw(st.integers(min_value=0, max_value=len(vectors)))
     odd = (1,) * other_dim
     mixed = (*vectors[:at], odd, *vectors[at:])
-    ws = WmaxSet(vectors=mixed, certificates={})
-    # the scan itself must reject the set, before any witness is built
+    # a set of mixed lengths is rejected when it is built, one of a single
+    # wrong length by the scan: either way before any witness is built
     with patch("multicolor.oncall.from_certificate", side_effect=AssertionError):
         with pytest.raises(ValueError):
+            ws = WmaxSet(vectors=mixed, certificates={})
             oncall_solutions(Instance(K2, K2_LISTS, (1, 1)), ws)
 
 
@@ -114,11 +115,11 @@ def test_each_optimum_is_witnessed_as_find_coloring_witnesses_it(case):
     w = inst.require_weights()
     sols = oncall_solutions(inst, ws)
     assert sols == tuple((u, find_coloring(inst.with_weights(u), ws)) for u, _ in sols)
-    pairs = ws.packed.best_minima(w)
+    pairs = ws.vectors.best_minima(w)
     assert tuple(u for u, _ in pairs) == tuple(u for u, _ in sols)
     for u, m in pairs:
-        assert m == ws.packed.witness(u)
-    if ws.packed.witness(w) is not None:
+        assert m == ws.vectors.witness(u)
+    if ws.vectors.witness(w) is not None:
         # already permissible: w alone, of the best total |w|
         assert [u for u, _ in sols] == [w]
 

@@ -222,6 +222,22 @@ class TestBruteNonrecolorChi:
         with pytest.raises(ResourceLimitExceeded):
             brute_nonrecolor_chi(K3, 1, coloring(set(), set(), set()), (1, 1, 1), max_branches=0)
 
+    def test_a_vertex_that_needs_no_color_gets_no_list(self):
+        """Zero demand under a palette of a million colors builds no list of them."""
+        empty = graph_from_edges(8, ())
+        tracemalloc.start()
+        try:
+            chi = brute_nonrecolor_chi(empty, 10**6, coloring(*[set()] * 8), (0,) * 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == 10**6
+        assert peak < 4 << 20
+        # a vertex that does need colors still draws them around the precolors
+        path = graph_from_edges(3, {(0, 1), (1, 2)})
+        assert brute_nonrecolor_chi(path, 2, coloring({1}, set(), {2}), (1, 0, 1)) == 2
+        assert brute_nonrecolor_chi(path, 2, coloring({1}, set(), {2}), (1, 1, 1)) == 3
+
     def test_climb_starts_at_the_largest_demand(self):
         start = perf_counter()
         assert brute_nonrecolor_chi(graph_from_edges(1, ()), 1, coloring({1}), (8000,), 8000) == 8000

@@ -1,4 +1,6 @@
+import copy
 import importlib
+import pickle
 import random
 from dataclasses import replace
 
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 import multicolor
 from multicolor import Graph, WmaxSet, is_permissible, wmax
 from multicolor.vectors import (
-    ByteVectors,
     PackedVectors,
     cut,
     in_hyperrectangle,
@@ -126,13 +127,13 @@ def test_hyperrectangle_rejects_mismatch_after_witness(w, xs, other_dim):
 def test_witness_matches_the_scan_on_dense_sets():
     rng = random.Random(5)
     for graph, lists, ws in dense_sets():
-        assert len(ws.packed) == len(ws.vectors) >= 300
+        assert isinstance(ws.vectors, PackedVectors) and len(ws.vectors) >= 300
         demands = demands_near(rng, ws.vectors, 40)
         # w above every member, and w with negative entries
         demands += [tuple(a + 5 for a in ws.vectors[-1]), tuple(-a for a in ws.vectors[0])]
         for w in demands:
             expected = scan_witness(w, ws.vectors)
-            assert in_hyperrectangle(w, ws.packed) == expected, w
+            assert ws.vectors.witness(w) == expected, w
             assert is_permissible(graph, lists, w, ws) == expected, w
             assert in_hyperrectangle(w, ws.vectors) == expected, w
 
@@ -143,7 +144,7 @@ def test_best_minima_match_the_loop_on_dense_sets():
         demands = demands_near(rng, ws.vectors, 40)
         demands.append(tuple(a + 5 for a in ws.vectors[-1]))
         for w in demands:
-            assert ws.packed.best_minima(w) == scan_best_minima(w, ws.vectors), w
+            assert ws.vectors.best_minima(w) == scan_best_minima(w, ws.vectors), w
 
 
 # (n, smallest coordinate, largest coordinate, bytes per field): a field
@@ -178,8 +179,8 @@ def test_every_field_width_matches_the_scan(n, lo, hi, size):
         pool = [lo, lo + 1, hi, hi - 1, (lo + hi) // 2, max(lo, 1)]
         vecs = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(rng.randint(1, 12))]
         vecs += [(lo,) * n, (hi,) * n]
-        packed = PackedVectors(vecs)
-        assert packed.width == 8 * size and hi < 2 ** (8 * size - 1)
+        packed = sorted_distinct(vecs)
+        assert packed.layout[0] == 8 * size and hi < 2 ** (8 * size - 1)
         near = [a + d for a in pool for d in (-1, 0, 1)]
         demands = [tuple(rng.choice(near) for _ in range(n)) for _ in range(10)]
         demands += [(hi + 1,) * n, (lo - 1,) * n, (-1,) * n, (2**80,) * n]
@@ -192,10 +193,10 @@ def test_every_field_width_matches_the_scan(n, lo, hi, size):
 def test_fold_bytes_without_room_for_a_guard_are_repacked():
     ws = wmax_uniform(SV, 200)
     assert ws.vectors == ((200,),) and ws.vectors.fields == bytes([200])
-    assert ws.packed.width == 16
-    assert in_hyperrectangle((150,), ws.packed) == (200,)
-    assert in_hyperrectangle((201,), ws.packed) is None
-    assert ws.packed.best_minima((250,)) == (((200,), (200,)),)
+    assert ws.vectors.layout[0] == 16
+    assert in_hyperrectangle((150,), ws.vectors) == (200,)
+    assert in_hyperrectangle((201,), ws.vectors) is None
+    assert ws.vectors.best_minima((250,)) == (((200,), (200,)),)
 
 
 def test_zero_dimension_and_empty_sets():
@@ -203,10 +204,10 @@ def test_zero_dimension_and_empty_sets():
     assert in_hyperrectangle((), [()]) == ()
     assert in_hyperrectangle((), [(), ()]) == ()
     assert in_hyperrectangle((1, 2), []) is None
-    assert PackedVectors([(), ()]).best_minima(()) == (((), ()),)
-    assert len(PackedVectors([])) == 0
+    assert sorted_distinct([(), ()]).best_minima(()) == (((), ()),)
+    assert len(sorted_distinct([])) == 0
     with pytest.raises(ValueError, match="vector set is empty"):
-        PackedVectors([]).best_minima((1,))
+        sorted_distinct([]).best_minima((1,))
 
 
 def test_best_minima_reject_negative_or_mismatched_demands():
@@ -221,38 +222,57 @@ def test_best_minima_reject_negative_or_mismatched_demands():
 
 def test_hand_built_set_out_of_order_keeps_the_smallest_witness():
     ws = WmaxSet(vectors=((2, 2), (1, 3), (2, 2), (0, 5), (1, 3)), certificates={})
-    assert ws.packed.vectors == ((0, 5), (1, 3), (2, 2))
-    assert in_hyperrectangle((1, 2), ws.packed) == (1, 3)
-    assert in_hyperrectangle((0, 2), ws.packed) == (0, 5)
-    assert in_hyperrectangle((2, 1), ws.packed) == (2, 2)
-    assert in_hyperrectangle((3, 0), ws.packed) is None
+    assert ws.vectors == ((0, 5), (1, 3), (2, 2))
+    assert in_hyperrectangle((1, 2), ws.vectors) == (1, 3)
+    assert in_hyperrectangle((0, 2), ws.vectors) == (0, 5)
+    assert in_hyperrectangle((2, 1), ws.vectors) == (2, 2)
+    assert in_hyperrectangle((3, 0), ws.vectors) is None
+
+
+def test_hand_built_set_holds_sorted_distinct_packed_vectors():
+    vecs = ((2, 2), (1, 3), (2, 2), (0, 5))
+    for ws in (
+        WmaxSet(vectors=vecs, certificates={}),
+        WmaxSet(vectors=iter(vecs), certificates={}),
+        replace(wmax_uniform(K2, 3), vectors=list(vecs)),
+    ):
+        assert type(ws.vectors) is PackedVectors and ws.vectors.fields == b""
+        assert ws.vectors == ((0, 5), (1, 3), (2, 2))
+    # a set that is already one is kept as it is
+    fold = wmax_uniform(K2, 3)
+    assert replace(fold, families={}).vectors is fold.vectors
+    for mixed in (((1, 0), (1,)), [(1, 0, 0), (0, 1)]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            WmaxSet(vectors=mixed, certificates={})
+    with pytest.raises(TypeError):
+        WmaxSet(vectors=[[1, 0], [0, 1]], certificates={})
 
 
 def test_list_members_are_rejected():
     members = [[1, 2], [0, 3], [1, 2]]
-    for build in (PackedVectors, lambda vs: in_hyperrectangle((1, 1), vs), prune_dominated):
+    for build in (sorted_distinct, lambda vs: in_hyperrectangle((1, 1), vs), prune_dominated):
         with pytest.raises(TypeError):
             build(members)
     tuples = [tuple(m) for m in members]
     assert in_hyperrectangle((1, 1), tuples) == scan_witness((1, 1), tuples) == (1, 2)
     assert in_hyperrectangle((0, 3), tuples) == (0, 3)
-    assert PackedVectors(tuples).best_minima((1, 3)) == scan_best_minima((1, 3), tuples)
+    assert sorted_distinct(tuples).best_minima((1, 3)) == scan_best_minima((1, 3), tuples)
 
 
 def test_byte_fields_come_only_from_the_fold():
     ws = wmax_uniform(SV, 2)
-    assert isinstance(ws.vectors, ByteVectors) and ws.vectors.fields == bytes([2])
+    assert isinstance(ws.vectors, PackedVectors) and ws.vectors.fields == bytes([2])
     hand_built = WmaxSet(vectors=((5,),), certificates={})
     grown = replace(ws, vectors=((5,),))
     for plain in (hand_built, grown):
-        assert type(plain.vectors) is tuple
-        assert in_hyperrectangle((4,), plain.packed) == (5,)
-        assert plain.packed.best_minima((7,)) == (((5,), (5,)),)
+        assert type(plain.vectors) is PackedVectors and plain.vectors.fields == b""
+        assert in_hyperrectangle((4,), plain.vectors) == (5,)
+        assert plain.vectors.best_minima((7,)) == (((5,), (5,)),)
 
 
 def test_bytes_of_the_wrong_length_are_not_used():
-    carrier = ByteVectors(((1, 2), (3, 4)), bytes([1, 2, 3]))
-    assert PackedVectors(carrier).witness((3, 3)) == (3, 4)
+    carrier = PackedVectors(((1, 2), (3, 4)), bytes([1, 2, 3]))
+    assert carrier.witness((3, 3)) == (3, 4)
     assert prune_dominated(carrier) == ((3, 4),)
 
 
@@ -270,7 +290,7 @@ def fold_outputs():
 
 def test_prune_of_fold_output_equals_the_prune_of_its_tuples():
     for ws in fold_outputs():
-        assert isinstance(ws.vectors, ByteVectors)
+        assert isinstance(ws.vectors, PackedVectors)
         assert ws.vectors.fields == b"".join(map(bytes, ws.vectors))
         assert prune_dominated(ws.vectors) == prune_dominated(list(ws.vectors))
 
@@ -278,13 +298,31 @@ def test_prune_of_fold_output_equals_the_prune_of_its_tuples():
 def test_prune_carrier_answers_queries_as_its_tuples_do():
     rng = random.Random(37)
     for ws in fold_outputs():
-        carried, plain = PackedVectors(ws.vectors), PackedVectors(list(ws.vectors))
-        assert (carried.width, carried.x) == (plain.width, plain.x)
+        carried, plain = ws.vectors, sorted_distinct(list(ws.vectors))
+        assert carried.layout == plain.layout
         demands = demands_near(rng, ws.vectors, 10) if ws.vectors[0] else [()]
         for w in demands:
             assert carried.witness(w) == plain.witness(w), w
             assert carried.best_minima(w) == plain.best_minima(w), w
 
+
+
+def test_copies_and_pickles_keep_the_fields_and_the_answers():
+    rng = random.Random(41)
+    for ws in fold_outputs():
+        vecs = ws.vectors
+        demands = demands_near(rng, vecs, 6) if vecs[0] else [()]
+        # a copy of a set not yet queried, and one of a set whose layout is cached
+        unqueried = PackedVectors(vecs, vecs.fields)
+        vecs.witness(demands[0])
+        for source in (unqueried, vecs):
+            for twin in (copy.copy(source), copy.deepcopy(source), pickle.loads(pickle.dumps(source))):
+                assert type(twin) is PackedVectors
+                assert twin == vecs and twin.fields == vecs.fields
+                for w in demands:
+                    assert twin.witness(w) == vecs.witness(w), w
+                    assert twin.best_minima(w) == vecs.best_minima(w), w
+                assert twin.layout == vecs.layout
 
 @pytest.mark.parametrize(
     "vecs, fields",
@@ -299,12 +337,12 @@ def test_prune_carrier_answers_queries_as_its_tuples_do():
     ],
 )
 def test_prune_carrier_with_unusable_bytes_packs_its_tuples(vecs, fields):
-    carrier = ByteVectors(vecs, fields)
-    packed, plain = PackedVectors(carrier), PackedVectors(list(vecs))
+    packed = PackedVectors(vecs, fields)
+    plain = sorted_distinct(list(vecs))
     # with the right bytes, the tuples need two-byte fields: the same width
     # shows the carried bytes were not used
-    assert (packed.width, packed.x) == (plain.width, plain.x)
-    assert prune_dominated(carrier) == prune_dominated(list(vecs))
+    assert packed.layout == plain.layout
+    assert prune_dominated(packed) == prune_dominated(list(vecs))
     for w in {*vecs, (0,) * len(vecs[0]), tuple(a + 1 for a in vecs[0])}:
         assert packed.witness(w) == scan_witness(w, vecs)
         assert packed.best_minima(w) == scan_best_minima(w, vecs)
@@ -322,10 +360,10 @@ def test_unsorted_duplicated_and_negative_members_match_the_scan(w, xs, rnd):
     rnd.shuffle(members)
     ws = WmaxSet(vectors=tuple(members), certificates={})
     expected = scan_witness(w, members)
-    assert in_hyperrectangle(w, ws.packed) == expected
+    assert in_hyperrectangle(w, ws.vectors) == expected
     assert in_hyperrectangle(w, members) == expected
     if members and min(w) >= 0:
-        assert ws.packed.best_minima(w) == scan_best_minima(w, members)
+        assert ws.vectors.best_minima(w) == scan_best_minima(w, members)
     with pytest.raises(ValueError, match="non-negative"):
         in_hyperrectangle(w, [*members, (0, -1, 0)])
 
@@ -359,6 +397,9 @@ def test_sorted_distinct_takes_a_sorted_tuple_as_it_is():
     assert sorted_distinct(vecs + vecs[-1:]) == vecs
     assert sorted_distinct(iter(vecs)) == vecs
     assert sorted_distinct(()) == ()
+    assert type(sorted_distinct(vecs)) is PackedVectors
+    packed = PackedVectors(vecs, bytes([0, 3, 1, 2, 2, 0]))
+    assert sorted_distinct(packed) is packed
 
 
 def test_prune_dominated_is_one_function_under_every_name():

@@ -22,7 +22,7 @@ from multicolor import (
 )
 from multicolor.instance import color_masks
 from multicolor.mis import enumerate_mis
-from multicolor.vectors import ByteVectors, PackedVectors, in_hyperrectangle, leq
+from multicolor.vectors import PackedVectors, in_hyperrectangle, leq, sorted_distinct
 from multicolor.wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families, wmax_uniform
 from util import (
     K2,
@@ -385,8 +385,14 @@ def test_prune_takes_a_sorted_tuple_as_it_is():
 
 def test_prune_reports_the_same_mismatch_sorted_or_not():
     vecs = ((0, 1), (1, 0, 0), (1, 1), (2,))
-    # the packed set and the witness query normalise the set the same way
-    for build in (prune_dominated, PackedVectors, lambda vs: in_hyperrectangle((0, 0), vs)):
+    # the normaliser, the witness query and a hand-built set all normalise
+    # the set the same way
+    for build in (
+        prune_dominated,
+        sorted_distinct,
+        lambda vs: in_hyperrectangle((0, 0), vs),
+        lambda vs: WmaxSet(vectors=vs, certificates={}),
+    ):
         for form in (vecs, vecs[::-1], list(vecs)):
             with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
                 build(form)
@@ -511,12 +517,12 @@ def test_vecsum_families_pairing():
     ids=["n0-no-colors", "n0", "n1", "two-byte-fields"],
 )
 def test_vecsum_families_cuts_vectors_as_plain_tuples_of_ints(families, n, expected):
-    """The vectors are plain tuples of ints, in a ByteVectors for every field width."""
+    """The vectors are plain tuples of ints, in a PackedVectors for every field width."""
     ws = vecsum_families(families, n)
     assert ws.vectors == expected
     assert set(map(type, ws.vectors)) == {tuple}
     assert all(type(a) is int for v in ws.vectors for a in v)
-    assert isinstance(ws.vectors, ByteVectors)
+    assert isinstance(ws.vectors, PackedVectors)
     if len(families) < 256:
         assert ws.vectors.fields == b"".join(map(bytes, expected))
     else:
