@@ -38,6 +38,7 @@ from .vectors import in_hyperrectangle
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, prune_dominated, wmax
 
 VERIFY_ENUM_BRANCHES = 100_000
+NOT_PERMISSIBLE = "not permissible: no coloring meets the demand"
 
 
 def _vec_format(n: int) -> str:
@@ -86,7 +87,7 @@ def _cmd_color(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int:
     try:
         coloring = find_coloring(inst, ws)
     except NotPermissibleError:
-        print("not permissible: no coloring meets the demand", file=sys.stderr)
+        print(NOT_PERMISSIBLE, file=sys.stderr)
         return 1
     print(_coloring_line(inst.graph, coloring))
     return 0
@@ -96,7 +97,11 @@ def _cmd_enumerate(args: argparse.Namespace, inst: Instance, ws: WmaxSet) -> int
     count = 0
     for count, coloring in enumerate(islice(iter_colorings(inst, ws), args.limit), 1):
         print(_coloring_line(inst.graph, coloring))
-    return 0 if count else 1
+    if count:
+        return 0
+    # the stream is empty only when no maximal vector dominates the demand
+    print(NOT_PERMISSIBLE, file=sys.stderr)
+    return 1
 
 
 def _cmd_chromatic(args: argparse.Namespace, inst: Instance, ws: None) -> int:

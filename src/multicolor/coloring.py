@@ -7,7 +7,8 @@ pass from the per-color maximal independent sets that certify a maximal
 demand vector above w: each color, ascending, goes to the vertices of its
 set still short of their demand (from_certificate).  The full set of
 colorings is one lazy stream, iter_colorings, that backtracks vertex by
-vertex in sorted order; callers take its first item, a prefix or all of it.
+vertex in index order, each vertex a frame on one explicit stack; callers
+take its first item, a prefix or all of it.
 Certificates hold each color's independent set as a vertex mask (vertex v
 at bit n-1-v), and the pass walks the masks' set bits.
 """
@@ -15,7 +16,7 @@ at bit n-1-v), and the pass walks the masks' set bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
 from .errors import NotPermissibleError
@@ -129,10 +130,11 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
     w(v)-subset of its list, in combinations order of the sorted list, that
     is disjoint from the colors of its earlier neighbors.  The stream is
     therefore strictly increasing under the key
-    tuple(tuple(sorted(s)) for s in coloring).  The trailing run of
-    mutually non-adjacent vertices depends only on the vertices before it,
-    so it is expanded with one itertools.product.  A demand that no maximal
-    vector dominates yields nothing without a search.
+    tuple(tuple(sorted(s)) for s in coloring).  Every vertex is one frame
+    on a single explicit stack, and a coloring is yielded when the last
+    vertex takes a subset; an instance with no vertices yields its one
+    empty coloring.  A demand that no maximal vector dominates yields
+    nothing without a search.
     """
     w = inst.require_weights()
     if wmax_set is None:
@@ -151,10 +153,8 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
     earlier: list[list[int]] = [[] for _ in range(n)]
     for u, v in inst.graph.edges:
         earlier[v].append(u)
-    # vertices from tail on have no later neighbors, so none among themselves
-    tail = 1 + max((u for u, _ in inst.graph.edges), default=-1)
-    chosen: list[frozenset[int]] = [frozenset()] * tail
-    masks = [0] * tail
+    chosen: list[frozenset[int]] = [frozenset()] * n
+    masks = [0] * n
 
     def allowed(v: int) -> list[tuple[frozenset[int], int]]:
         blocked = 0
@@ -162,13 +162,8 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
             blocked |= masks[u]
         return [option for option in options[v] if not option[1] & blocked]
 
-    def completions() -> Iterator[Coloring]:
-        prefix = tuple(chosen)
-        rest = [[s for s, _ in allowed(v)] for v in range(tail, n)]
-        return map(prefix.__add__, product(*rest))
-
-    if not tail:
-        yield from completions()
+    if not n:
+        yield ()
         return
     stack = [iter(allowed(0))]
     while stack:
@@ -178,7 +173,7 @@ def iter_colorings(inst: Instance, wmax_set: WmaxSet | None = None) -> Iterator[
             stack.pop()
         else:
             chosen[v], masks[v] = option
-            if v + 1 < tail:
+            if v + 1 < n:
                 stack.append(iter(allowed(v + 1)))
             else:
-                yield from completions()
+                yield tuple(chosen)

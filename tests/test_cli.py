@@ -163,6 +163,7 @@ class TestEnumerate:
         proc = run_cli("enumerate", "fix_p3_heavy.json")
         assert proc.returncode == 1
         assert proc.stdout == ""
+        assert "not permissible" in proc.stderr
 
 
 class TestChromatic:

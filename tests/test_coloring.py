@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import islice
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given
@@ -260,6 +262,69 @@ def test_cycle_stream_counts_proper_colorings(n, k):
     assert_sorted_without_repeats(stream)
     for m in (0, 1, 2, 7):
         assert tuple(islice(iter_colorings(inst), m)) == stream[:m]
+
+
+def edgeless(lists, w):
+    return Instance(graph_from_edges(len(lists), ()), tuple(map(frozenset, lists)), w)
+
+
+def star_centre_first(leaves):
+    graph = graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    lists = (frozenset({1, 2}),) + (frozenset({1, 2, 3}),) * leaves
+    return Instance(graph, lists, (1,) * (leaves + 1))
+
+
+def path_then_isolated(length, isolated):
+    n = length + isolated
+    graph = graph_from_edges(n, [(i, i + 1) for i in range(length - 1)])
+    lists = tuple(frozenset({1, 2, 3}) if v % 2 else frozenset({1, 2}) for v in range(n))
+    w = tuple(2 if v >= length and v % 3 == 0 else 1 for v in range(n))
+    return Instance(graph, lists, w)
+
+
+STREAM_SHAPES = {
+    "no-vertex": Instance(graph_from_edges(0, ()), (), ()),
+    "edgeless-mixed": edgeless([{1, 2, 3}, {2}, {1, 2, 3, 4}, {1, 3}, set()], (2, 1, 2, 0, 0)),
+    "edgeless-zero-demand": edgeless([{1, 2}, {3}], (0, 0)),
+    "edgeless-wide": edgeless([{1, 2, 3, 4}] * 4 + [{1, 2}], (2, 1, 3, 2, 1)),
+    "star-centre-first": star_centre_first(6),
+    "path-then-isolated": path_then_isolated(3, 4),
+    "path-then-one-isolated": path_then_isolated(4, 1),
+}
+
+
+@pytest.mark.parametrize("inst", STREAM_SHAPES.values(), ids=STREAM_SHAPES.keys())
+def test_stream_shapes_match_brute_force(inst):
+    """Zero vertices, no edges, a star centre first and a path followed by
+    isolated vertices: each is the set of all colorings, strictly increasing
+    in key, and each prefix of the stream is a prefix of the full stream."""
+    stream = tuple(iter_colorings(inst))
+    assert set(stream) == brute_all_colorings(inst)
+    assert_sorted_without_repeats(stream)
+    for m in (0, 1, 2, 5, len(stream), len(stream) + 1):
+        assert tuple(islice(iter_colorings(inst), m)) == stream[:m]
+
+
+def test_no_vertex_stream_is_the_empty_coloring():
+    assert list(iter_colorings(STREAM_SHAPES["no-vertex"])) == [()]
+
+
+@pytest.mark.parametrize("name", ["edgeless-mixed", "edgeless-zero-demand", "edgeless-wide"])
+def test_edgeless_stream_counts_subset_products(name):
+    inst = STREAM_SHAPES[name]
+    expected = prod(comb(len(lst), d) for lst, d in zip(inst.lists, inst.weights))
+    assert sum(1 for _ in iter_colorings(inst)) == expected
+
+
+def test_stream_of_isolated_vertices_is_lazy():
+    """60 isolated vertices listed {1, 2} have 2^60 colorings; the first
+    three arrive without expanding the rest."""
+    inst = edgeless([{1, 2}] * 60, (1,) * 60)
+    start = time.perf_counter()
+    first = tuple(islice(iter_colorings(inst), 3))
+    assert time.perf_counter() - start < 1.0
+    ones, two = frozenset({1}), frozenset({2})
+    assert first == ((ones,) * 60, (ones,) * 59 + (two,), (ones,) * 58 + (two, ones))
 
 
 def test_enumerate_outputs_have_exact_weight():
