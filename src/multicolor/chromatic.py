@@ -157,7 +157,7 @@ class ChromaticSolver:
         """
         d = self._pack(w)
         lower, start = self.bounds(w)
-        a, picks = self._climb(d, start)
+        a, picks = self._climb(d, start, walked=True)
         if picks is None:
             picks = self._walk(d, a, self._cover(d))
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
@@ -169,14 +169,25 @@ class ChromaticSolver:
             raise ValueError("demand exceeds the solver's bound")
         return sum(map(lshift, w, self._shifts))
 
-    def _climb(self, d: int, a: int) -> tuple[int, list[int] | None]:
+    def _climb(self, d: int, a: int, walked: bool = False) -> tuple[int, list[int] | None]:
         """The first level from a up that covers d, and the optimistic walk's picks there.
 
         The picks are None when the walk got stuck and the exact search
         decided the level; the witness is then walked from the search's cover.
+
+        walked says that the caller walks the level found, one state per
+        position, as solve does.  A level of more positions than the cap
+        has left can then not end the call, nor can any above it, so
+        unless _known refutes it without a state it raises at once, with
+        the count its walk would reach, the cap plus one.  chi is not
+        walked: its optimistic walk may stop at the first position, and
+        a memo hit then decides the level without another state.
         """
         while True:
             self.level = a
+            if walked and a > self.max_branches - self.expanded and self._known(d, a) is not False:
+                self.expanded = self.max_branches
+                self._tick()
             picks = self._walk(d, a, None)
             if picks is not None or self._search(d, a):
                 return a, picks
@@ -342,7 +353,8 @@ def weighted_chromatic(
     Raises:
         ValueError: if w has the wrong length or a negative entry.
         ResourceLimitExceeded: if more than max_branches states are
-            expanded; the message names the palette level reached.
+            expanded, or as soon as a level's walk alone would expand
+            them; the message names the palette level reached.
     """
     if len(w) != graph.n:
         raise ValueError("weight vector has wrong dimension")

@@ -15,9 +15,9 @@ at bit n-1-v), and the pass walks the masks' set bits.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .errors import NotPermissibleError
 from .instance import Instance, color_masks, vertices_of

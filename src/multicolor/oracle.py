@@ -20,9 +20,9 @@ fast instead of hanging.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, combinations
 from math import comb, prod
-from typing import Iterable, Iterator
 
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, uniform_lists

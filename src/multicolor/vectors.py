@@ -29,9 +29,9 @@ from operator import and_, eq, iconcat
 
 Vec = tuple[int, ...]
 
-# prune_dominated's translate tables: _AT_LEAST[a] maps each byte value to
-# ASCII "1" when it is >= a, else "0"; _HIGH maps it to its high nibble.
-# _BYTE[a] is the one-byte string a, for ``in`` probes.
+# translate tables: _AT_LEAST[a] maps each byte value to ASCII "1" when it
+# is >= a, else "0", for prune_dominated; _HIGH maps it to its high nibble,
+# for _largest_byte.  _BYTE[a] is the one-byte string a, for ``in`` probes.
 _AT_LEAST = tuple(b"0" * a + b"1" * (256 - a) for a in range(256))
 _HIGH = bytes(a >> 4 for a in range(256))
 _BYTE = tuple(bytes((a,)) for a in range(256))
@@ -39,6 +39,18 @@ _BYTE = tuple(bytes((a,)) for a in range(256))
 # two N-bit accumulators per row are alive at once, so the block bounds them
 # at 2 * _PRUNE_ROWS * N bits instead of 2 * N * N
 _PRUNE_ROWS = 1024
+
+
+def _largest_byte(data: bytes, top: int = 255) -> int:
+    """The largest byte in data, which is not empty and holds none above top.
+
+    ``in`` probes of the bytes' high nibbles, counting down from top's,
+    find the largest nibble; probes of the bytes within it, counting down,
+    find the byte: at most 32 probes and one translate, in C.
+    """
+    high = data.translate(_HIGH)
+    h = next(h for h in range(top >> 4, -1, -1) if _BYTE[h] in high)
+    return next(a for a in range(min(16 * h + 15, top), 16 * h - 1, -1) if _BYTE[a] in data)
 
 
 def leq(x: Vec, y: Vec) -> bool:
@@ -153,7 +165,8 @@ class PackedVectors(tuple):
 
         w.rep holds w in every block, each field clamped to 0..2**(width-1);
         a clamped field compares with every member as w does, since members
-        lie in 0..2**(width-1) - 1.
+        lie in 0..2**(width-1) - 1.  One-byte fields take the block as
+        bytes(w), which the clamp keeps in 0..128; wider ones pack it.
 
         Raises:
             ValueError: if a member has a negative coordinate, or if the
@@ -165,7 +178,8 @@ class PackedVectors(tuple):
         half = 1 << (width - 1)
         if min(w, default=0) < 0 or max(w, default=0) > half:
             w = [min(max(a, 0), half) for a in w]
-        rep = int.from_bytes(pack((w,), width // 8) * len(self), "big")
+        block = bytes(w) if width == 8 else pack((w,), width // 8)
+        rep = int.from_bytes(block * len(self), "big")
         return rep, (x | guards) - rep
 
     def witness(self, w: Vec) -> Vec | None:
@@ -206,8 +220,11 @@ class PackedVectors(tuple):
         fields where m_i >= w_i, and ``X ^ ((X ^ w.rep) & mask)`` is
         min(w, m) for every member at once.  Multiplying it by one block of
         ones puts each block's total in the block's coordinate-0 field.
-        When the best total is |w|, w itself is the only u, paired with the
-        first block reaching it; otherwise each block reaching it
+        With one-byte fields the best total is found by ``in`` probes of
+        the totals' bytes and of their high nibbles, counting down from
+        min(|w|, 255), as prune_dominated finds its B; wider totals take
+        max.  When the best total is |w|, w itself is the only u, paired
+        with the first block reaching it; otherwise each block reaching it
         contributes min(w, m), recomputed from its member, in block order.
 
         Raises:
@@ -239,8 +256,10 @@ class PackedVectors(tuple):
             if size == 1
             else [int.from_bytes(raw[i - size : i], "big") for i in range(step, len(raw) + 1, step)]
         )
-        best = max(totals)
-        if best == sum(w):
+        whole = sum(w)
+        # a total is at most |w|, and at most 255 in one byte
+        best = _largest_byte(totals, min(whole, 255)) if size == 1 else max(totals)
+        if best == whole:
             return ((tuple(w), self[totals.index(best)]),)
         found: dict[Vec, Vec] = {}
         j = -1
@@ -384,9 +403,7 @@ def prune_dominated(vecs: Iterable[Vec]) -> tuple[Vec, ...]:
             lookups.append(at.__getitem__)
     else:
         columns = [raw[i::dim] for i in range(dim)]
-        high = raw.translate(_HIGH)
-        h = next(h for h in range(15, -1, -1) if _BYTE[h] in high)
-        base = 1 + next(a for a in range(16 * h + 15, 16 * h - 1, -1) if _BYTE[a] in raw)
+        base = 1 + _largest_byte(raw)
         g = 1
         while g < dim and base ** (g + 1) <= min(256, n):
             g += 1

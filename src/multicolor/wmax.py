@@ -25,11 +25,11 @@ prune_dominated keeps), belong to vectors.py.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .errors import ResourceLimitExceeded
 from .instance import Graph, Lists, color_masks, spread, uniform_lists
@@ -212,17 +212,22 @@ def vecsum_families(
     significant: a mask is spread into those fields (instance.spread), and
     a field is wide enough for one unit per family, so sums never carry
     between fields and packed sums order as their vectors do.  The final
-    sums are sorted as ints, each is converted to its bytes once, and the
-    joined bytes are cut into the vectors by vectors.cut, whatever the
-    field width.  The vectors are a vectors.PackedVectors for every field
-    width; when the fields are single bytes it keeps the joined bytes, for
-    the prune and its packed layout to start from, and otherwise its
-    fields are empty.  Nothing is packed here: the set packs itself on its
-    first query.
+    sums are sorted as ints, the offset of the one-set colors after the
+    last table is added when there is one, each sum is converted to its
+    bytes once, and the joined bytes are cut into the vectors by
+    vectors.cut, whatever the field width.  The vectors are a
+    vectors.PackedVectors for every field width; when the fields are
+    single bytes it keeps the joined bytes, for the prune and its packed
+    layout to start from, and otherwise its fields are empty.  Nothing is
+    packed here: the set packs itself on its first query.
 
     Raises:
-        ResourceLimitExceeded: if an intermediate set outgrows max_vectors;
-            the message names the color and its step in the fold.
+        ResourceLimitExceeded: if an intermediate set outgrows max_vectors:
+            when a step's distinct sums exceed it.  A general step checks
+            the cap once per row, after each sum so far has met the whole
+            family, so the step's table can overshoot the cap by at most
+            one family's size before the raise.  The message names the
+            color and its step in the fold.
         ValueError: if a mask the fold reaches has a bit at or above n.
     """
     size = max(1, (len(families).bit_length() + 7) // 8)  # bytes per field
@@ -257,21 +262,23 @@ def vecsum_families(
             order = None
             continue
         shifts = [spread(r, width) + offset for r in family]
+        pairs = list(enumerate(shifts))
         nxt: _Table = {}
         for s in sorted(acc):
-            for j, p in enumerate(shifts):
+            for j, p in pairs:
                 total = s + p
                 if total not in nxt:
                     nxt[total] = j
-                    if len(nxt) > max_vectors:
-                        raise too_many(step, c)
+            if len(nxt) > max_vectors:
+                raise too_many(step, c)
         template[c] = 0  # a placeholder, filled from the table when read
         tables.append((c, nxt, family, shifts))
         acc = order = nxt
         offset = 0
 
     keys = sorted(acc)
-    data = b"".join(map(int.to_bytes, map(add, keys, repeat(offset)), repeat(n * size), repeat("big")))
+    sums = map(add, keys, repeat(offset)) if offset else keys
+    data = b"".join(map(int.to_bytes, sums, repeat(n * size), repeat("big")))
     vectors = PackedVectors(cut(data, n, size) if n else ((),) * len(keys), data if size == 1 else b"")
     return WmaxSet(vectors, _Certificates(vectors, keys, template, tables, order), families)
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from math import ceil
 
 import pytest
@@ -262,6 +263,17 @@ def test_climb_through_infeasible_levels_stays_small(route):
     result = weighted_chromatic(graph, w, max_branches=2_000)
     assert (result.chi, result.lower_bound) == (50, 34)
     assert weight_of(result.coloring) == w
+
+
+def test_a_level_the_cap_cannot_walk_raises_before_walking():
+    # level 10**30 fails the edge prune at no state; level 10**30 + 1 would
+    # walk 10**30 + 1 positions, so it raises with the count the walk
+    # would reach instead of walking the default cap of 10**7
+    start = time.monotonic()
+    message = rf"^chromatic search at palette level {10**30 + 1}: expanded 10000001 states, limit 10000000$"
+    with pytest.raises(ResourceLimitExceeded, match=message):
+        weighted_chromatic(C5, (10**30, 1, 1, 1, 1))
+    assert time.monotonic() - start < 1
 
 
 def test_huge_demand_meets_the_branch_cap():

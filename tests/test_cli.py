@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -194,6 +195,19 @@ class TestChromatic:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert f"chromatic search at palette level {10**30}: expanded 11 states, limit 10" in proc.stderr
+
+    def test_a_level_the_cap_cannot_walk_exits_at_once(self, run_cli, tmp_path):
+        inst = tmp_path / "c5.json"
+        names = ["v1", "v2", "v3", "v4", "v5"]
+        edges = [[names[i], names[(i + 1) % 5]] for i in range(5)]
+        weights = {"v1": 10**30, "v2": 1, "v3": 1, "v4": 1, "v5": 1}
+        inst.write_text(json.dumps({"vertices": names, "edges": edges, "weights": weights}))
+        start = time.monotonic()
+        proc = run_cli("chromatic", str(inst), timeout=60)
+        assert time.monotonic() - start < 1
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"chromatic search at palette level {10**30 + 1}: expanded 10000001 states" in proc.stderr
 
     def test_large_demand_on_an_edge(self, run_cli, tmp_path):
         # one search step per colour: 1200 steps outrun Python's recursion limit

@@ -147,6 +147,23 @@ def test_best_minima_match_the_loop_on_dense_sets():
             assert ws.vectors.best_minima(w) == scan_best_minima(w, ws.vectors), w
 
 
+def test_best_minima_probe_matches_the_loop_below_and_above_one_byte():
+    # one-byte fields, whose best total is found by probes of the totals'
+    # high nibbles and bytes down from min(|w|, 255): a best total several
+    # units below |w|, in its nibble and below it, |w| above 255, and
+    # fields clamped to 128
+    vecs = [(3, 0, 1), (0, 2, 2), (1, 1, 0), (2, 2, 2)]
+    packed = sorted_distinct(vecs)
+    assert packed.layout[0] == 8
+    for w in ((9, 9, 9), (3, 1, 9), (200, 100, 0), (300, 2**70, 5), (0, 0, 0), (2, 2, 2)):
+        assert packed.best_minima(w) == scan_best_minima(w, vecs), w
+    for _, _, ws in dense_sets():
+        assert ws.vectors.layout[0] == 8
+        top = ws.vectors[-1]
+        for w in (tuple(a + 3 for a in top), tuple(a + 30 for a in top), (10**6,) * len(top)):
+            assert ws.vectors.best_minima(w) == scan_best_minima(w, ws.vectors), w
+
+
 # (n, smallest coordinate, largest coordinate, bytes per field): a field
 # holds the largest coordinate below a guard bit, and n times it; for
 # n >= 2 the total needs the wider field, for n = 1 the guard does

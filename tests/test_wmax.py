@@ -596,6 +596,13 @@ def family_maps(draw, min_family=0):
 @example((3, {1: (), 2: (0b001,)}), 40)
 # equal masks make a two-set family, which takes the general step
 @example((2, {1: (0b10, 0b10), 2: (0b01,), 3: (0b01, 0b01)}), 40)
+# a multi-set last color leaves no offset to add; a one-set last color
+# after a one-set color leaves the offset of both
+@example((3, {1: (0b100,), 2: (0b110, 0b001), 3: (0b010, 0b001)}), 40)
+@example((3, {1: (0b100, 0b001), 2: (0b010,), 3: (0b001,)}), 40)
+# the cap at a last step's six distinct sums, whose last row adds one
+@example((3, {1: (0b100, 0b010, 0b001), 2: (0b100, 0b010, 0b001)}), 6)
+@example((3, {1: (0b100, 0b010, 0b001), 2: (0b100, 0b010, 0b001)}), 5)
 def test_vecsum_families_equals_the_tuple_fold(case, max_vectors):
     n, families = case
     as_tuples = {c: as_vectors(f, n) for c, f in families.items()}
@@ -647,6 +654,33 @@ def test_a_one_set_step_checks_its_mask_before_the_cap():
         match=r"^wmax fold at color 1 \(step 1 of 2\): more than 0 intermediate demand vectors$",
     ):
         vecsum_families({1: (0b100,), 2: (0b1000,)}, 3, max_vectors=0)
+
+
+def test_the_fold_cap_passes_at_a_steps_distinct_count_and_trips_below_it():
+    three = (0b100, 0b010, 0b001)
+    # step 1 has 3 distinct sums and step 2 has 6, swept from (0,0,1),
+    # (0,1,0) and (1,0,0): the rows add 3, 2 and 1, so the last row
+    # overshoots a cap of 5 by one, fewer than the family's three sets
+    assert len(vecsum_families({1: three, 2: three}, 3, max_vectors=6)) == 6
+    for cap, c in ((5, 2), (2, 1)):
+        message = rf"^wmax fold at color {c} \(step {c} of 2\): more than {cap} intermediate demand vectors$"
+        with pytest.raises(ResourceLimitExceeded, match=message):
+            vecsum_families({1: three, 2: three}, 3, max_vectors=cap)
+    # at workload scale: the largest step, read from the folds of the
+    # first k families, which prune nothing
+    _, _, ws = dense_sets()[0]
+    families, n = dict(ws.families), len(ws.vectors[0])
+    colors = sorted(families)
+    sizes = [len(vecsum_families({c: families[c] for c in colors[:k]}, n)) for k in range(1, len(colors) + 1)]
+    largest = max(sizes)
+    step = sizes.index(largest) + 1
+    assert vecsum_families(families, n, max_vectors=largest).vectors == ws.vectors
+    message = (
+        rf"^wmax fold at color {colors[step - 1]} \(step {step} of {len(colors)}\): "
+        rf"more than {largest - 1} intermediate demand vectors$"
+    )
+    with pytest.raises(ResourceLimitExceeded, match=message):
+        vecsum_families(families, n, max_vectors=largest - 1)
 
 
 def test_certificates_are_built_only_when_read():
