@@ -27,6 +27,9 @@ with one pick that achieves it, and the largest known infeasible.  The
 search runs on an explicit stack, so its depth is not bounded by
 Python's recursion limit.
 
+One loop, ChromaticSolver.solve, decides every level of every demand
+and builds the witness at the level it stops at.
+
 The witness is the lexicographically first non-decreasing sequence of MIS
 indices whose sum dominates w; it has exactly as many picks as the
 palette size, since the climb starts at a lower bound and passes only
@@ -73,9 +76,9 @@ class ChromaticResult:
 class ChromaticSolver:
     """Weighted chromatic numbers on one graph, sharing one MIS family and memo.
 
-    chi decides the smallest palette size of a demand; solve also builds
-    its witness.  The witness does not depend on the memo's state, so
-    deciding other demands first never changes it.
+    solve decides the smallest palette size of a demand and builds its
+    witness, in one climb.  The witness does not depend on the memo's
+    state, so solving other demands first never changes it.
 
     A deficit is one packed int with vertex v in field n-1-v, at bit
     (n-1-v) * width: vertex 0 is the most significant field, as in vertex
@@ -141,25 +144,36 @@ class ChromaticSolver:
         lower = -(-total // self.alpha) if total else 0
         return lower, max(lower, max(w, default=0))
 
-    def chi(self, w: Vec) -> int:
-        """Smallest palette size for demand w, decided without building a witness.
-
-        Raises:
-            ValueError: if w exceeds the solver's bound at some vertex.
-        """
-        return self._climb(self._pack(w), self.bounds(w)[1])[0]
-
     def solve(self, w: Vec) -> ChromaticResult:
         """Smallest palette size for demand w, its lower bound and the witness.
 
+        Each level from the start level up is first walked optimistically;
+        if that walk gets stuck, the exact search decides the level and
+        the witness is walked from the search's cover.  Either walk takes
+        one state per position, so a level of more positions than the cap
+        has left cannot end the call, nor can any level above it.  Unless
+        _known refutes such a level without a state, solve raises at once,
+        with the count its walk would reach, the cap plus one.
+
         Raises:
             ValueError: if w exceeds the solver's bound at some vertex.
+            ResourceLimitExceeded: if the cap is exceeded, or as soon as a
+                level's walk alone would exceed it.
         """
         d = self._pack(w)
-        lower, start = self.bounds(w)
-        a, picks = self._climb(d, start, walked=True)
-        if picks is None:
-            picks = self._walk(d, a, self._cover(d))
+        lower, a = self.bounds(w)
+        while True:
+            self.level = a
+            if a > self.max_branches - self.expanded and self._known(d, a) is not False:
+                self.expanded = self.max_branches
+                self._tick()
+            picks = self._walk(d, a, None)
+            if picks is not None:
+                break
+            if self._search(d, a):
+                picks = self._walk(d, a, self._cover(d))
+                break
+            a += 1
         cert = {color: self.family[idx] for color, idx in enumerate(picks, start=1)}
         return ChromaticResult(a, lower, from_certificate(self.n, cert, w))
 
@@ -168,30 +182,6 @@ class ChromaticSolver:
         if not leq(w, self.bound):
             raise ValueError("demand exceeds the solver's bound")
         return sum(map(lshift, w, self._shifts))
-
-    def _climb(self, d: int, a: int, walked: bool = False) -> tuple[int, list[int] | None]:
-        """The first level from a up that covers d, and the optimistic walk's picks there.
-
-        The picks are None when the walk got stuck and the exact search
-        decided the level; the witness is then walked from the search's cover.
-
-        walked says that the caller walks the level found, one state per
-        position, as solve does.  A level of more positions than the cap
-        has left can then not end the call, nor can any above it, so
-        unless _known refutes it without a state it raises at once, with
-        the count its walk would reach, the cap plus one.  chi is not
-        walked: its optimistic walk may stop at the first position, and
-        a memo hit then decides the level without another state.
-        """
-        while True:
-            self.level = a
-            if walked and a > self.max_branches - self.expanded and self._known(d, a) is not False:
-                self.expanded = self.max_branches
-                self._tick()
-            picks = self._walk(d, a, None)
-            if picks is not None or self._search(d, a):
-                return a, picks
-            a += 1
 
     def _support(self, d: int) -> int:
         """The lowest bit of every nonzero field of d."""

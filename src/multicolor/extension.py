@@ -29,14 +29,15 @@ wmax_constrained needs no search of its own: the family for color x is
 the graph's maximal independent sets that contain the vertices
 precolored x, a filter of the graph's one family, and the families are
 folded as wmax folds them.  extend_coloring filters the family its
-chromatic solver enumerates, so the graph's sets are enumerated once.
+chromatic solver enumerates, so the graph's sets are enumerated once, and
+that one solver solves each residual it decides once, witness included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chromatic import ChromaticSolver
+from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, from_certificate, is_valid_coloring, weight_of
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
 from .instance import Graph, Instance, color_masks, uniform_lists
@@ -127,16 +128,17 @@ def extend_coloring(
     Only residuals that can still win are decided: one already decided,
     or one whose start level max(ceil(|r|/alpha), max r) is at least the
     best chromatic number so far, cannot have a strictly smaller one, and
-    a tie never replaces the best.  Each decision finds the level alone;
-    the witness is then built once: c0, plus the constrained
-    certificate's sets less the precolored vertices dealt up to
-    min(w, w1) - w0 (from_certificate), plus the winning residual's
-    chromatic witness shifted into the fresh block {a0+1..bound}.  Every
-    set for color x contains R_x, so c0 and the smallest other colors of
-    the certificate's coloring are kept.  One ChromaticSolver, with one
-    memo, answers every residual; every residual is at most w, so w sizes it.  Its MIS family
-    is the one the constrained families are filtered from, so the graph's
-    maximal independent sets are enumerated once.
+    a tie never replaces the best.  Each decided residual is solved once,
+    its chromatic witness included, and the best result is kept.  The
+    witness is c0, plus the constrained certificate's sets less the
+    precolored vertices dealt up to min(w, w1) - w0 (from_certificate),
+    plus the winning residual's chromatic witness shifted into the fresh
+    block {a0+1..bound}.  Every set for color x contains R_x, so c0 and
+    the smallest other colors of the certificate's coloring are kept.
+    One ChromaticSolver, with one memo, answers every residual; every
+    residual is at most w, so w sizes it.  Its MIS family is the one the
+    constrained families are filtered from, so the graph's maximal
+    independent sets are enumerated once.
 
     Args:
         graph: the conflict graph.
@@ -147,7 +149,7 @@ def extend_coloring(
         max_vectors: cap on the constrained maximal vector set, and on
             a0, the colors that set is folded over.
         max_branches: cap on the states the chromatic solver expands over
-            the residuals decided and the winner's witness together.
+            the residuals it decides, their witnesses included.
 
     Returns:
         ExtensionResult; its coloring has weight w, contains c0 at every
@@ -155,8 +157,10 @@ def extend_coloring(
         with those properties fits a smaller palette.
 
     Raises:
-        ResourceLimitExceeded: if either cap is exceeded, or if a0
-            exceeds max_vectors (before any palette is built).
+        ResourceLimitExceeded: if either cap is exceeded; if a0 exceeds
+            max_vectors (before any palette is built); or as soon as a
+            residual's palette level has more positions to walk than the
+            branch cap has left.
     """
     _validate_precoloring(graph, a0, c0, max_vectors)
     w0 = weight_of(c0)
@@ -167,19 +171,18 @@ def extend_coloring(
     solver = ChromaticSolver(graph, w, max_branches)
     constrained = _constrained(graph, a0, c0, solver.family, max_vectors)
     decided: set[Vec] = set()
-    best: tuple[int, Vec, Vec] | None = None  # chi, w1, residual
+    best: tuple[ChromaticResult, Vec] | None = None  # the best residual's solution, its w1
     for w1 in constrained.vectors:
         residual = tuple(x - y if x > y else 0 for x, y in zip(w, w1))
         if residual in decided or (
-            best is not None and solver.bounds(residual)[1] >= best[0]
+            best is not None and solver.bounds(residual)[1] >= best[0].chi
         ):
             continue
         decided.add(residual)
-        chi = solver.chi(residual)
-        if best is None or chi < best[0]:
-            best = (chi, w1, residual)
-    _, base, residual = best
-    fresh = solver.solve(residual)
+        fresh = solver.solve(residual)
+        if best is None or fresh.chi < best[0].chi:
+            best = (fresh, w1)
+    fresh, base = best
     held = color_masks(c0)
     rest = {x: m & ~held.get(x, 0) for x, m in constrained.certificates[base].items()}
     target = tuple(min(x, y) - z for x, y, z in zip(w, base, w0))

@@ -315,6 +315,27 @@ class TestExtend:
         assert json.loads(lines[0]) == {"bound": chi}
         assert json.loads(lines[2]) == {"exact": chi, "verdict": "EQUALITY"}
 
+    def test_a_residual_level_the_cap_cannot_walk_exits_at_once(self, run_cli, tmp_path):
+        # v1 precolored {1} on C5 with demand (10**30, 1, 1, 1, 1): the first
+        # residual decided needs level 10**30, whose walk the default cap
+        # of 10**7 cannot finish, so extend exits before walking it
+        inst = tmp_path / "c5.json"
+        names = ["v1", "v2", "v3", "v4", "v5"]
+        edges = [[names[i], names[(i + 1) % 5]] for i in range(5)]
+        weights = {"v1": 10**30, "v2": 1, "v3": 1, "v4": 1, "v5": 1}
+        inst.write_text(json.dumps({"vertices": names, "edges": edges, "weights": weights}))
+        pre = tmp_path / "pre.json"
+        pre.write_text('{"v1": [1]}')
+        start = time.monotonic()
+        proc = run_cli("extend", str(inst), "--precoloring", str(pre), "--base-colors", "1", timeout=60)
+        assert time.monotonic() - start < 1
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: chromatic search at palette level {10**30}: "
+            "expanded 10000001 states, limit 10000000\n"
+        )
+
     @pytest.mark.parametrize(
         "a0, code, out",
         [("100000000", 3, []), ("1000", 0, [{"bound": 1000}])],

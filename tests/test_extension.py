@@ -1,6 +1,7 @@
 import ast
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from multicolor.chromatic import ChromaticSolver
 from multicolor.mis import enumerate_mis
 from multicolor.wmax import vecsum_families, wmax, wmax_uniform
 from util import (
+    C5,
     K2,
     K3,
     P3,
@@ -222,23 +224,57 @@ class TestExtendColoring:
             extend_coloring(K2, 1, C0_K2, (1,))
 
     def test_branch_cap_counts_the_decided_residuals_and_the_witness(self, monkeypatch):
-        # a cap of exactly the states expanded passes, one fewer trips
-        graph, a0, c0, w = alternating_ring(11, 3, 3, 3)
-        used = []
+        # a cap of exactly the states expanded passes, one fewer trips, also
+        # where several residuals are decided: the count is the last solve's
+        rng = random.Random(29)
+        cases = [alternating_ring(11, 3, 3, 3)]
+        for _ in range(40):
+            graph = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+            a0 = rng.randint(1, 3)
+            c0 = random_precoloring(rng, graph, a0)
+            cases.append((graph, a0, c0, tuple(len(c0[v]) + rng.randint(1, 3) for v in range(graph.n))))
         real_solve = ChromaticSolver.solve
+        several = 0
+        for graph, a0, c0, w in cases:
+            solved, used = [], []
 
-        def recording_solve(self, w):
-            result = real_solve(self, w)
-            used.append(self.expanded)
-            return result
+            def recording_solve(self, w):
+                result = real_solve(self, w)
+                solved.append(w)
+                used.append(self.expanded)
+                return result
 
-        monkeypatch.setattr(ChromaticSolver, "solve", recording_solve)
-        result = extend_coloring(graph, a0, c0, w)
-        monkeypatch.undo()
-        (expanded,) = used
-        assert extend_coloring(graph, a0, c0, w, max_branches=expanded) == result
-        with pytest.raises(ResourceLimitExceeded, match=f"limit {expanded - 1}"):
-            extend_coloring(graph, a0, c0, w, max_branches=expanded - 1)
+            monkeypatch.setattr(ChromaticSolver, "solve", recording_solve)
+            result = extend_coloring(graph, a0, c0, w)
+            monkeypatch.undo()
+            # each decided residual is solved once, and the winner not again
+            assert len(solved) == len(set(solved))
+            several += len(solved) > 1
+            expanded = used[-1]
+            assert extend_coloring(graph, a0, c0, w, max_branches=expanded) == result
+            with pytest.raises(ResourceLimitExceeded, match=f"limit {expanded - 1}$"):
+                extend_coloring(graph, a0, c0, w, max_branches=expanded - 1)
+        assert several >= 5, several
+
+    def test_the_winner_is_solved_once_under_the_cap(self):
+        # the one residual, (1, 1), is solved by a walk of one state at
+        # level 1; walking the winner's level a second time would trip
+        # the cap of 1
+        graph = graph_from_edges(2, ())
+        result = extend_coloring(graph, 1, coloring({1}, {1}), (2, 2), max_branches=1)
+        assert result == ExtensionResult(bound=2, coloring=coloring({1, 2}, {1, 2}))
+
+    def test_a_residual_level_the_cap_cannot_walk_raises_before_walking(self):
+        # v1 precolored {1}: the first residual decided, (10**30 - 1, 1, 1,
+        # 0, 1), is refuted by the edge prune at level 10**30 - 1, and level
+        # 10**30 would walk 10**30 positions, so it raises with the count
+        # that walk would reach instead of walking the default cap of 10**7
+        c0 = coloring({1}, set(), set(), set(), set())
+        message = rf"^chromatic search at palette level {10**30}: expanded 10000001 states, limit 10000000$"
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitExceeded, match=message):
+            extend_coloring(C5, 1, c0, (10**30, 1, 1, 1, 1))
+        assert time.monotonic() - start < 1
 
 
 def test_random_extensions_are_sound():
