@@ -4,10 +4,17 @@ With every vertex drawing from the same palette {1..a}, the demand w is
 satisfiable exactly when some multiset of at most a maximal independent
 sets (MIS) has an indicator sum dominating w.  Deciding that is a covering
 problem with multiplicities, the pricing side of branch-and-price for
-graph multicoloring (Mehrotra and Trick, 2007).  The solver climbs from
-the lower bound max(ceil(|w|/alpha), max(w)) one palette size at a time,
-so the first level it can cover is optimal.  Every vertex lies in some
-MIS, so the climb ends.
+graph multicoloring (Mehrotra and Trick, 2007).  The solver climbs one
+palette size at a time from a start level that no cover can undercut, so
+the first level it can cover is optimal.  Every vertex lies in some MIS,
+so the climb ends.  The start is the largest of ceil(|w|/alpha), max(w)
+and the weight of some cliques: an independent set holds at most one
+vertex of a clique, so each color serves at most one unit of the
+clique's demand, the clique side of the duality Mehrotra and Trick build
+on.  The cliques are grown greedily once per graph, one from each
+vertex, and only when the graph has a triangle; without one a clique is
+an edge, and the edge prune below refutes a level under an edge's sum
+in one state.
 
 A state is a deficit d (the demand not yet covered, clipped at 0) and a
 budget b (the picks left).  It is infeasible when some d[v] > b, when
@@ -20,20 +27,24 @@ the deficit's support lies inside the overlap of one already tried.  A
 deficit is one int of fixed-width bit fields, with vertex 0 in the most
 significant field, the order of vertex masks, so an MIS mask widens into
 its packed indicator vector by instance.spread and the lowest-index
-deficient vertex is the top nonzero field.  A state's answer does not depend on w, so one memo serves every
-palette level and every demand on the same graph.  The memo is monotone
-in the budget: each deficit keeps the smallest budget known feasible,
-with one pick that achieves it, and the largest known infeasible.  The
-search runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit.
+deficient vertex is the top nonzero field.  The MIS through a vertex are
+listed the first time the search branches on it, so a level that the
+optimistic walk below covers lists none.  A state's answer does not
+depend on w, so one memo serves every palette level and every demand on
+the same graph.  The memo is monotone in the budget: each deficit keeps
+the smallest budget known feasible, with one pick that achieves it, and
+the largest known infeasible.  The search runs on an explicit stack, so
+its depth is not bounded by Python's recursion limit.
 
 One loop, ChromaticSolver.solve, decides every level of every demand
-and builds the witness at the level it stops at.
+and builds the witness at the level it stops at.  Given a ceiling, it
+stops below it instead: a demand that cannot beat the ceiling is refuted
+without a witness.
 
 The witness is the lexicographically first non-decreasing sequence of MIS
 indices whose sum dominates w; it has exactly as many picks as the
 palette size, since the climb starts at a lower bound and passes only
-refuted levels.
+refuted levels; so it does not depend on the level the climb starts at.
 A greedy walk rebuilds it from any exact feasibility test: each position
 takes the smallest index, no smaller than the previous pick, whose
 remainder is still feasible with one pick fewer.  If a smaller index had
@@ -90,10 +101,19 @@ class ChromaticSolver:
     operations; a demand is packed by shifting each entry to its field.
     It is fixed by the largest demand the solver will see.
 
+    With a triangle in the graph, the solver grows one clique from each
+    vertex, adding the common neighbour heaviest under bound, the lowest
+    index on ties, until none is left.  That is one pass over the
+    vertices per clique, O(n**2) int operations in all, where
+    enumerating every maximal clique could take exponential time.  Each
+    is kept as a mask of whole fields, so a deficit's weight on it costs
+    one & and one %.
+
     Args:
         graph: the conflict graph.
         bound: a demand at least as large, at every vertex, as every
-            demand passed to solve; it sets the field width.
+            demand passed to solve; it sets the field width and steers
+            the cliques.
         max_branches: cap on the states the walks and the search expand
             over the solver's life; one more raises ResourceLimitExceeded.
     """
@@ -118,11 +138,32 @@ class ChromaticSolver:
         self._cap = (1 << (bits - 1)) - 1
         self._low = self._cap * self._ones
         self._masks = [spread(s, bits) for s in self.family]
-        # per field f, the vertex n-1-f: (packed mask, index) of the MIS through it
-        self._through = [
-            [(m, i) for i, m in enumerate(self._masks) if m >> (bits * f) & 1]
-            for f in range(self.n)
-        ]
+        # per field f, the vertex n-1-f: (packed mask, index) of the MIS
+        # through it, listed on the first branch from that vertex
+        self._through: list[list[tuple[int, int]] | None] = [None] * self.n
+        # each clique as its vertices' fields in full, so (d & clique) %
+        # (2**bits - 1) is the deficit's weight on it
+        adjacency, field = graph.adjacency, (1 << bits) - 1
+        cliques: set[int] = set()
+        if any(adjacency[i] & adjacency[j] for i, j in graph.edges):
+            # (bit, neighbours, field) heaviest under bound first, the lowest
+            # index on ties (the sort is stable): the common neighbours only
+            # shrink, so one pass in this order meets each next pick after
+            # the last
+            heavy = [
+                (1 << (self.n - 1 - u), adjacency[u], field << self._shifts[u])
+                for u in sorted(range(self.n), key=bound.__getitem__, reverse=True)
+            ]
+            for v in range(self.n):
+                clique, common = field << self._shifts[v], adjacency[v]
+                for bit, neighbours, fields in heavy:
+                    if common & bit:
+                        clique |= fields
+                        common &= neighbours
+                        if not common:
+                            break
+                cliques.add(clique)
+        self._cliques = tuple(cliques)
         # d + (d >> shift) puts d[i] + d[i + k] in field n-1-j, vertex j = i + k's;
         # ends marks the high bit of that field for each edge (i, j)
         pairs: dict[int, int] = {}
@@ -136,15 +177,21 @@ class ChromaticSolver:
         self._infeasible: dict[int, int] = {}
 
     def bounds(self, w: Vec) -> tuple[int, int]:
-        """ceil(|w| / alpha) and the level the climb starts at, max of it and max(w).
+        """ceil(|w| / alpha) and the level the climb starts at.
 
-        Both are necessary, so chi(w) is at least the second.
+        The start is the largest of the first, max(w) and w's weight on
+        each of the solver's cliques.  Each is necessary, so chi(w) is at
+        least the start.  w must not exceed the solver's bound.
         """
         total = sum(w)
         lower = -(-total // self.alpha) if total else 0
-        return lower, max(lower, max(w, default=0))
+        start = max(lower, max(w, default=0))
+        if self._cliques:
+            d, field = sum(map(lshift, w, self._shifts)), (1 << self._bits) - 1
+            start = max(start, max((d & c) % field for c in self._cliques))
+        return lower, start
 
-    def solve(self, w: Vec) -> ChromaticResult:
+    def solve(self, w: Vec, ceiling: int | None = None) -> ChromaticResult | None:
         """Smallest palette size for demand w, its lower bound and the witness.
 
         Each level from the start level up is first walked optimistically;
@@ -155,6 +202,10 @@ class ChromaticSolver:
         _known refutes such a level without a state, solve raises at once,
         with the count its walk would reach, the cap plus one.
 
+        With a ceiling, solve returns None before it walks a level at or
+        above the ceiling: chi(w) is then at least the ceiling, and no
+        witness is built.
+
         Raises:
             ValueError: if w exceeds the solver's bound at some vertex.
             ResourceLimitExceeded: if the cap is exceeded, or as soon as a
@@ -163,6 +214,8 @@ class ChromaticSolver:
         d = self._pack(w)
         lower, a = self.bounds(w)
         while True:
+            if ceiling is not None and a >= ceiling:
+                return None
             self.level = a
             if a > self.max_branches - self.expanded and self._known(d, a) is not False:
                 self.expanded = self.max_branches
@@ -228,8 +281,14 @@ class ChromaticSolver:
         """
         self._tick()
         support = self._support(d)
+        f = (support.bit_length() - 1) // self._bits
+        row = self._through[f]
+        if row is None:
+            row = self._through[f] = [
+                (m, i) for i, (s, m) in enumerate(zip(self.family, self._masks)) if s >> f & 1
+            ]
         kept: list[int] = []
-        for m, i in self._through[(support.bit_length() - 1) // self._bits]:
+        for m, i in row:
             r = m & support
             if all(r & ~k for k in kept):
                 kept.append(r)
@@ -316,9 +375,10 @@ def weighted_chromatic(
 ) -> ChromaticResult:
     """Smallest palette size a for which w is satisfiable, with a witness.
 
-    The ascent starts at max(ceil(|w|/alpha), max(w)), both necessary; the
-    reported lower_bound is the first of the two.  At each level a greedy
-    walk looks for the witness directly, steered only by the prunes: a
+    The ascent starts at the largest of ceil(|w|/alpha), max(w) and w's
+    weight on a few greedy cliques, each necessary; the reported
+    lower_bound is the first of them.  At each level a greedy walk looks
+    for the witness directly, steered only by the prunes: a
     vertex, the total, or an edge's two endpoints needing more picks than
     remain.  If the walk gets stuck, an exact search decides whether a
     maximal independent sets can cover w.  It branches on the lowest

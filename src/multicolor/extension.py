@@ -30,7 +30,9 @@ the graph's maximal independent sets that contain the vertices
 precolored x, a filter of the graph's one family, and the families are
 folded as wmax folds them.  extend_coloring filters the family its
 chromatic solver enumerates, so the graph's sets are enumerated once, and
-that one solver solves each residual it decides once, witness included.
+that one solver decides each residual once, climbing only below the best
+chromatic number so far, so only a residual that beats it builds a
+witness.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from .chromatic import ChromaticResult, ChromaticSolver
 from .coloring import Coloring, from_certificate, is_valid_coloring, weight_of
 from .errors import DEFAULT_MAX_BRANCHES, ResourceLimitExceeded
-from .instance import Graph, Instance, color_masks, uniform_lists
+from .instance import Graph, Instance, color_masks
 from .mis import enumerate_mis
 from .vectors import Vec, leq
 from .wmax import DEFAULT_MAX_VECTORS, WmaxSet, vecsum_families
@@ -59,10 +61,12 @@ class ExtensionResult:
 def _validate_precoloring(graph: Graph, a0: int, c0: Coloring, max_vectors: int) -> None:
     """Raise ValueError unless c0 is a valid coloring of its own weight on {1..a0}.
 
-    The message names the first violation is_valid_coloring finds.  A base
-    palette of more than max_vectors colors raises ResourceLimitExceeded
-    before the palette is built: the constrained fold that it feeds takes
-    one step per color, and max_vectors caps that fold.
+    The message names the first violation is_valid_coloring finds.  Every
+    vertex is listed the colors c0 uses within 1..a0, which rules out the
+    same colors as the palette {1..a0}, so no a0-color palette is built.
+    A base palette of more than max_vectors colors raises
+    ResourceLimitExceeded: the constrained fold that it feeds takes one
+    step per color, and max_vectors caps that fold.
     """
     if a0 < 0:
         raise ValueError("base palette size must be non-negative")
@@ -70,7 +74,10 @@ def _validate_precoloring(graph: Graph, a0: int, c0: Coloring, max_vectors: int)
         raise ResourceLimitExceeded(
             f"extension: base palette of {a0} colors exceeds limit {max_vectors}"
         )
-    check = is_valid_coloring(Instance(graph, uniform_lists(graph.n, a0), weight_of(c0)), c0)
+    palette = range(1, a0 + 1)
+    # a vertex's colors outside this set are its colors outside 1..a0
+    held = frozenset(x for x in frozenset().union(*c0) if x in palette)
+    check = is_valid_coloring(Instance(graph, (held,) * graph.n, weight_of(c0)), c0)
     if not check.ok:
         raise ValueError(f"precoloring on 1..{a0}: {check.violations[0]}")
 
@@ -103,13 +110,14 @@ def _constrained(
     graph: Graph, a0: int, c0: Coloring, family: tuple[int, ...], max_vectors: int
 ) -> WmaxSet:
     """wmax_constrained of a valid precoloring, filtered from family, the
-    graph's maximal independent sets, once per color.  A graph with no
+    graph's maximal independent sets, once per color; a color that no
+    vertex is precolored with takes family as it is.  A graph with no
     vertex lists no color, so it folds no family."""
     required = color_masks(c0)
     families: dict[int, tuple[int, ...]] = {}
     for x in range(1, a0 + 1) if graph.n else ():
-        r = required.get(x, 0)
-        families[x] = tuple(m for m in family if m & r == r)
+        r = required.get(x)
+        families[x] = family if r is None else tuple(m for m in family if m & r == r)
     return vecsum_families(families, graph.n, max_vectors)
 
 
@@ -125,11 +133,13 @@ def extend_coloring(
 
     Scans the constrained maximal vectors in ascending order and keeps
     the first whose residual demand has the smallest chromatic number.
-    Only residuals that can still win are decided: one already decided,
-    or one whose start level max(ceil(|r|/alpha), max r) is at least the
-    best chromatic number so far, cannot have a strictly smaller one, and
-    a tie never replaces the best.  Each decided residual is solved once,
-    its chromatic witness included, and the best result is kept.  The
+    A tie never replaces the best, so a residual only needs deciding
+    below the best chromatic number so far, the ceiling.  A residual
+    already decided is skipped, and so is one whose start level
+    (ChromaticSolver.bounds) reaches the ceiling.  Any other is decided
+    once, by solve with that ceiling: it climbs up to the residual's
+    chromatic number or the ceiling, whichever comes first, so only a
+    residual that beats the best builds its chromatic witness.  The
     witness is c0, plus the constrained certificate's sets less the
     precolored vertices dealt up to min(w, w1) - w0 (from_certificate),
     plus the winning residual's chromatic witness shifted into the fresh
@@ -149,7 +159,8 @@ def extend_coloring(
         max_vectors: cap on the constrained maximal vector set, and on
             a0, the colors that set is folded over.
         max_branches: cap on the states the chromatic solver expands over
-            the residuals it decides, their witnesses included.
+            the residuals it decides, the witnesses of those that beat
+            the best so far included.
 
     Returns:
         ExtensionResult; its coloring has weight w, contains c0 at every
@@ -174,13 +185,12 @@ def extend_coloring(
     best: tuple[ChromaticResult, Vec] | None = None  # the best residual's solution, its w1
     for w1 in constrained.vectors:
         residual = tuple(x - y if x > y else 0 for x, y in zip(w, w1))
-        if residual in decided or (
-            best is not None and solver.bounds(residual)[1] >= best[0].chi
-        ):
+        ceiling = None if best is None else best[0].chi
+        if residual in decided or (ceiling is not None and solver.bounds(residual)[1] >= ceiling):
             continue
         decided.add(residual)
-        fresh = solver.solve(residual)
-        if best is None or fresh.chi < best[0].chi:
+        fresh = solver.solve(residual, ceiling)
+        if fresh is not None:
             best = (fresh, w1)
     fresh, base = best
     held = color_masks(c0)

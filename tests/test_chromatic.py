@@ -7,6 +7,7 @@ import pytest
 
 import multicolor.chromatic
 import multicolor.mis
+from graphgen import all_graphs
 from multicolor import (
     Instance,
     ResourceLimitExceeded,
@@ -311,9 +312,9 @@ def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
 
         return counting_mis
 
-    def counting_solve(self, w):
+    def counting_solve(self, w, ceiling=None):
         solved.append(w)
-        return real_solve(self, w)
+        return real_solve(self, w, ceiling)
 
     for site in calls:
         monkeypatch.setattr(sys.modules[f"multicolor.{site}"], "enumerate_mis", counting(site))
@@ -338,12 +339,14 @@ def test_extension_enumerates_mis_once_per_call_site(monkeypatch):
 
 
 def test_solver_state_count_is_pinned():
-    """The search expands exactly as many states as it did on tuple families.
+    """The search expands exactly this many states on a fixed sweep.
 
     Seeds 40 and 41, 150 graphs each: n in 6..11, edge probability 0.3,
-    0.5 or 0.7, demand 0..5 per vertex.  The sum is the count before MIS
-    families became vertex masks; a change to it is a change to the
-    search order, and must be declared.
+    0.5 or 0.7, demand 0..5 per vertex.  A change to the sum is a change
+    to the search order or to the level the climb starts at, and must be
+    declared.  It was 70 339 while the climb started at max(ceil(|w| /
+    alpha), max w); the greedy clique start skips levels that the climb
+    used to walk and refute, so it fell to 24 331 with every answer kept.
     """
     total = 0
     for seed in (40, 41):
@@ -356,4 +359,63 @@ def test_solver_state_count_is_pinned():
             solver = ChromaticSolver(graph, w)
             solver.solve(w)
             total += solver.expanded
-    assert total == 70_339
+    assert total == 24_331
+
+
+def digit_edges(n, edges):
+    """The graph on n vertices whose edges are given as digit pairs, "01 12"."""
+    return graph_from_edges(n, {(int(e[0]), int(e[1])) for e in edges.split()})
+
+
+def test_a_clique_far_above_the_bound_starts_the_climb(route):
+    # the K4 {0, 1, 4, 6} weighs 2 100 at 300 times (2, 2, 2, 2, 2, 2, 1),
+    # chi itself; from the old start, 1 300, the climb took 893 951 states
+    graph = digit_edges(7, "01 02 04 05 06 13 14 16 24 26 36 45 46")
+    w = tuple(300 * x for x in (2, 2, 2, 2, 2, 2, 1))
+    result = weighted_chromatic(graph, w, max_branches=10**5)
+    assert (result.chi, result.lower_bound) == (2100, 1300)
+    assert weight_of(result.coloring) == w
+
+
+def test_a_triangle_start_answers_well_under_the_default_cap():
+    # the triangles {0, 2, 3} and {0, 2, 5} weigh 1 200 at 300 times
+    # (1, 1, 2, 2, 2, 2), above the old start of 1 000, from which the
+    # climb took 4 819 501 states; from 1 200 it takes 49 051
+    graph = digit_edges(6, "02 03 05 14 23 25 45")
+    w = tuple(300 * x for x in (1, 1, 2, 2, 2, 2))
+    result = weighted_chromatic(graph, w, max_branches=10**5)
+    assert (result.chi, result.lower_bound) == (1500, 1000)
+    assert weight_of(result.coloring) == w
+
+
+def test_start_level_never_exceeds_the_chromatic_number():
+    rng = random.Random(31)
+    for n, edges in all_graphs(5):
+        graph = graph_from_edges(n, edges)
+        for _ in range(3):
+            w = tuple(rng.randint(0, 2) for _ in range(n))
+            assert ChromaticSolver(graph, w).bounds(w)[1] <= brute_chromatic(graph, w)
+
+
+def test_start_level_is_the_heaviest_greedy_clique():
+    # triangle 0-1-2 with a pendant 3 on vertex 2: the clique from 3 is the
+    # edge {2, 3}, and 2 + 5 outweighs the triangle's 1 + 1 + 2 and |w| / 2
+    graph = graph_from_edges(4, {(0, 1), (0, 2), (1, 2), (2, 3)})
+    assert ChromaticSolver(graph, (1, 1, 2, 5)).bounds((1, 1, 2, 5)) == (5, 7)
+    assert weighted_chromatic(graph, (1, 1, 2, 5)).chi == 7
+
+
+def test_complete_multipartite_graph_sets_up_quickly():
+    # parts of 3 give 3**4 maximal cliques but 4 MIS; the solver grows at
+    # most one clique per vertex and enumerates none
+    n = 12
+    graph = graph_from_edges(n, {(i, j) for i in range(n) for j in range(i + 1, n) if i // 3 != j // 3})
+    w = tuple(1 + v % 3 for v in range(n))
+    start = time.monotonic()
+    solver = ChromaticSolver(graph, w)
+    result = solver.solve(w)
+    assert time.monotonic() - start < 1
+    assert len(solver._cliques) <= n
+    # each part is one MIS, so chi is the sum of the parts' largest demands,
+    # the weight of the clique that takes each part's heaviest vertex
+    assert (result.chi, solver.bounds(w)[1]) == (12, 12)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import multicolor.chromatic
 import multicolor.extension
 import multicolor.oracle
 from multicolor import (
@@ -226,20 +227,13 @@ class TestExtendColoring:
     def test_branch_cap_counts_the_decided_residuals_and_the_witness(self, monkeypatch):
         # a cap of exactly the states expanded passes, one fewer trips, also
         # where several residuals are decided: the count is the last solve's
-        rng = random.Random(29)
-        cases = [alternating_ring(11, 3, 3, 3)]
-        for _ in range(40):
-            graph = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
-            a0 = rng.randint(1, 3)
-            c0 = random_precoloring(rng, graph, a0)
-            cases.append((graph, a0, c0, tuple(len(c0[v]) + rng.randint(1, 3) for v in range(graph.n))))
         real_solve = ChromaticSolver.solve
         several = 0
-        for graph, a0, c0, w in cases:
+        for graph, a0, c0, w in several_residual_cases():
             solved, used = [], []
 
-            def recording_solve(self, w):
-                result = real_solve(self, w)
+            def recording_solve(self, w, ceiling=None):
+                result = real_solve(self, w, ceiling)
                 solved.append(w)
                 used.append(self.expanded)
                 return result
@@ -255,6 +249,37 @@ class TestExtendColoring:
             with pytest.raises(ResourceLimitExceeded, match=f"limit {expanded - 1}$"):
                 extend_coloring(graph, a0, c0, w, max_branches=expanded - 1)
         assert several >= 5, several
+
+    def test_only_a_residual_that_beats_the_best_builds_a_witness(self, monkeypatch):
+        # solve climbs a residual only below the best chi so far, so one
+        # that can only tie returns None and builds no chromatic witness:
+        # every witness belongs to a solve that returned, each beating the
+        # last, and a call whose later residuals only tie builds exactly one
+        real_solve = ChromaticSolver.solve
+        real_witness = multicolor.chromatic.from_certificate
+        several = one = 0
+        for graph, a0, c0, w in several_residual_cases():
+            results, built = [], []
+
+            def recording_solve(self, w, ceiling=None):
+                results.append(real_solve(self, w, ceiling))
+                return results[-1]
+
+            def counting_witness(*args):
+                built.append(args)
+                return real_witness(*args)
+
+            monkeypatch.setattr(ChromaticSolver, "solve", recording_solve)
+            monkeypatch.setattr(multicolor.chromatic, "from_certificate", counting_witness)
+            extend_coloring(graph, a0, c0, w)
+            monkeypatch.undo()
+            chis = [r.chi for r in results if r is not None]
+            assert len(built) == len(chis) >= 1
+            assert chis == sorted(set(chis), reverse=True)
+            if len(results) > 1:
+                several += 1
+                one += len(built) == 1
+        assert several >= 5 and one >= 3, (several, one)
 
     def test_the_winner_is_solved_once_under_the_cap(self):
         # the one residual, (1, 1), is solved by a walk of one state at
@@ -291,6 +316,19 @@ def test_random_extensions_are_sound():
         assert all(c0[v] <= result.coloring[v] for v in range(graph.n))
         assert result.bound >= weighted_chromatic(graph, w).chi
         assert result.bound == brute_nonrecolor_chi(graph, a0, c0, w)
+
+
+def several_residual_cases():
+    """A palette-benchmark ring and 40 random extensions (seed 29), at
+    least 5 of which decide more than one residual."""
+    rng = random.Random(29)
+    cases = [alternating_ring(11, 3, 3, 3)]
+    for _ in range(40):
+        graph = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        a0 = rng.randint(1, 3)
+        c0 = random_precoloring(rng, graph, a0)
+        cases.append((graph, a0, c0, tuple(len(c0[v]) + rng.randint(1, 3) for v in range(graph.n))))
+    return cases
 
 
 def alternating_ring(n, a0, b, turn):
